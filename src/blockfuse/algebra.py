@@ -270,7 +270,8 @@ def _minimal_polynomial(z: AlgebraElement, c: AlgebraElement) -> tuple[tuple[int
         if combo is not None:
             k = len(vectors)
             mu = [t.neg(x) for x in combo] + [1]
-            assert len(mu) == k + 1
+            if len(mu) != k + 1:
+                raise VerificationError("Krylov relation has the wrong length")
             return tuple(mu), vectors
         vectors.append(cur)
         cur = multiply(z, cur)
@@ -284,7 +285,8 @@ def _bezout_idempotents(t: FieldTower, mu, factors, vectors) -> list[AlgebraElem
         for _ in range(mult):
             qpow = _pmul(t, qpow, poly.codes)
         u, r = _pdivmod(t, mu, qpow)
-        assert not r
+        if r:
+            raise VerificationError("factor power does not divide the minimal polynomial")
         w = _pinvmod(t, u, qpow)
         s = _pmod(t, _pmul(t, u, w), mu)
         acc = zero(vectors[0].group, t)

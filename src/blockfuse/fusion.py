@@ -229,23 +229,26 @@ def is_centric(F: FusionSystem, Q: Subgroup) -> bool:
                for R in F.iso_class_of(Q))
 
 
+def _intertwiners(phi: GroupMap, NQ: Subgroup, aut_r: set[tuple[int, ...]]) -> list[int]:
+    """The y in NQ with phi c_y phi^-1 in Aut_P(R), R = phi(Q), where
+    aut_r holds Aut_P(R) as image tuples over R.elems."""
+    conj = NQ.parent.conj
+    fwd = dict(zip(phi.domain.elems, phi.images))
+    pre = [src for _, src in sorted(zip(phi.images, phi.domain.elems))]  # phi^-1 on R.elems
+    return [y for y in NQ.elems if tuple(fwd[conj(y, u)] for u in pre) in aut_r]
+
+
 def n_phi(P: Subgroup, phi: GroupMap) -> Nphi:
-    """All y in N_P(Q) whose conjugation is carried by phi onto some
-    conjugation on the image."""
+    """N_phi = {y in N_P(Q) : phi c_y phi^-1 in Aut_P(R)}, R = phi(Q).
+
+    Aut_P(R) is built as a set of image tuples, so each y costs one
+    lookup of a |Q|-tuple.  Definitions as in Aschbacher-Kessar-Oliver,
+    Fusion Systems in Algebra and Topology, I.2."""
     if len(set(phi.images)) != phi.domain.order:
         raise ValueError("phi must be an isomorphism onto its image")
-    G = P.parent
-    Q = phi.domain
-    R = phi.image_subgroup()
-    NQ = normalizer_in(P, Q)
-    NR = normalizer_in(P, R)
-    members = []
-    for y in NQ.elems:
-        for z in NR.elems:
-            if all(phi.apply(G.conj(y, u)) == G.conj(z, phi.apply(u)) for u in Q.elems):
-                members.append(y)
-                break
-    return Nphi(phi, Subgroup(G, members))
+    aut_r = {m.images for m in inner_automorphisms(P, phi.image_subgroup())}
+    members = _intertwiners(phi, normalizer_in(P, phi.domain), aut_r)
+    return Nphi(phi, Subgroup(P.parent, members))
 
 
 def inner_automorphisms(P: Subgroup, Q: Subgroup) -> frozenset:
@@ -275,17 +278,38 @@ def check_sylow_axiom(F: FusionSystem) -> bool:
 
 
 def _extension_counterexample(F: FusionSystem):
+    """First morphism phi: Q -> P with fully normalized image that does not
+    extend to N_phi, or None.
+
+    Q runs in `F.subgroups` order and phi in order of its image tuple, so
+    the witness is canonical.  N_phi comes from Aut_P(R) lookups as in
+    `n_phi`; phi extends iff its images are among the restrictions to Q
+    of the morphisms N_phi -> P.  Normalizers, the automizers of the fully
+    normalized subgroups (decided once per F-isomorphism class) and the
+    restriction sets are tables local to this call.
+    """
     P = F.p_subgroup
+    normalizers = {S.elems: normalizer_in(P, S) for S in F.subgroups}
+    automizers: dict[tuple[int, ...], set[tuple[int, ...]]] = {}  # fully normalized only
+    for cls in F.iso_classes():
+        top = max(normalizers[S.elems].order for S in cls)
+        for S in cls:
+            if normalizers[S.elems].order == top:
+                automizers[S.elems] = {m.images for m in inner_automorphisms(P, S)}
+    restrictions: dict[tuple[tuple[int, ...], tuple[int, ...]], set[tuple[int, ...]]] = {}
     for Q in F.subgroups:
-        for phi in F.hom_set(Q, P):
-            image = phi.image_subgroup()
-            if not fully_normalized(F, image):
+        for phi in sorted(F.hom_set(Q, P), key=lambda m: m.images):
+            aut_r = automizers.get(phi.image_elems)
+            if aut_r is None:
                 continue
-            n = n_phi(P, phi.onto_image()).subgroup
-            extended = any(
-                all(psi.apply(g) == phi.apply(g) for g in Q.elems)
-                for psi in F.hom_set(n, P))
-            if not extended:
+            N = Subgroup(P.parent, _intertwiners(phi, normalizers[Q.elems], aut_r),
+                         _checked=True)
+            key = (N.elems, Q.elems)
+            extended = restrictions.get(key)
+            if extended is None:
+                extended = restrictions[key] = {tuple(psi.apply(g) for g in Q.elems)
+                                                for psi in F.hom_set(N, P)}
+            if phi.images not in extended:
                 return phi
     return None
 
@@ -401,7 +425,8 @@ def assert_fusion_axioms(F: FusionSystem) -> None:
     for Q in F.subgroups:
         for u in P.elems:
             images = tuple(G.conj(u, g) for g in Q.elems)
-            assert set(images) <= pset
+            if not set(images) <= pset:
+                raise VerificationError("inner conjugation leaves P")
             target = Subgroup(G, images, _checked=True)
             if GroupMap(Q, target, images, _checked=True) not in F.isos:
                 raise VerificationError("inner conjugation map is missing")

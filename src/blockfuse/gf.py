@@ -638,7 +638,8 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
             rem = quo
             mult += 1
         result.append((Poly(t, u), mult))
-    assert len(rem) == 1 and rem[0] == 1
+    if len(rem) != 1 or rem[0] != 1:
+        raise AssertionError("irreducible factors do not multiply back to the polynomial")
     return Factorization(FieldElement(t, unit), tuple(result))
 
 
@@ -661,7 +662,8 @@ def factor_over_subfield(f: Poly, seed: int = 0) -> Factorization:
         product = codes
         cur = _pfrob(t, codes)
         while cur != codes:
-            assert pool.pop(cur) == mult
+            if pool.pop(cur, None) != mult:
+                raise AssertionError("Frobenius orbit of a factor changes multiplicity")
             product = _pmul(t, product, cur)
             cur = _pfrob(t, cur)
         merged.append((Poly(t, product), mult))

@@ -170,8 +170,10 @@ def _validate_light(g: FiniteGroup) -> None:
     n = g.order
     arr = np.asarray(g.mul, dtype=np.int64)
     ar = np.arange(n)
-    assert (arr[0] == ar).all() and (arr[:, 0] == ar).all()
-    assert (np.sort(arr, axis=1) == ar).all()
+    if not (arr[0] == ar).all() or not (arr[:, 0] == ar).all():
+        raise ValueError("index 0 is not a two-sided identity")
+    if not (np.sort(arr, axis=1) == ar).all():
+        raise ValueError("multiplication table rows are not permutations")
 
 
 class Subgroup:
@@ -338,8 +340,12 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 def all_subgroups(P: Subgroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> list[Subgroup]:
     """Every subgroup of P, sorted by (order, element set).
 
-    Exhaustive closure: cyclic subgroups, then joins with single elements
-    until stable.  Intended for p-groups of modest order.
+    Closure of the cyclic subgroups under joining with one generator per
+    cyclic subgroup; every subgroup is such an iterated join.  Each found
+    subgroup keeps the generator tuple it was reached by (each join at
+    least doubles the order, so at most log_2 |P| generators), and joins
+    are grown from that tuple, not from all elements.  Intended for
+    p-groups of modest order.
     """
     if P.order > max_order:
         raise ValueError(f"subgroup enumeration bound exceeded ({P.order} > {max_order})")
@@ -347,22 +353,24 @@ def all_subgroups(P: Subgroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> li
     found: dict[tuple[int, ...], Subgroup] = {}
     triv = trivial_subgroup(G)
     found[triv.elems] = triv
+    cyclic_gens = []
     queue = []
     for g in P.elems:
         H = cyclic_subgroup(G, g)
         if H.elems not in found:
             found[H.elems] = H
-            queue.append(H)
+            cyclic_gens.append(g)
+            queue.append((H, (g,)))
     while queue:
-        H = queue.pop()
+        H, gens = queue.pop()
         hset = set(H.elems)
-        for x in P.elems:
+        for x in cyclic_gens:
             if x in hset:
                 continue
-            J = generated_subgroup(G, H.elems + (x,))
+            J = generated_subgroup(G, gens + (x,))
             if J.elems not in found:
                 found[J.elems] = J
-                queue.append(J)
+                queue.append((J, gens + (x,)))
     return sorted(found.values(), key=lambda s: (s.order, s.elems))
 
 

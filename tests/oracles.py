@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 
+from blockfuse.fusion import FusionSystem, fully_normalized
 from blockfuse.gf import FieldTower
-from blockfuse.groups import FiniteGroup, Subgroup
+from blockfuse.groups import (FiniteGroup, GroupMap, Subgroup, cyclic_subgroup,
+                              generated_subgroup, normalizer_in, trivial_subgroup)
 
 
 def conjugacy_classes_brute(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -38,6 +40,67 @@ def all_subgroups_brute(P: Subgroup) -> set[tuple[int, ...]]:
             if all(G.mul[a][b] in cset for a in cand for b in cand):
                 out.add(tuple(sorted(cand)))
     return out
+
+
+def all_subgroups_by_element_joins(P: Subgroup) -> list[Subgroup]:
+    """Every subgroup of P, sorted by (order, element set): cyclic
+    subgroups, then joins of each found subgroup's full element set with
+    every single element of P, until stable."""
+    G = P.parent
+    triv = trivial_subgroup(G)
+    found = {triv.elems: triv}
+    queue = []
+    for g in P.elems:
+        H = cyclic_subgroup(G, g)
+        if H.elems not in found:
+            found[H.elems] = H
+            queue.append(H)
+    while queue:
+        H = queue.pop()
+        hset = set(H.elems)
+        for x in P.elems:
+            if x in hset:
+                continue
+            J = generated_subgroup(G, H.elems + (x,))
+            if J.elems not in found:
+                found[J.elems] = J
+                queue.append(J)
+    return sorted(found.values(), key=lambda s: (s.order, s.elems))
+
+
+def n_phi_scan(P: Subgroup, phi: GroupMap) -> Subgroup:
+    """N_phi by scanning every pair y in N_P(Q), z in N_P(R) for
+    phi c_y = c_z phi on all of Q."""
+    G = P.parent
+    Q = phi.domain
+    R = phi.image_subgroup()
+    NQ = normalizer_in(P, Q)
+    NR = normalizer_in(P, R)
+    members = []
+    for y in NQ.elems:
+        for z in NR.elems:
+            if all(phi.apply(G.conj(y, u)) == G.conj(z, phi.apply(u)) for u in Q.elems):
+                members.append(y)
+                break
+    return Subgroup(G, members)
+
+
+def extension_counterexample_scan(F: FusionSystem) -> GroupMap | None:
+    """First morphism into P with fully normalized image that does not
+    extend to N_phi, deciding each morphism on its own: fully normalized
+    from the class scan, N_phi by `n_phi_scan`, extension by trying every
+    morphism N_phi -> P.  Same scan order as the production check (Q in
+    `F.subgroups` order, phi by image tuple)."""
+    P = F.p_subgroup
+    for Q in F.subgroups:
+        for phi in sorted(F.hom_set(Q, P), key=lambda m: m.images):
+            if not fully_normalized(F, phi.image_subgroup()):
+                continue
+            n = n_phi_scan(P, phi.onto_image())
+            if not any(all(psi.apply(g) == phi.apply(g) for g in Q.elems)
+                       for psi in F.hom_set(n, P)):
+                return phi
+    return None
 
 
 def commuting_with(G: FiniteGroup, elems) -> tuple[int, ...]:

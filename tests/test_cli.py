@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import blockfuse
 from blockfuse.cli import CorpusEntry, main, run_entry
 
 
@@ -187,3 +192,14 @@ def test_run_entry_keep_objects():
     assert report["ok"]
     assert "_objects" in report
     assert report["_objects"]["contexts"]
+
+
+def test_verify_under_optimized_mode():
+    """`python -O` strips asserts; the shipped corpus must still verify."""
+    src = str(Path(blockfuse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "blockfuse.cli", "verify"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True

@@ -1,18 +1,22 @@
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from blockfuse.algebra import (basis_element, find_block, primitive_central_idempotents,
                                principal_block)
 from blockfuse.brauer import maximal_pairs
-from blockfuse.fusion import (alperin_check, assert_fusion_axioms, block_fusion,
-                              check_extension_axiom, check_sylow_axiom, closure,
-                              factorization_check, fully_centralized, fully_normalized,
-                              fusion_equal, group_fusion, inner_automorphisms,
-                              is_centric, is_saturated, map_order, n_phi,
-                              saturation_report, sylow_index)
+from blockfuse.fusion import (_extension_counterexample, alperin_check,
+                              assert_fusion_axioms, block_fusion, check_extension_axiom,
+                              check_sylow_axiom, closure, factorization_check,
+                              fully_centralized, fully_normalized, fusion_equal,
+                              group_fusion, inner_automorphisms, is_centric, is_saturated,
+                              map_order, n_phi, saturation_report, sylow_index)
 from blockfuse.gf import make_tower
-from blockfuse.groups import (GroupMap, conjugation_map, cyclic_subgroup,
-                              full_subgroup, normalizer_in, sylow_p_subgroup,
-                              trivial_subgroup)
+from blockfuse.groups import (GroupMap, all_subgroups, centralizer_in, conjugation_map,
+                              cyclic_subgroup, full_subgroup, generated_subgroup,
+                              normalizer_in, sylow_p_subgroup, trivial_subgroup)
+from oracles import extension_counterexample_scan, n_phi_scan
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -248,3 +252,75 @@ def test_hom_sets_closed_under_inner_twists(groups, d24):
                         if all(G.conj(u, g) in set(Q.elems) for g in Q.elems):
                             pre = tuple(m.apply(G.conj(u, g)) for g in Q.elems)
                             assert any(h.images == pre for h in homs)
+
+
+def _assert_matches_scan_oracles(F):
+    P = F.p_subgroup
+    assert _extension_counterexample(F) == extension_counterexample_scan(F)
+    for Q in F.subgroups:
+        for phi in F.hom_set(Q, P):
+            assert n_phi(P, phi).subgroup == n_phi_scan(P, phi)
+
+
+def test_extension_check_matches_scan_oracle_on_corpus(corpus_run):
+    systems = [F for entry in corpus_run["_raw"]
+               for ctx in entry.get("_objects", {}).get("contexts", ())
+               for F in (ctx.system_l, ctx.system_k)]
+    assert systems
+    for F in systems:
+        _assert_matches_scan_oracles(F)
+
+
+def _injective_homs_into(P):
+    """Every injective homomorphism from a subgroup of P into P: images of
+    a greedy generating set extended along words, kept when GroupMap
+    accepts the result."""
+    G = P.parent
+    out = []
+    for Q in all_subgroups(P):
+        gens = []
+        for g in Q.elems:
+            if g not in generated_subgroup(G, gens).elems:
+                gens.append(g)
+        for targets in itertools.product(P.elems, repeat=len(gens)):
+            image = {0: 0}
+            frontier = [0]
+            while frontier:
+                w = frontier.pop()
+                for g, t in zip(gens, targets):
+                    if G.mul[w][g] not in image:
+                        image[G.mul[w][g]] = G.mul[image[w]][t]
+                        frontier.append(G.mul[w][g])
+            try:
+                out.append(GroupMap(Q, P, [image[g] for g in Q.elems]))
+            except ValueError:  # not injective, or not a homomorphism
+                pass
+    return out
+
+
+@pytest.fixture(scope="module")
+def sylow2_homs(groups):
+    out = {}
+    for name in ("d8", "s4"):
+        P = sylow_p_subgroup(groups[name], 2)
+        out[name] = (P, _injective_homs_into(P))
+    return out
+
+
+@given(st.data())
+def test_closure_extension_check_matches_scan_oracle(sylow2_homs, data):
+    P, homs = sylow2_homs[data.draw(st.sampled_from(("d8", "s4")))]
+    seeds = data.draw(st.lists(st.sampled_from(homs), max_size=3))
+    _assert_matches_scan_oracles(closure(P, seeds))
+
+
+def test_extension_witness_is_canonical(groups):
+    s4 = groups["s4"]
+    P = sylow_p_subgroup(s4, 2)
+    Z = centralizer_in(P, P)
+    seeds = [GroupMap(Q, Z, Z.elems) for Q in all_subgroups(P)
+             if Q.order == 2 and Q != Z]
+    rep = saturation_report(closure(P, seeds))
+    assert rep.sylow_ok and not rep.extension_ok
+    assert rep.witness == {"kind": "non_extendable_morphism", "domain": [0, 15],
+                           "images": [0, 3]}

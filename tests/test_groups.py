@@ -6,7 +6,8 @@ from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
                               conjugation_map, coset_reps, cyclic_subgroup, full_subgroup,
                               generated_subgroup, inclusion_map, normalizer,
                               normalizer_in, p_part, sylow_p_subgroup, trivial_subgroup)
-from oracles import all_subgroups_brute, commuting_with, conjugacy_classes_brute
+from oracles import (all_subgroups_brute, all_subgroups_by_element_joins, commuting_with,
+                     conjugacy_classes_brute)
 
 
 def test_build_trivial_table():
@@ -222,3 +223,17 @@ def test_relative_centralizer_normalizer(d24):
     assert centralizer_in(P, C2).is_subset_of(P)
     assert normalizer_in(P, C2).is_subset_of(P)
     assert centralizer_in(P, C2).is_subset_of(normalizer_in(P, C2))
+
+
+def test_all_subgroups_matches_element_join_oracle(groups):
+    sylows = [sylow_p_subgroup(G, p) for G in groups.values()
+              for p in range(2, G.order + 1)
+              if G.order % p == 0 and all(p % d for d in range(2, p))]
+    # C4 wr C2, order 32, nonabelian
+    wreath = build_group({"kind": "perm", "name": "C4wrC2", "degree": 8,
+                          "generators": [[1, 2, 3, 0, 4, 5, 6, 7],
+                                         [4, 5, 6, 7, 0, 1, 2, 3]]})
+    assert wreath.order == 32
+    for P in sylows + [full_subgroup(wreath)]:
+        assert ([S.elems for S in all_subgroups(P)]
+                == [S.elems for S in all_subgroups_by_element_joins(P)])
