@@ -9,8 +9,8 @@ from .gf import (FieldElement, FieldTower, Factorization, Poly, factor,
 from .groups import (FiniteGroup, GroupMap, Subgroup, all_subgroups, build_group,
                      centralizer, centralizer_in, conjugacy_classes, conjugation_map,
                      coset_reps, cyclic_subgroup, full_subgroup, generated_subgroup,
-                     identity_map, inclusion_map, normalizer, normalizer_in,
-                     sylow_p_subgroup, trivial_subgroup)
+                     inclusion_map, normalizer, normalizer_in, sylow_p_subgroup,
+                     trivial_subgroup)
 from .algebra import (AlgebraElement, BlockIdempotent, VerificationError, augmentation,
                       basis_element, brauer_map, center_basis, conjugate_element, embed,
                       find_block, from_sparse, galois_apply, is_central, is_k_rational,

@@ -45,7 +45,10 @@ def load_group_file(path: str, base: Path | None = None):
         if base is not None and not file.is_absolute():
             file = base / file
     with open(file, "r", encoding="utf-8") as fh:
-        return build_group(json.load(fh))
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError("a group description must be a JSON object")
+    return build_group(spec)
 
 
 def _tower_dict(tower) -> dict:
@@ -309,6 +312,8 @@ def run_corpus(entries, base: Path | None = None, jobs: int = 1, seed: int = 0,
 def load_corpus(path: Path) -> list[CorpusEntry]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a corpus must be a JSON object")
     return [CorpusEntry.from_dict(d) for d in data.get("entries", [])]
 
 
@@ -334,6 +339,12 @@ def render_table(report: dict) -> str:
     lines: list[str] = []
     _flatten("", report, lines)
     return "\n".join(lines) + "\n"
+
+
+def _input_error(message: str) -> int:
+    """Report bad command-line input on one stderr line; exit code 2."""
+    sys.stderr.write(f"blockfuse: error: {message}\n")
+    return 2
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -378,7 +389,10 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         corpus_path = Path(args.corpus) if args.corpus else default_corpus_path()
-        entries = load_corpus(corpus_path)
+        try:
+            entries = load_corpus(corpus_path)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            return _input_error(f"corpus {corpus_path}: {type(exc).__name__}: {exc}")
         if args.checks:
             wanted = tuple(args.checks.split(","))
             entries = [CorpusEntry(e.group, e.p, e.m, e.n, e.block, wanted, e.label)
@@ -387,8 +401,24 @@ def main(argv=None) -> int:
         _emit(report, args.format)
         return 0 if report["ok"] else 1
 
-    G = load_group_file(args.group)
-    tower = make_tower(args.p, args.m, args.n)
+    # Bad input exits 2; exit 1 is a false verdict.  Only the --block range
+    # waits for the (cached) L-blocks, which every report computes first.
+    block = getattr(args, "block", "all")
+    if block != "all" and not block.isdecimal():
+        return _input_error(f"--block must be a block index or 'all', not {block!r}")
+    try:
+        tower = make_tower(args.p, args.m, args.n)
+    except ValueError as exc:
+        return _input_error(str(exc))
+    try:
+        G = load_group_file(args.group)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return _input_error(f"group {args.group}: {type(exc).__name__}: {exc}")
+    if block != "all":
+        count = len(primitive_central_idempotents(G, tower, over_k=False, seed=seed))
+        if int(block) >= count:
+            return _input_error(f"--block {block} is out of range: {G.name} has {count} "
+                                f"blocks over F_{args.p}^{args.n}")
     if args.command == "blocks":
         report = blocks_report(G, tower, seed)
     elif args.command == "fusion":

@@ -11,14 +11,22 @@ It lives inside L as the fixed field of the Frobenius generator
 a -> a^(p^m), whose powers form the cyclic Galois group of L over K, and
 every K-rationality question is decided by that fixed-point test.
 
-Multiplication, inversion and powering go through discrete-log tables
-built once per tower, so arithmetic is cheap but tower sizes are bounded
-(p^n up to 2^16).  Univariate polynomials over L are tuples of codes,
-least significant coefficient first, with no trailing zeros; the zero
-polynomial is the empty tuple.  `factor` performs squarefree splitting,
-then distinct-degree and seeded equal-degree refinement, entirely over L;
-`factor_over_subfield` refines a Frobenius-fixed polynomial into its
-K-irreducible factors by merging Galois orbits of L-factors.
+The modulus search scans monic degree-n candidates in that order, skips
+every candidate with a root in F_p (a linear factor) and runs the full
+irreducibility test only on the rest.  The primitive element g is the
+smallest code whose order is q - 1, found by testing g^((q-1)/r) != 1 for
+each prime r | q - 1; one walk of its powers then fills the discrete-log
+tables, so multiplication, inversion and powering are table lookups and
+tower sizes are bounded (p^n up to 2^16).  Addition is chosen once per
+tower: XOR of codes when p = 2, and otherwise a Zech-logarithm table
+Z[k] = log(1 + g^k), with -1 = g^((q-1)/2).
+
+Univariate polynomials over L are tuples of codes, least significant
+coefficient first, with no trailing zeros; the zero polynomial is the
+empty tuple.  `factor` performs squarefree splitting, then distinct-degree
+and seeded equal-degree refinement, entirely over L; `factor_over_subfield`
+refines a Frobenius-fixed polynomial into its K-irreducible factors by
+merging Galois orbits of L-factors.
 """
 
 from __future__ import annotations
@@ -31,15 +39,23 @@ from dataclasses import dataclass
 _MAX_TOWER = 2 ** 16
 
 
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
+def _prime_factors(x: int) -> list[int]:
+    """The distinct primes dividing x, ascending."""
+    out = []
     d = 2
     while d * d <= x:
         if x % d == 0:
-            return False
+            out.append(d)
+            while x % d == 0:
+                x //= d
         d += 1
-    return True
+    if x > 1:
+        out.append(x)
+    return out
+
+
+def _is_prime(x: int) -> bool:
+    return x >= 2 and _prime_factors(x) == [x]
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +120,7 @@ def _fp_is_irreducible(p: int, f: tuple[int, ...]) -> bool:
     x = (0, 1)
     if _fp_powmod(p, x, p ** n, f) != _fp_mod(p, x, f):
         return False
-    for ell in {d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)}:
+    for ell in _prime_factors(n):
         h = _fp_powmod(p, x, p ** (n // ell), f)
         diff = list(h)
         while len(diff) < 2:
@@ -115,13 +131,27 @@ def _fp_is_irreducible(p: int, f: tuple[int, ...]) -> bool:
     return True
 
 
+def _fp_has_root(p: int, f: tuple[int, ...]) -> bool:
+    for a in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            return True
+    return False
+
+
 def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """Monic irreducible of degree n over F_p, lexicographically first."""
+    """Monic irreducible of degree n over F_p, lexicographically first.
+
+    A candidate with a root in F_p has a linear factor, so for n >= 2 it is
+    skipped before the irreducibility test; the scan order is unchanged.
+    """
     if n == 1:
         return (0, 1)
     for low in itertools.product(range(p), repeat=n):
         f = low + (1,)
-        if _fp_is_irreducible(p, f):
+        if not _fp_has_root(p, f) and _fp_is_irreducible(p, f):
             return f
     raise AssertionError("no irreducible found")  # unreachable
 
@@ -139,12 +169,13 @@ class FieldTower:
     """
 
     def __init__(self, p: int, m: int, n: int):
-        if not _is_prime(p):
-            raise ValueError(f"p={p} is not prime")
         if m < 1 or n < 1 or n % m != 0:
             raise ValueError(f"m={m} must divide n={n}")
-        if p ** n > _MAX_TOWER:
+        # the size test comes before the primality test, which is trial division
+        if n > _MAX_TOWER.bit_length() or p ** n > _MAX_TOWER:
             raise ValueError(f"tower F_{p}^{n} too large (limit {_MAX_TOWER})")
+        if not _is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         self.p = p
         self.m = m
         self.n = n
@@ -152,8 +183,18 @@ class FieldTower:
         self.k_order = p ** m
         self.gamma_order = n // m
         self.modulus: tuple[int, ...] = _smallest_irreducible(p, n)
-        self._digits: list[tuple[int, ...]] = [self._code_digits(c) for c in range(self.q)]
         self._build_logexp()
+        # Addition kernels are bound methods, never lambdas, so the tower
+        # stays picklable.
+        if p == 2:
+            self.add = self.sub = self._xor
+            self.neg = self._same
+        else:
+            # -1 = g^half; Z[k] = log(1 + g^k), where adding 1 changes only
+            # the constant digit, and Z[half] = log(0) = None
+            self._half = (self.q - 1) // 2
+            self._zech = [self._log[c - c % p + (c + 1) % p] for c in self._exp]
+            self.add, self.neg, self.sub = self._add_zech, self._neg_zech, self._sub_zech
         frob_e = p ** m
         self._frob: list[int] = [self.pow(a, frob_e) for a in range(self.q)]
         self._k_codes: tuple[int, ...] | None = None
@@ -167,68 +208,85 @@ class FieldTower:
             out.append(digit)
         return tuple(out)
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        da, db = self._digits[a], self._digits[b]
-        prod = [0] * (2 * self.n - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] += ca * cb
-        mod = self.modulus
-        for i in range(len(prod) - 1, self.n - 1, -1):
-            lead = prod[i] % self.p
-            prod[i] = 0
+    def _mul_digits(self, da, db) -> list[int]:
+        """Digits of the product of two digit vectors, reduced by the modulus."""
+        p, n = self.p, self.n
+        prod = [0] * (2 * n - 1)
+        for j, c in enumerate(da):
+            if c:
+                for i, d in enumerate(db):
+                    prod[i + j] += c * d
+        for i in range(2 * n - 2, n - 1, -1):
+            lead = prod[i] % p
             if lead:
-                shift = i - self.n
-                for k in range(self.n):
-                    prod[shift + k] -= lead * mod[k]
-        return sum((prod[i] % self.p) * self.p ** i for i in range(self.n))
+                for k, f in enumerate(self.modulus, i - n):
+                    prod[k] -= lead * f
+        return [c % p for c in prod[:n]]
+
+    def _pow_digits(self, digits, e: int) -> list[int]:
+        """Digits of the e-th power of a digit vector, by square-and-multiply."""
+        result = [1] + [0] * (self.n - 1)
+        while e:
+            if e & 1:
+                result = self._mul_digits(result, digits)
+            digits = self._mul_digits(digits, digits)
+            e >>= 1
+        return result
 
     def _build_logexp(self) -> None:
-        q = self.q
-        if q == 2:
-            self._exp, self._log = [1], [None, 0]
-            return
-        for g in range(2, q):
-            exp = [1]
-            cur = 1
-            ok = True
-            for _ in range(q - 2):
-                cur = self._raw_mul(cur, g)
-                if cur == 1:
-                    ok = False
-                    break
-                exp.append(cur)
-            if ok and self._raw_mul(cur, g) == 1:
-                log: list[int | None] = [None] * q
-                for i, c in enumerate(exp):
-                    log[c] = i
-                self._exp, self._log = exp, log
-                return
-        raise AssertionError("no primitive element found")  # unreachable
+        # g has order q - 1 exactly when g^((q-1)/r) != 1 for every prime
+        # r | q - 1; g = 1 passes only for q = 2, where it is primitive.
+        p, n, q = self.p, self.n, self.q
+        one = [1] + [0] * (n - 1)
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        g = next(g for g in range(1, q)
+                 if all(self._pow_digits(self._code_digits(g), e) != one
+                        for e in cofactors))
+        # Walk the powers of g once, on digit vectors.
+        g_digits = self._code_digits(g)
+        weights = [p ** i for i in range(n)]
+        cur = one
+        exp = [1]
+        for _ in range(q - 1):
+            cur = self._mul_digits(g_digits, cur)
+            code = sum(c * w for c, w in zip(cur, weights))
+            if code == 1:
+                break
+            exp.append(code)
+        if code != 1 or len(exp) != q - 1:
+            raise AssertionError(f"the powers of {g} do not have period q - 1")
+        log: list[int | None] = [None] * q
+        for i, c in enumerate(exp):
+            log[c] = i
+        self._exp, self._log = exp, log
 
-    # -- code arithmetic
+    # -- code arithmetic; add, neg and sub are bound in __init__
 
-    def add(self, a: int, b: int) -> int:
-        da, db = self._digits[a], self._digits[b]
-        code = 0
-        pw = 1
-        for i in range(self.n):
-            code += ((da[i] + db[i]) % self.p) * pw
-            pw *= self.p
-        return code
+    def _xor(self, a: int, b: int) -> int:
+        return a ^ b
 
-    def neg(self, a: int) -> int:
-        da = self._digits[a]
-        code = 0
-        pw = 1
-        for i in range(self.n):
-            code += ((self.p - da[i]) % self.p) * pw
-            pw *= self.p
-        return code
+    def _same(self, a: int) -> int:
+        return a
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def _add_zech(self, a: int, b: int) -> int:
+        # g^i + g^j = g^i (1 + g^(j-i)) = g^(i + Z[j-i])
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        i = self._log[a]
+        z = self._zech[(self._log[b] - i) % (self.q - 1)]
+        if z is None:
+            return 0
+        return self._exp[(i + z) % (self.q - 1)]
+
+    def _neg_zech(self, a: int) -> int:
+        if a == 0:
+            return 0
+        return self._exp[(self._log[a] + self._half) % (self.q - 1)]
+
+    def _sub_zech(self, a: int, b: int) -> int:
+        return self._add_zech(a, self._neg_zech(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -279,7 +337,7 @@ class FieldTower:
         return code
 
     def coeffs(self, code: int) -> tuple[int, ...]:
-        return self._digits[code]
+        return self._code_digits(code)
 
     def element(self, code: int) -> FieldElement:
         return FieldElement(self, code)
@@ -526,13 +584,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return Poly(self.tower, _pmod(self.tower, self.codes, other.codes))
-
-    def evaluate(self, a: int) -> int:
-        acc = 0
-        t = self.tower
-        for c in reversed(self.codes):
-            acc = t.add(t.mul(acc, a), c)
-        return acc
 
     def __repr__(self) -> str:
         return f"Poly{list(self.codes)}"

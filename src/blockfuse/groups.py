@@ -493,10 +493,6 @@ class GroupMap:
         return f"GroupMap({list(self.domain.elems)} -> {list(self.images)})"
 
 
-def identity_map(Q: Subgroup) -> GroupMap:
-    return GroupMap(Q, Q, Q.elems, _checked=True)
-
-
 def inclusion_map(Q: Subgroup, R: Subgroup) -> GroupMap:
     if not Q.is_subset_of(R):
         raise ValueError("not an inclusion")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from blockfuse.fusion import FusionSystem, fully_normalized
-from blockfuse.gf import FieldTower
+from blockfuse.gf import FieldTower, _fp_is_irreducible
 from blockfuse.groups import (FiniteGroup, GroupMap, Subgroup, cyclic_subgroup,
                               generated_subgroup, normalizer_in, trivial_subgroup)
 
@@ -258,3 +258,69 @@ def polynomial_roots_brute(t: FieldTower, codes) -> list[int]:
         if acc == 0:
             out.append(a)
     return out
+
+
+def _code_digits(t: FieldTower, code: int) -> list[int]:
+    out = []
+    for _ in range(t.n):
+        code, digit = divmod(code, t.p)
+        out.append(digit)
+    return out
+
+
+def _digits_code(t: FieldTower, digits) -> int:
+    return sum(d * t.p ** i for i, d in enumerate(digits))
+
+
+def field_add_digits(t: FieldTower, a: int, b: int) -> int:
+    """a + b by adding the code digits mod p, one coefficient at a time."""
+    return _digits_code(t, [(x + y) % t.p
+                            for x, y in zip(_code_digits(t, a), _code_digits(t, b))])
+
+
+def field_neg_digits(t: FieldTower, a: int) -> int:
+    """-a by negating the code digits mod p."""
+    return _digits_code(t, [-x % t.p for x in _code_digits(t, a)])
+
+
+def field_mul_digits(t: FieldTower, a: int, b: int) -> int:
+    """a * b by the schoolbook product of the code digits, reduced by the
+    tower modulus."""
+    p, n = t.p, t.n
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(_code_digits(t, a)):
+        for j, y in enumerate(_code_digits(t, b)):
+            prod[i + j] += x * y
+    for i in range(2 * n - 2, n - 1, -1):
+        lead = prod[i] % p
+        for k in range(n):
+            prod[i - n + k] -= lead * t.modulus[k]
+    return _digits_code(t, [c % p for c in prod[:n]])
+
+
+def smallest_irreducible_scan(p: int, n: int) -> tuple[int, ...]:
+    """Lexicographically first monic irreducible of degree n over F_p, by
+    the irreducibility test on every candidate in scan order."""
+    if n == 1:
+        return (0, 1)
+    for low in itertools.product(range(p), repeat=n):
+        f = low + (1,)
+        if _fp_is_irreducible(p, f):
+            return f
+    raise AssertionError("no irreducible found")
+
+
+def primitive_element_walk(t: FieldTower) -> list[int]:
+    """The powers g^0, ..., g^(q-2) of the first code g >= 2 whose cyclic
+    walk has period q - 1, walking every candidate in turn ([1] for F_2)."""
+    if t.q == 2:
+        return [1]
+    for g in range(2, t.q):
+        exp = [1]
+        cur = g
+        while cur != 1:
+            exp.append(cur)
+            cur = field_mul_digits(t, cur, g)
+        if len(exp) == t.q - 1:
+            return exp
+    raise AssertionError("no primitive element found")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import blockfuse
 from blockfuse.cli import CorpusEntry, main, run_entry
 
@@ -203,3 +205,33 @@ def test_verify_under_optimized_mode():
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["blocks", "--group", "builtin:s3", "--p", "4"], "p=4 is not prime"),
+    (["blocks", "--group", "builtin:s3", "--p", "2", "--m", "2", "--n", "3"],
+     "m=2 must divide n=3"),
+    (["blocks", "--group", "builtin:s3", "--p", "2", "--n", "17"], "too large"),
+    (["blocks", "--group", "no_such_group.json", "--p", "2"], "no_such_group.json"),
+    (["fusion", "--group", "builtin:s3", "--p", "2", "--block", "99"], "out of range"),
+    (["descent", "--group", "builtin:s3", "--p", "2", "--block", "first"], "--block"),
+    (["verify", "--corpus", "no_such_corpus.json"], "no_such_corpus.json"),
+])
+def test_bad_input_exits_2_with_one_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("blockfuse: error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for text in ("not json", "[1, 2]", json.dumps({"kind": "perm", "degree": 3})):
+        path.write_text(text)
+        assert main(["blocks", "--group", str(path), "--p", "2"]) == 2
+        assert capsys.readouterr().err.startswith("blockfuse: error: group ")
+    for text in ("[1, 2]", json.dumps({"entries": [{"p": 2}]})):
+        path.write_text(text)
+        assert main(["verify", "--corpus", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("blockfuse: error: corpus ")

@@ -1,11 +1,16 @@
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from blockfuse import gf
 from blockfuse.gf import (Poly, factor, factor_over_subfield, frobenius_power,
                           make_tower)
-from oracles import polynomial_roots_brute
+from oracles import (field_add_digits, field_mul_digits, field_neg_digits,
+                     polynomial_roots_brute, primitive_element_walk,
+                     smallest_irreducible_scan)
 
 
 def test_trivial_tower_f2():
@@ -73,6 +78,80 @@ def test_field_axioms_exhaustive(p, m, n):
         assert t.add(a, t.neg(a)) == 0
         if a:
             assert t.mul(a, t.inv(a)) == 1
+
+
+def _fields(max_q: int, primes=None) -> list[tuple[int, int]]:
+    primes = primes or [p for p in range(2, max_q + 1) if all(p % d for d in range(2, p))]
+    return [(p, n) for p in primes for n in range(1, max_q.bit_length()) if p ** n <= max_q]
+
+
+def _check_kernels(t, a: int, b: int) -> None:
+    total = field_add_digits(t, a, b)
+    assert t.add(a, b) == total
+    assert t.neg(b) == field_neg_digits(t, b)
+    assert t.sub(total, b) == a
+    assert t.mul(a, b) == field_mul_digits(t, a, b)
+
+
+# Every field with q <= 81: XOR kernels (p = 2) and Zech-logarithm kernels
+# (odd p, prime fields included).
+@pytest.mark.parametrize("p,n", _fields(81))
+def test_field_kernels_match_digit_oracles_exhaustive(p, n):
+    t = make_tower(p, 1, n)
+    for a, b in itertools.product(range(t.q), repeat=2):
+        _check_kernels(t, a, b)
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 7, 14), (3, 1, 10)])
+def test_field_kernels_match_digit_oracles_random(p, m, n):
+    t = make_tower(p, m, n)
+    rng = random.Random(0)
+    for _ in range(500):
+        a, b = rng.randrange(t.q), rng.randrange(1, t.q)
+        for x, y in ((a, b), (a, 0), (0, b), (b, b), (b, t.neg(b))):
+            _check_kernels(t, x, y)
+
+
+@pytest.mark.parametrize("p,n", _fields(2 ** 10, primes=(2, 3, 5, 7)))
+def test_modulus_and_primitive_element_match_scan_oracles(p, n):
+    assert gf._smallest_irreducible(p, n) == smallest_irreducible_scan(p, n)
+    t = make_tower(p, 1, n)
+    assert t._exp == primitive_element_walk(t)
+
+
+@pytest.mark.parametrize("p,m,n,modulus,generator", [
+    (2, 7, 14, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1), 7),
+    (2, 8, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1), 6),
+    (3, 1, 10, (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1), 34),
+])
+def test_large_tower_modulus_and_primitive_element_pinned(p, m, n, modulus, generator):
+    t = make_tower(p, m, n)
+    assert gf._smallest_irreducible(p, n) == modulus == t.modulus
+    assert t._exp[1] == generator
+
+
+def test_modulus_search_skips_candidates_with_roots(monkeypatch):
+    tested = []
+    is_irreducible = gf._fp_is_irreducible
+
+    def counted(p, f):
+        tested.append(f)
+        return is_irreducible(p, f)
+
+    monkeypatch.setattr(gf, "_fp_is_irreducible", counted)
+    assert gf._smallest_irreducible(2, 14) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+    assert len(tested) <= 16
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 3), (5, 1, 1), (3, 1, 2)])
+def test_tower_pickle_roundtrip(p, m, n):
+    t = make_tower(p, m, n)
+    u = pickle.loads(pickle.dumps(t))
+    assert u is not t and u.modulus == t.modulus
+    assert u.add.__self__ is u and u.neg.__self__ is u and u.sub.__self__ is u
+    for a, b in itertools.product(range(t.q), repeat=2):
+        assert (u.add(a, b), u.sub(a, b), u.neg(a), u.mul(a, b)) == \
+            (t.add(a, b), t.sub(a, b), t.neg(a), t.mul(a, b))
 
 
 def test_frobenius_is_field_automorphism():
