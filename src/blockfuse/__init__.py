@@ -6,16 +6,16 @@ __version__ = "0.1.0"
 
 from .gf import (FieldElement, FieldTower, Factorization, Poly, factor,
                  factor_over_subfield, frobenius_power, make_tower)
-from .groups import (FiniteGroup, GroupMap, Subgroup, all_subgroups, build_group,
-                     centralizer, centralizer_in, conjugacy_classes, conjugation_map,
-                     coset_reps, cyclic_subgroup, full_subgroup, generated_subgroup,
-                     inclusion_map, normalizer, normalizer_in, sylow_p_subgroup,
-                     trivial_subgroup)
+from .groups import (ClassData, FiniteGroup, GroupMap, Subgroup, all_subgroups, build_group,
+                     centralizer, centralizer_in, class_data, conjugacy_classes,
+                     conjugation_map, coset_reps, cyclic_subgroup, full_subgroup,
+                     generated_subgroup, inclusion_map, normalizer, normalizer_in,
+                     sylow_p_subgroup, trivial_subgroup)
 from .algebra import (AlgebraElement, BlockIdempotent, VerificationError, augmentation,
-                      basis_element, brauer_map, center_basis, conjugate_element, embed,
-                      find_block, from_sparse, galois_apply, is_central, is_k_rational,
-                      is_stable, multiply, one, primitive_central_idempotents,
-                      principal_block, trace_map, zero)
+                      basis_element, brauer_map, center_basis, central_multiply,
+                      conjugate_element, embed, find_block, from_sparse, galois_apply,
+                      is_central, is_k_rational, is_stable, multiply, one,
+                      primitive_central_idempotents, principal_block, trace_map, zero)
 from .brauer import (BrauerPair, MaximalPairs, SubpairTable, centralizer_blocks,
                      conjugate_block, conjugate_pair, defect_order, is_pair_of_block,
                      maximal_pairs, normal_leq, pair_stabilizer, subpair, subpair_table)

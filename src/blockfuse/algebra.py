@@ -8,12 +8,18 @@ handled: local coefficient vectors, with the embedding back into kG kept
 on the view.  Conjugation by an ambient group element moves an element of
 k C_G(Q) to k C_G(xQx^-1) through that embedding.
 
-Blocks are found by the classical center-splitting loop: starting from
-the identity, each conjugacy-class sum acts on the current summand, its
-minimal polynomial is factored (over L, or over the Frobenius-fixed
-subfield K for blocks of KG computed inside L), and coprime factor powers
-split the summand through the corresponding Bezout idempotents.  All zero
-tests are exact; no tolerances exist anywhere.
+Centre arithmetic runs in class-sum coordinates: a central element is one
+code per conjugacy class, and products use the owner's class structure
+counts (`groups.ClassData`, the class matrices of Dixon's character
+method), so it costs a function of k(G), the number of classes, rather
+than of |G|.  Blocks are found by the classical center-splitting loop on
+such k(G)-vectors: starting from the identity, each class sum acts on the
+current summand, its minimal polynomial is factored (over L, or over the
+Frobenius-fixed subfield K for blocks of KG computed inside L), and
+coprime factor powers split the summand through the corresponding Bezout
+idempotents; only the final blocks are expanded to group coordinates.
+`central_multiply` multiplies two central elements of the group algebra
+the same way.  All zero tests are exact; no tolerances exist anywhere.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import FieldTower, Poly, factor, factor_over_subfield, _pdivmod, _pinvmod, _pmod, _pmul
-from .groups import FiniteGroup, Subgroup, centralizer, conjugacy_classes, coset_reps
+from .groups import (ClassData, FiniteGroup, Subgroup, centralizer, class_data,
+                     conjugacy_classes, coset_reps)
 from .linalg import Echelon
 
 
@@ -126,6 +133,47 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 k = row[j]
                 out[k] = t.add(out[k], t.mul(ca, cb))
     return AlgebraElement(a.group, t, tuple(out))
+
+
+def _class_mul(t: FieldTower, cd: ClassData, x, y) -> list[int]:
+    """Product of two central elements given in class-sum coordinates:
+    (xy)_k = sum_i x_i sum_j n_ijk y_j, the count n_ijk taken as the
+    prime-field code n % p."""
+    p = t.p
+    out = [0] * len(cd.reps)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        triples = iter(cd.counts[i])
+        for k, j, n in zip(triples, triples, triples):
+            n %= p
+            if n and y[j]:
+                out[k] = t.add(out[k], t.mul(t.mul(xi, n), y[j]))
+    return out
+
+
+def _class_coords(a: AlgebraElement, cd: ClassData) -> tuple[int, ...] | None:
+    """a's codes at the class representatives, or None if a is not
+    constant on conjugacy classes."""
+    at_reps = tuple(a.coeffs[r] for r in cd.reps)
+    if tuple(at_reps[k] for k in cd.class_of) != a.coeffs:
+        return None
+    return at_reps
+
+
+def central_multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Product of two central elements, computed at the class
+    representatives only; equals `multiply(a, b)`.
+
+    Raises ValueError unless both inputs are constant on classes.
+    """
+    _check_owner(a, b)
+    cd = class_data(a.group)
+    x, y = _class_coords(a, cd), _class_coords(b, cd)
+    if x is None or y is None:
+        raise ValueError("central_multiply needs central elements")
+    prod = _class_mul(a.tower, cd, x, y)
+    return AlgebraElement(a.group, a.tower, tuple(prod[k] for k in cd.class_of))
 
 
 def augmentation(a: AlgebraElement) -> int:
@@ -234,8 +282,7 @@ def center_basis(G: FiniteGroup, tower: FieldTower) -> list[AlgebraElement]:
 
 
 def is_central(a: AlgebraElement) -> bool:
-    classes = conjugacy_classes(a.group)
-    return all(len({a.coeffs[g] for g in cls}) == 1 for cls in classes)
+    return _class_coords(a, class_data(a.group)) is not None
 
 
 @dataclass(frozen=True)
@@ -258,15 +305,14 @@ class BlockIdempotent:
         return f"Block[{self.index}/{field}]({self.elem!r})"
 
 
-def _minimal_polynomial(z: AlgebraElement, c: AlgebraElement) -> tuple[tuple[int, ...], list[AlgebraElement]]:
+def _minimal_polynomial(t: FieldTower, cd: ClassData, z, c) -> tuple[tuple[int, ...], list]:
     """Monic minimal polynomial mu with mu(z) * c = 0, plus the Krylov
-    vectors c, z c, z^2 c, ... of length deg(mu)."""
-    t = z.tower
-    ech = Echelon(t, c.group.order)
+    vectors c, z c, z^2 c, ... of length deg(mu); class-sum coordinates."""
+    ech = Echelon(t, len(c))
     vectors = []
     cur = c
     while True:
-        combo = ech.insert(list(cur.coeffs))
+        combo = ech.insert(cur)
         if combo is not None:
             k = len(vectors)
             mu = [t.neg(x) for x in combo] + [1]
@@ -274,10 +320,10 @@ def _minimal_polynomial(z: AlgebraElement, c: AlgebraElement) -> tuple[tuple[int
                 raise VerificationError("Krylov relation has the wrong length")
             return tuple(mu), vectors
         vectors.append(cur)
-        cur = multiply(z, cur)
+        cur = _class_mul(t, cd, z, cur)
 
 
-def _bezout_idempotents(t: FieldTower, mu, factors, vectors) -> list[AlgebraElement]:
+def _bezout_idempotents(t: FieldTower, mu, factors, vectors) -> list[list[int]]:
     """Split the identity of k[z]c along coprime factor powers of mu."""
     parts = []
     for poly, mult in factors:
@@ -289,10 +335,10 @@ def _bezout_idempotents(t: FieldTower, mu, factors, vectors) -> list[AlgebraElem
             raise VerificationError("factor power does not divide the minimal polynomial")
         w = _pinvmod(t, u, qpow)
         s = _pmod(t, _pmul(t, u, w), mu)
-        acc = zero(vectors[0].group, t)
+        acc = [0] * len(vectors[0])
         for k, coef in enumerate(s):
             if coef:
-                acc = acc + vectors[k].scale(coef)
+                acc = [t.add(a, t.mul(coef, v)) for a, v in zip(acc, vectors[k])]
         parts.append(acc)
     return parts
 
@@ -302,19 +348,24 @@ def primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
                                   ) -> tuple[BlockIdempotent, ...]:
     """The complete set of blocks of L[G], or of K[G] when over_k.
 
-    Splitting runs per class sum in deterministic order, leftmost summand
-    first; the output is sorted by coefficient sequence, so block indices
-    are reproducible.  Results are cached on the group object.
+    Splitting runs on class-sum coordinates, per class sum in class order,
+    leftmost summand first; the output is sorted by group coefficient
+    sequence, so block indices are reproducible.  Results are cached on
+    the group object.
     """
     cache_key = (tower.key, over_k)
     cached = G._block_cache.get(cache_key)
     if cached is not None:
         return cached
-    summands = [one(G, tower)]
-    for z in center_basis(G, tower):
+    cd = class_data(G)
+    width = len(cd.reps)
+    summands = [[1] + [0] * (width - 1)]
+    for i in range(width):
+        z = [0] * width
+        z[i] = 1
         refined = []
         for c in summands:
-            mu, vectors = _minimal_polynomial(z, c)
+            mu, vectors = _minimal_polynomial(tower, cd, z, c)
             mu_poly = Poly(tower, mu)
             if over_k:
                 if not all(tower.is_k_rational(x) for x in mu):
@@ -326,17 +377,18 @@ def primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
                 refined.append(c)
                 continue
             parts = _bezout_idempotents(tower, mu, fac.factors, vectors)
-            total = zero(G, tower)
+            total = [0] * width
             for part in parts:
-                if part.is_zero:
+                if not any(part):
                     raise VerificationError("zero part in idempotent splitting")
-                total = total + part
+                total = [tower.add(a, b) for a, b in zip(total, part)]
             if total != c:
                 raise VerificationError("idempotent splitting does not sum back")
             refined.extend(parts)
         summands = refined
-    summands.sort(key=lambda a: a.coeffs)
-    blocks = tuple(BlockIdempotent(elem, over_k, i) for i, elem in enumerate(summands))
+    elems = sorted((AlgebraElement(G, tower, tuple(c[k] for k in cd.class_of))
+                    for c in summands), key=lambda a: a.coeffs)
+    blocks = tuple(BlockIdempotent(elem, over_k, i) for i, elem in enumerate(elems))
     G._block_cache[cache_key] = blocks
     return blocks
 

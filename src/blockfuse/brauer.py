@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (BlockIdempotent, VerificationError, brauer_map,
-                      conjugate_element, embed, find_block, is_stable, multiply,
+from .algebra import (BlockIdempotent, VerificationError, brauer_map, central_multiply,
+                      conjugate_element, embed, find_block, is_stable,
                       primitive_central_idempotents)
 from .gf import FieldTower
 from .groups import (FiniteGroup, Subgroup, all_subgroups, centralizer, normalizer_in,
@@ -57,7 +57,7 @@ def is_pair_of_block(pair: BrauerPair, b: BlockIdempotent) -> bool:
     """True iff Br_P(b) e = e, i.e. (P, e) belongs to the block b of kG."""
     br = brauer_map(b.elem, pair.subgroup, check_stable=False)
     e = pair.block.elem
-    return multiply(br, e) == e
+    return central_multiply(br, e) == e
 
 
 def conjugate_block(x: int, block: BlockIdempotent) -> BlockIdempotent:
@@ -87,7 +87,7 @@ def normal_leq(sub: BrauerPair, sup: BrauerPair) -> bool:
         return False
     br = brauer_map(embed(f), R, check_stable=False)
     e = sup.block.elem
-    return multiply(br, e) == e
+    return central_multiply(br, e) == e
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
         if P.order != defect:
             continue
         for e in centralizer_blocks(G, tower, P, b.over_k, seed):
-            if multiply(br, e.elem) == e.elem:
+            if central_multiply(br, e.elem) == e.elem:
                 pairs.append(BrauerPair(P, e))
     pairs.sort(key=lambda pr: (pr.subgroup.elems, pr.block.index))
     return MaximalPairs(tuple(pairs), defect, S)

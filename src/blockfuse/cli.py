@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .algebra import (augmentation, is_k_rational, primitive_central_idempotents,
-                      principal_block)
+from .algebra import (VerificationError, augmentation, is_k_rational,
+                      primitive_central_idempotents, principal_block)
 from .brauer import maximal_pairs
 from .descent import block_correspondence, galois_orbit, run_descent
 from .fusion import (assert_fusion_axioms, block_fusion, fully_normalized, fusion_equal,
@@ -27,6 +27,10 @@ from .fusion import (assert_fusion_axioms, block_fusion, fully_normalized, fusio
 from .gf import make_tower
 from .groups import build_group
 from . import __version__
+
+
+class InputError(ValueError):
+    """Bad input that only shows once the group and tower are known."""
 
 
 def _builtin_path(name: str) -> Path:
@@ -207,15 +211,38 @@ class CorpusEntry:
 ALL_CHECKS = ("blocks", "correspondence", "principal", "descent")
 
 
+def _check_block(G, tower, block: str, seed: int = 0) -> None:
+    """Raise InputError unless block is 'all' or the index of an L-block."""
+    if block == "all":
+        return
+    if not block.isdecimal():
+        raise InputError(f"--block must be a block index or 'all', not {block!r}")
+    count = len(primitive_central_idempotents(G, tower, over_k=False, seed=seed))
+    if int(block) >= count:
+        raise InputError(f"--block {block} is out of range: {G.name} has {count} "
+                         f"blocks over F_{tower.p}^{tower.n}")
+
+
 def run_entry(entry: CorpusEntry, base: Path | None = None, seed: int = 0,
               keep_objects: bool = False) -> dict:
     """Run every requested check for one corpus entry; never raises, error
-    text is embedded instead."""
+    text is embedded instead, with its kind: "input" (group file, tower,
+    block selector or range), "verification" (a VerificationError) or
+    "internal" (any other exception)."""
     label = entry.label or f"{entry.group}@p{entry.p}m{entry.m}n{entry.n}"
     objects: dict = {}
+
+    def error(kind: str, exc: Exception) -> dict:
+        return {"label": label, "error": f"{type(exc).__name__}: {exc}", "kind": kind,
+                "ok": False}
+
     try:
         G = load_group_file(entry.group, base)
         tower = make_tower(entry.p, entry.m, entry.n)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return error("input", exc)
+    try:
+        _check_block(G, tower, entry.block, seed)
         report: dict = {"label": label, "group": G.name, "order": G.order,
                         "tower": _tower_dict(tower)}
         verdicts = []
@@ -277,8 +304,12 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, seed: int = 0,
             objects["tower"] = tower
             report["_objects"] = objects
         return report
+    except InputError as exc:
+        return error("input", exc)
+    except VerificationError as exc:
+        return error("verification", exc)
     except Exception as exc:  # error path: surface, do not crash the sweep
-        return {"label": label, "error": f"{type(exc).__name__}: {exc}", "ok": False}
+        return error("internal", exc)
 
 
 def _strip_objects(report: dict) -> dict:
@@ -399,13 +430,17 @@ def main(argv=None) -> int:
                        for e in entries]
         report = run_corpus(entries, base=corpus_path.parent, jobs=args.jobs, seed=seed)
         _emit(report, args.format)
+        kinds = {e.get("kind") for e in report["entries"]}
+        if kinds & {"verification", "internal"}:
+            return 3
+        if "input" in kinds:
+            return 2
         return 0 if report["ok"] else 1
 
-    # Bad input exits 2; exit 1 is a false verdict.  Only the --block range
-    # waits for the (cached) L-blocks, which every report computes first.
+    # Bad input exits 2, a failed theorem check 3; exit 1 is a false
+    # verdict.  Only the --block range waits for the (cached) L-blocks,
+    # which every report computes first.
     block = getattr(args, "block", "all")
-    if block != "all" and not block.isdecimal():
-        return _input_error(f"--block must be a block index or 'all', not {block!r}")
     try:
         tower = make_tower(args.p, args.m, args.n)
     except ValueError as exc:
@@ -414,19 +449,21 @@ def main(argv=None) -> int:
         G = load_group_file(args.group)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _input_error(f"group {args.group}: {type(exc).__name__}: {exc}")
-    if block != "all":
-        count = len(primitive_central_idempotents(G, tower, over_k=False, seed=seed))
-        if int(block) >= count:
-            return _input_error(f"--block {block} is out of range: {G.name} has {count} "
-                                f"blocks over F_{args.p}^{args.n}")
-    if args.command == "blocks":
-        report = blocks_report(G, tower, seed)
-    elif args.command == "fusion":
-        report = fusion_report(G, tower, args.block, seed)
-    else:
-        report = descent_report(G, tower, args.block, seed)
+    try:
+        _check_block(G, tower, block, seed)
+        if args.command == "blocks":
+            report = blocks_report(G, tower, seed)
+        elif args.command == "fusion":
+            report = fusion_report(G, tower, block, seed)
+        else:
+            report = descent_report(G, tower, block, seed)
+    except InputError as exc:
+        return _input_error(str(exc))
+    except VerificationError as exc:
+        sys.stderr.write(f"blockfuse: error: VerificationError: {exc}\n")
+        return 3
     _emit(report, args.format)
-    return 0
+    return 0 if report.get("all_ok", True) else 1
 
 
 if __name__ == "__main__":

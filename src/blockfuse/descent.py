@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (BlockIdempotent, VerificationError, find_block, galois_apply,
-                      is_k_rational, primitive_central_idempotents)
+from .algebra import (BlockIdempotent, VerificationError, central_multiply, find_block,
+                      galois_apply, is_k_rational, primitive_central_idempotents)
 from .brauer import BrauerPair, maximal_pairs, pair_stabilizer, subpair_table
 from .fusion import (FusionSystem, alperin_check, block_fusion, check_extension_axiom,
                      closure, factorization_check, fully_centralized, fully_normalized,
@@ -192,9 +192,8 @@ class GaloisContext:
 
 def galois_context(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
                    seed: int = 0) -> GaloisContext:
-    from .algebra import multiply
     k_block = orbit_sum(b)
-    if multiply(b.elem, k_block.elem) != b.elem:
+    if central_multiply(b.elem, k_block.elem) != b.elem:
         raise VerificationError("orbit sum does not cover the block")
     mp_l = maximal_pairs(G, tower, b, seed)
     root = mp_l.pairs[0]

@@ -41,7 +41,7 @@ class FiniteGroup:
         # lazily filled caches; values are deterministic, so concurrent
         # population is harmless
         self._localized: dict[tuple[int, ...], FiniteGroup] = {}
-        self._classes: tuple[tuple[int, ...], ...] | None = None
+        self._class_data: ClassData | None = None
         self._block_cache: dict = {}
 
     def elements(self) -> range:
@@ -374,20 +374,59 @@ def all_subgroups(P: Subgroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> li
     return sorted(found.values(), key=lambda s: (s.order, s.elems))
 
 
-def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Classes as sorted tuples, ordered by smallest member; cached."""
-    if G._classes is None:
-        seen = [False] * G.order
+class ClassData:
+    """Conjugacy classes of one group with their class-sum structure counts.
+
+    `classes` are sorted tuples ordered by smallest member, `reps[i]` is
+    the smallest member of class i (so class 0 is {identity}) and
+    `class_of[g]` is the class index of g.  `counts[i]` is a flat tuple of
+    the triples (k, j, n) with n = n_ijk = #{x in C_i : x^-1 r_k in C_j} > 0,
+    so that for class sums z, z_i * sum_j c_j z_j = sum_k (sum_j n c_j) z_k,
+    the integer n read in the prime field.  Building the counts takes
+    O(k(G) |G|) table lookups; the flat layout keeps them to one tuple per
+    class.
+    """
+
+    __slots__ = ("classes", "class_of", "reps", "counts")
+
+    def __init__(self, G: FiniteGroup):
+        class_of = [-1] * G.order
         classes = []
         for g in range(G.order):
-            if seen[g]:
+            if class_of[g] >= 0:
                 continue
             orbit = sorted({G.conj(x, g) for x in range(G.order)})
             for h in orbit:
-                seen[h] = True
+                class_of[h] = len(classes)
             classes.append(tuple(orbit))
-        G._classes = tuple(classes)
-    return G._classes
+        self.classes = tuple(classes)
+        self.class_of = tuple(class_of)
+        self.reps = tuple(cls[0] for cls in classes)
+        mul, inv = G.mul, G.inv
+        counts = []
+        for cls in classes:
+            flat: list[int] = []
+            for k, r in enumerate(self.reps):
+                hits: dict[int, int] = {}
+                for x in cls:
+                    j = class_of[mul[inv[x]][r]]
+                    hits[j] = hits.get(j, 0) + 1
+                for j in sorted(hits):
+                    flat += (k, j, hits[j])
+            counts.append(tuple(flat))
+        self.counts = tuple(counts)
+
+
+def class_data(G: FiniteGroup) -> ClassData:
+    """The group's ClassData, built on first use and cached on the group."""
+    if G._class_data is None:
+        G._class_data = ClassData(G)
+    return G._class_data
+
+
+def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Classes as sorted tuples, ordered by smallest member; cached."""
+    return class_data(G).classes
 
 
 def coset_reps(H: Subgroup, I: Subgroup) -> list[int]:

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import itertools
 
+from blockfuse.algebra import AlgebraElement, center_basis, multiply, one, zero
 from blockfuse.fusion import FusionSystem, fully_normalized
-from blockfuse.gf import FieldTower, _fp_is_irreducible
+from blockfuse.gf import (FieldTower, Poly, _fp_is_irreducible, _pdivmod, _pinvmod, _pmod,
+                          _pmul, factor, factor_over_subfield)
 from blockfuse.groups import (FiniteGroup, GroupMap, Subgroup, cyclic_subgroup,
                               generated_subgroup, normalizer_in, trivial_subgroup)
+from blockfuse.linalg import Echelon
 
 
 def conjugacy_classes_brute(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -198,54 +201,115 @@ class CenterOracle:
         return acc
 
 
+def _frobenius_fixed_points(oracle: CenterOracle):
+    """Every x in Z(L[G]) with x^p = x, in class coordinates: the kernel of
+    the F_p-linear map x -> x^p - x, solved on F_p digit vectors."""
+    t = oracle.t
+    fp = FieldTower(t.p, 1, 1)
+    width = oracle.dim * t.n
+
+    def digits(vec):
+        return [d for c in vec for d in t.coeffs(c)]
+
+    columns = []
+    for i in range(oracle.dim):
+        for a in range(t.n):
+            basis = [0] * oracle.dim
+            basis[i] = t.p ** a
+            img = oracle.power_q(tuple(basis), t.p)
+            columns.append(digits([t.sub(x, b) for x, b in zip(img, basis)]))
+    mat = [[col[r] for col in columns] for r in range(width)]
+    kernel = nullspace(fp, mat, width)
+    for coords in itertools.product(range(t.p), repeat=len(kernel)):
+        flat = [sum(c * vec[r] for c, vec in zip(coords, kernel)) % t.p for r in range(width)]
+        yield tuple(t.from_coeffs(flat[i * t.n:(i + 1) * t.n]) for i in range(oracle.dim))
+
+
 def brute_force_blocks(G: FiniteGroup, t: FieldTower, over_k: bool = False,
-                       full_limit: int = 32768) -> list[tuple[int, ...]]:
+                       full_limit: int = 4096) -> list[tuple[int, ...]]:
     """Primitive idempotents of Z(L[G]) (or Z(K[G])) as full coefficient
     vectors, sorted; exhaustive search, independent of the splitting code.
 
     When the full coefficient enumeration is too large, the search is cut
-    down to the subalgebra {x : x^q = x}, which contains every idempotent
-    since e^2 = e forces e^q = e.
+    down to the F_p-subspace {x : x^p = x} (Frobenius is F_p-linear on the
+    commutative centre), which contains every idempotent since e^2 = e
+    forces e^p = e; K-blocks are its idempotents with K-rational codes.
     """
     oracle = CenterOracle(G, t)
-    q = t.k_order if over_k else t.q
     codes = t.k_codes() if over_k else tuple(range(t.q))
-    idempotents = []
     if len(codes) ** oracle.dim <= full_limit:
         candidates = itertools.product(codes, repeat=oracle.dim)
-        for cand in candidates:
-            if not any(cand):
-                continue
-            if oracle.mul(cand, cand) == cand:
-                idempotents.append(cand)
     else:
-        rows = []
-        for i in range(oracle.dim):
-            basis = [0] * oracle.dim
-            basis[i] = 1
-            img = oracle.power_q(tuple(basis), q)
-            col = [t.sub(img[k], 1 if k == i else 0) for k in range(oracle.dim)]
-            rows.append(col)
-        # rows[i] is the image column of basis vector i; transpose to rows
-        mat = [[rows[i][k] for i in range(oracle.dim)] for k in range(oracle.dim)]
-        kernel = nullspace(t, mat, oracle.dim)
-        for kernel_vec in kernel:
-            assert all((not over_k) or t.is_k_rational(c) for c in kernel_vec)
-        for coords in itertools.product(codes, repeat=len(kernel)):
-            cand = [0] * oracle.dim
-            for c, vec in zip(coords, kernel):
-                for k in range(oracle.dim):
-                    cand[k] = t.add(cand[k], t.mul(c, vec[k]))
-            cand = tuple(cand)
-            if not any(cand):
-                continue
-            if oracle.mul(cand, cand) == cand:
-                idempotents.append(cand)
+        candidates = _frobenius_fixed_points(oracle)
+    idempotents = []
+    for cand in candidates:
+        if not any(cand) or (over_k and not all(t.is_k_rational(c) for c in cand)):
+            continue
+        if oracle.mul(cand, cand) == cand:
+            idempotents.append(cand)
     minimal = []
     for e in idempotents:
         if all(f == e or oracle.mul(e, f) != f for f in idempotents):
             minimal.append(e)
     return sorted(oracle.to_vector(e) for e in minimal)
+
+
+def _minimal_polynomial_kg(z: AlgebraElement, c: AlgebraElement):
+    """Monic minimal polynomial mu with mu(z) * c = 0 and the Krylov
+    vectors c, z c, ..., z^(deg mu - 1) c, by products in L[G]."""
+    t = z.tower
+    ech = Echelon(t, c.group.order)
+    vectors = []
+    cur = c
+    while True:
+        combo = ech.insert(list(cur.coeffs))
+        if combo is not None:
+            return tuple([t.neg(x) for x in combo] + [1]), vectors
+        vectors.append(cur)
+        cur = multiply(z, cur)
+
+
+def _bezout_idempotents_kg(t: FieldTower, mu, factors, vectors) -> list[AlgebraElement]:
+    parts = []
+    for poly, mult in factors:
+        qpow = (1,)
+        for _ in range(mult):
+            qpow = _pmul(t, qpow, poly.codes)
+        u, r = _pdivmod(t, mu, qpow)
+        assert not r
+        s = _pmod(t, _pmul(t, u, _pinvmod(t, u, qpow)), mu)
+        acc = zero(vectors[0].group, t)
+        for k, coef in enumerate(s):
+            if coef:
+                acc = acc + vectors[k].scale(coef)
+        parts.append(acc)
+    return parts
+
+
+def blocks_by_group_algebra_splitting(G: FiniteGroup, t: FieldTower, over_k: bool = False,
+                                      seed: int = 0) -> list[tuple[int, ...]]:
+    """Block coefficient vectors, sorted, from the center-splitting loop run
+    with |G|-dimensional Krylov sequences and convolution products in
+    L[G], the predecessor of the class-sum splitting."""
+    summands = [one(G, t)]
+    for z in center_basis(G, t):
+        refined = []
+        for c in summands:
+            mu, vectors = _minimal_polynomial_kg(z, c)
+            mu_poly = Poly(t, mu)
+            fac = factor_over_subfield(mu_poly, seed) if over_k else factor(mu_poly, seed)
+            if len(fac.factors) == 1:
+                refined.append(c)
+                continue
+            parts = _bezout_idempotents_kg(t, mu, fac.factors, vectors)
+            assert all(not part.is_zero for part in parts)
+            total = zero(G, t)
+            for part in parts:
+                total = total + part
+            assert total == c
+            refined.extend(parts)
+        summands = refined
+    return sorted(c.coeffs for c in summands)
 
 
 def polynomial_roots_brute(t: FieldTower, codes) -> list[int]:

@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from blockfuse.algebra import (AlgebraElement, augmentation, basis_element, brauer_map,
-                               center_basis, conjugate_element, embed, find_block,
-                               from_sparse, galois_apply, is_central, is_k_rational,
-                               is_stable, multiply, one, primitive_central_idempotents,
-                               principal_block, trace_map, zero)
+                               center_basis, central_multiply, conjugate_element, embed,
+                               find_block, from_sparse, galois_apply, is_central,
+                               is_k_rational, is_stable, multiply, one,
+                               primitive_central_idempotents, principal_block, trace_map,
+                               zero)
 from blockfuse.gf import make_tower
-from blockfuse.groups import (centralizer, coset_reps, cyclic_subgroup, full_subgroup,
-                              trivial_subgroup)
+from blockfuse.groups import (centralizer, class_data, coset_reps, cyclic_subgroup,
+                              full_subgroup, trivial_subgroup)
 from blockfuse.linalg import Echelon
-from oracles import brute_force_blocks, convolve
+from conftest import GROUP_NAMES, load_builtin
+from oracles import blocks_by_group_algebra_splitting, brute_force_blocks, convolve
 
 
 F2 = make_tower(2, 1, 1)
@@ -285,3 +288,71 @@ def test_sparse_roundtrip(d24):
     for b in blocks:
         sparse = b.elem.to_sparse()
         assert from_sparse(d24, F4, sparse) == b.elem
+
+
+CORPUS_TOWERS = ((2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2))
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_class_sum_blocks_match_group_algebra_oracles(name):
+    """Class-sum splitting against the kG splitting and the exhaustive
+    idempotent search, on a freshly loaded group (no cached blocks)."""
+    G = load_builtin(name)
+    for tower in (make_tower(*key) for key in CORPUS_TOWERS):
+        for over_k in (False, True):
+            got = [b.elem.coeffs for b in primitive_central_idempotents(G, tower, over_k)]
+            assert got == blocks_by_group_algebra_splitting(G, tower, over_k), (tower.key, over_k)
+            assert got == brute_force_blocks(G, tower, over_k), (tower.key, over_k)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_structure_counts_match_class_sum_products(name, groups):
+    """n_ijk is the coefficient at r_k of z_i z_j, read in a field whose
+    characteristic exceeds every count."""
+    G = groups[name]
+    t = make_tower(251, 1, 1)
+    cd = class_data(G)
+    sums = [z.coeffs for z in center_basis(G, t)]
+    assert cd.reps == tuple(cls[0] for cls in cd.classes)
+    assert all(cd.class_of[g] == i for i, cls in enumerate(cd.classes) for g in cls)
+    for i, zi in enumerate(sums):
+        for j, zj in enumerate(sums):
+            prod = convolve(G, t, zi, zj)
+            triples = cd.counts[i]
+            found = {(k, jj): n for k, jj, n in zip(*[iter(triples)] * 3)}
+            counts = [found.get((k, j), 0) for k in range(len(sums))]
+            assert [prod[r] for r in cd.reps] == counts
+
+
+def _central_algebras(groups):
+    """Non-abelian groups, plus the centralizer view D8 = C_S4(double transposition)."""
+    s4 = groups["s4"]
+    views = [centralizer(s4, cyclic_subgroup(s4, g)) for g in range(s4.order)]
+    view = next(C for C in views if C.order == 8).as_group()
+    return [s4, groups["c3sc4"], groups["a4"], groups["d24"], view]
+
+
+@given(st.data())
+def test_central_multiply_matches_multiply(groups, data):
+    G = data.draw(st.sampled_from(_central_algebras(groups)))
+    t = data.draw(st.sampled_from((F2, F4, make_tower(3, 1, 2))))
+    k = len(class_data(G).reps)
+    codes = st.lists(st.integers(0, t.q - 1), min_size=k, max_size=k)
+
+    def central(coords):
+        return AlgebraElement(G, t, tuple(coords[c] for c in class_data(G).class_of))
+
+    a, b = central(data.draw(codes)), central(data.draw(codes))
+    assert is_central(a) and is_central(b)
+    assert central_multiply(a, b) == multiply(a, b)
+    # a non-central input is refused, in either position
+    g = data.draw(st.sampled_from([g for cls in class_data(G).classes if len(cls) > 1
+                                   for g in cls]))
+    bumped = list(b.coeffs)
+    bumped[g] = t.add(bumped[g], 1)
+    skew = AlgebraElement(G, t, tuple(bumped))
+    assert not is_central(skew)
+    with pytest.raises(ValueError):
+        central_multiply(a, skew)
+    with pytest.raises(ValueError):
+        central_multiply(skew, a)

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import blockfuse
+import blockfuse.cli as cli
+from blockfuse.algebra import VerificationError
 from blockfuse.cli import CorpusEntry, main, run_entry
 
 
@@ -125,10 +127,11 @@ def test_verify_corrupted_table(tmp_path, capsys):
     cpath.write_text(json.dumps({"entries": [
         {"group": "loop.json", "p": 2, "label": "bad"}]}))
     code, out = _run(capsys, ["verify", "--corpus", str(cpath)])
-    assert code == 1
+    assert code == 2
     report = json.loads(out)
     assert not report["ok"]
     assert "associative" in report["entries"][0]["error"]
+    assert report["entries"][0]["kind"] == "input"
 
 
 def test_report_determinism(capsys):
@@ -235,3 +238,82 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
         path.write_text(text)
         assert main(["verify", "--corpus", str(path)]) == 2
         assert capsys.readouterr().err.startswith("blockfuse: error: corpus ")
+
+
+def _write_corpus(tmp_path, entries) -> str:
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"entries": entries}))
+    return str(path)
+
+
+def test_verify_bad_prime_is_input_error(tmp_path, capsys):
+    path = _write_corpus(tmp_path, [{"group": "builtin:s3", "p": 4, "label": "p4"}])
+    code, out = _run(capsys, ["verify", "--corpus", path])
+    assert code == 2
+    (entry,) = json.loads(out)["entries"]
+    assert entry == {"label": "p4", "error": "ValueError: p=4 is not prime",
+                     "kind": "input", "ok": False}
+
+
+@pytest.mark.parametrize("block,message", [("first", "'first'"), ("99", "out of range")])
+def test_verify_bad_block_is_input_error(block, message, tmp_path, capsys):
+    path = _write_corpus(tmp_path, [{"group": "builtin:s3", "p": 2, "block": block}])
+    code, out = _run(capsys, ["verify", "--corpus", path])
+    assert code == 2
+    (entry,) = json.loads(out)["entries"]
+    assert entry["kind"] == "input" and message in entry["error"]
+
+
+def _failing_report(*args, **kwargs):
+    raise VerificationError("principal block is not unique")
+
+
+def test_verification_error_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "blocks_report", _failing_report)
+    assert main(["blocks", "--group", "builtin:s3", "--p", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("blockfuse: error: VerificationError: "
+                            "principal block is not unique\n")
+    # a verification failure outranks an input error in the same corpus
+    path = _write_corpus(tmp_path, [{"group": "builtin:s3", "p": 4, "label": "bad"},
+                                    {"group": "builtin:s3", "p": 2, "label": "broken"}])
+    code, out = _run(capsys, ["verify", "--corpus", path])
+    assert code == 3
+    kinds = [e["kind"] for e in json.loads(out)["entries"]]
+    assert kinds == ["input", "verification"]
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("inverse of zero")
+
+    monkeypatch.setattr(cli, "blocks_report", crash)
+    path = _write_corpus(tmp_path, [{"group": "builtin:s3", "p": 2, "label": "crash"}])
+    code, out = _run(capsys, ["verify", "--corpus", path])
+    assert code == 3
+    (entry,) = json.loads(out)["entries"]
+    assert entry["kind"] == "internal"
+    assert entry["error"] == "ZeroDivisionError: inverse of zero"
+
+
+def test_reports_add_no_group_attributes():
+    """Caches are declared in FiniteGroup.__init__; a report that added an
+    attribute later would grow the instance dict of every group it touches."""
+    G = cli.load_group_file("builtin:d24")
+    keys = set(vars(G))
+    tower = cli.make_tower(2, 1, 2)
+    cli.blocks_report(G, tower)
+    cli.fusion_report(G, tower)
+    cli.descent_report(G, tower)
+    assert set(vars(G)) == keys
+    views = list(G._localized.values())
+    assert views and G._class_data is not None
+    for view in views:
+        assert set(vars(view)) == keys
+
+
+def test_false_descent_verdict_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "descent_report", lambda *args: {"all_ok": False})
+    assert main(["descent", "--group", "builtin:s3", "--p", "2"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"all_ok": False}
