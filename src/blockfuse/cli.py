@@ -118,11 +118,8 @@ def _fusion_system_report(G, tower, block, seed) -> dict:
     system = block_fusion(G, tower, block, root, seed)
     P = root.subgroup
     sat = saturation_report(system)
-    hom_counts = {}
-    for Q in system.subgroups:
-        for R in system.subgroups:
-            key = f"{','.join(map(str, Q.elems))}|{','.join(map(str, R.elems))}"
-            hom_counts[key] = len(system.hom_set(Q, R))
+    label = {Q.elems: ",".join(map(str, Q.elems)) for Q in system.subgroups}
+    hom_counts = {f"{label[q]}|{label[r]}": n for (q, r), n in system.hom_counts().items()}
     return {
         "block_index": block.index,
         "defect_order": mp.defect_order,
@@ -268,6 +265,7 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, seed: int = 0,
             sat = is_saturated(system)
             report["principal"] = {"block_index": pb.index, "sylow_order": mp.sylow.order,
                                    "matches_group_fusion": same, "saturated": sat}
+            objects["principal"] = system
             verdicts += [same, sat, root.subgroup.order == mp.sylow.order]
         if entry.wants("descent"):
             l_blocks = primitive_central_idempotents(G, tower, over_k=False, seed=seed)

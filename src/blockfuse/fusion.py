@@ -11,7 +11,7 @@ isomorphisms it contains.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .algebra import VerificationError
@@ -19,7 +19,7 @@ from .brauer import (BrauerPair, conjugate_block, is_pair_of_block, maximal_pair
                      subpair_table)
 from .gf import FieldTower
 from .groups import (FiniteGroup, GroupMap, Subgroup, all_subgroups, centralizer_in,
-                     normalizer_in)
+                     coset_reps, full_subgroup, normalizer_in)
 
 
 class FusionSystem:
@@ -59,9 +59,21 @@ class FusionSystem:
             self._hom_cache[key] = got
         return got
 
-    def homs(self) -> dict:
-        return {(Q.elems, R.elems): self.hom_set(Q, R)
-                for Q in self.subgroups for R in self.subgroups}
+    def hom_counts(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        """|Hom(Q, R)| for every ordered pair of objects, keyed by element
+        sets: the isos are counted per (domain, image), and each count goes
+        to every object R that contains the image."""
+        counts = {(Q.elems, R.elems): 0 for Q in self.subgroups for R in self.subgroups}
+        supergroups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for (dom, img), n in Counter((m.domain.elems, m.image_elems) for m in self.isos).items():
+            above = supergroups.get(img)
+            if above is None:
+                iset = set(img)
+                above = supergroups[img] = [R.elems for R in self.subgroups
+                                            if iset.issubset(R.elems)]
+            for r in above:
+                counts[dom, r] += n
+        return counts
 
     def aut_set(self, Q: Subgroup) -> frozenset:
         return self.hom_set(Q, Q)
@@ -139,7 +151,11 @@ def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair,
                  seed: int = 0) -> FusionSystem:
     """The fusion system of the block b at the maximal pair root: the
     conjugation maps c_x with x(Q, e_Q) under (R, e_R), decided through
-    the subpair table by x e_Q = e_{xQ}."""
+    the subpair table by x e_Q = e_{xQ}.
+
+    Both c_x on Q and x e_Q depend only on the left coset x C_G(Q), the
+    latter because e_Q is central in k C_G(Q).  So x runs over one
+    transporter per coset, and each distinct map is tested once."""
     if not is_pair_of_block(root, b):
         raise ValueError("root is not a pair of the given block")
     mp = maximal_pairs(G, tower, b, seed)
@@ -148,10 +164,11 @@ def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair,
     P = root.subgroup
     pset = set(P.elems)
     table = subpair_table(root, seed)
+    everything = full_subgroup(G)
     isos = set()
     for Q in all_subgroups(P):
         e_q = table[Q.elems]
-        for x in range(G.order):
+        for x in coset_reps(everything, centralizer_in(everything, Q)):
             images = tuple(G.conj(x, g) for g in Q.elems)
             if not set(images) <= pset:
                 continue
@@ -229,25 +246,41 @@ def is_centric(F: FusionSystem, Q: Subgroup) -> bool:
                for R in F.iso_class_of(Q))
 
 
-def _intertwiners(phi: GroupMap, NQ: Subgroup, aut_r: set[tuple[int, ...]]) -> list[int]:
-    """The y in NQ with phi c_y phi^-1 in Aut_P(R), R = phi(Q), where
-    aut_r holds Aut_P(R) as image tuples over R.elems."""
-    conj = NQ.parent.conj
+def _normalizer_cosets(P: Subgroup, Q: Subgroup, NQ: Subgroup) -> list[tuple[int, ...]]:
+    """The left cosets of Q C_P(Q) in NQ = N_P(Q), each led by its
+    smallest element."""
+    mul = P.parent.mul
+    C = centralizer_in(P, Q).elems
+    QC = Subgroup(P.parent, {mul[q][c] for q in Q.elems for c in C}, _checked=True)
+    return [tuple(mul[x][h] for h in QC.elems) for x in coset_reps(NQ, QC)]
+
+
+def _intertwiners(phi: GroupMap, cosets, aut_r: set[tuple[int, ...]]) -> list[int]:
+    """The y in N_P(Q) with phi c_y phi^-1 in Aut_P(R), R = phi(Q), where
+    aut_r holds Aut_P(R) as image tuples over R.elems and cosets are the
+    left cosets of Q C_P(Q) in N_P(Q).
+
+    These y form a subgroup containing Q C_P(Q): c_y is the identity on Q
+    for y in C_P(Q), and phi c_y phi^-1 = c_{phi(y)} for y in Q.  So the
+    leader of each coset decides the whole coset."""
+    conj = phi.domain.parent.conj
     fwd = dict(zip(phi.domain.elems, phi.images))
     pre = [src for _, src in sorted(zip(phi.images, phi.domain.elems))]  # phi^-1 on R.elems
-    return [y for y in NQ.elems if tuple(fwd[conj(y, u)] for u in pre) in aut_r]
+    return [y for coset in cosets
+            if tuple(fwd[conj(coset[0], u)] for u in pre) in aut_r for y in coset]
 
 
 def n_phi(P: Subgroup, phi: GroupMap) -> Nphi:
     """N_phi = {y in N_P(Q) : phi c_y phi^-1 in Aut_P(R)}, R = phi(Q).
 
-    Aut_P(R) is built as a set of image tuples, so each y costs one
-    lookup of a |Q|-tuple.  Definitions as in Aschbacher-Kessar-Oliver,
-    Fusion Systems in Algebra and Topology, I.2."""
+    Aut_P(R) is built as a set of image tuples, so each coset of
+    Q C_P(Q) costs one lookup of a |Q|-tuple.  Definitions as in
+    Aschbacher-Kessar-Oliver, Fusion Systems in Algebra and Topology, I.2."""
     if len(set(phi.images)) != phi.domain.order:
         raise ValueError("phi must be an isomorphism onto its image")
+    Q = phi.domain
     aut_r = {m.images for m in inner_automorphisms(P, phi.image_subgroup())}
-    members = _intertwiners(phi, normalizer_in(P, phi.domain), aut_r)
+    members = _intertwiners(phi, _normalizer_cosets(P, Q, normalizer_in(P, Q)), aut_r)
     return Nphi(phi, Subgroup(P.parent, members))
 
 
@@ -282,11 +315,12 @@ def _extension_counterexample(F: FusionSystem):
     extend to N_phi, or None.
 
     Q runs in `F.subgroups` order and phi in order of its image tuple, so
-    the witness is canonical.  N_phi comes from Aut_P(R) lookups as in
-    `n_phi`; phi extends iff its images are among the restrictions to Q
-    of the morphisms N_phi -> P.  Normalizers, the automizers of the fully
-    normalized subgroups (decided once per F-isomorphism class) and the
-    restriction sets are tables local to this call.
+    the witness is canonical.  N_phi comes from Aut_P(R) lookups per coset
+    of Q C_P(Q) as in `n_phi`; phi extends iff its images are among the
+    restrictions to Q of the morphisms N_phi -> P.  Normalizers, the
+    automizers of the fully normalized subgroups (decided once per
+    F-isomorphism class) and the restriction sets are tables local to this
+    call.
     """
     P = F.p_subgroup
     normalizers = {S.elems: normalizer_in(P, S) for S in F.subgroups}
@@ -298,12 +332,12 @@ def _extension_counterexample(F: FusionSystem):
                 automizers[S.elems] = {m.images for m in inner_automorphisms(P, S)}
     restrictions: dict[tuple[tuple[int, ...], tuple[int, ...]], set[tuple[int, ...]]] = {}
     for Q in F.subgroups:
+        cosets = _normalizer_cosets(P, Q, normalizers[Q.elems])
         for phi in sorted(F.hom_set(Q, P), key=lambda m: m.images):
             aut_r = automizers.get(phi.image_elems)
             if aut_r is None:
                 continue
-            N = Subgroup(P.parent, _intertwiners(phi, normalizers[Q.elems], aut_r),
-                         _checked=True)
+            N = Subgroup(P.parent, _intertwiners(phi, cosets, aut_r), _checked=True)
             key = (N.elems, Q.elems)
             extended = restrictions.get(key)
             if extended is None:

@@ -43,6 +43,7 @@ class FiniteGroup:
         self._localized: dict[tuple[int, ...], FiniteGroup] = {}
         self._class_data: ClassData | None = None
         self._block_cache: dict = {}
+        self._subgroups: dict[tuple[int, ...], tuple[Subgroup, ...]] = {}
 
     def elements(self) -> range:
         return range(self.order)
@@ -340,15 +341,26 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 def all_subgroups(P: Subgroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> list[Subgroup]:
     """Every subgroup of P, sorted by (order, element set).
 
-    Closure of the cyclic subgroups under joining with one generator per
-    cyclic subgroup; every subgroup is such an iterated join.  Each found
-    subgroup keeps the generator tuple it was reached by (each join at
-    least doubles the order, so at most log_2 |P| generators), and joins
-    are grown from that tuple, not from all elements.  Intended for
-    p-groups of modest order.
+    The lattice is enumerated once per element set of P and cached on the
+    parent group; each call returns a fresh list.  Intended for p-groups
+    of modest order.
     """
     if P.order > max_order:
         raise ValueError(f"subgroup enumeration bound exceeded ({P.order} > {max_order})")
+    cache = P.parent._subgroups
+    lattice = cache.get(P.elems)
+    if lattice is None:
+        lattice = cache[P.elems] = _subgroup_lattice(P)
+    return list(lattice)
+
+
+def _subgroup_lattice(P: Subgroup) -> tuple[Subgroup, ...]:
+    """Closure of the cyclic subgroups under joining with one generator per
+    cyclic subgroup; every subgroup is such an iterated join.  Each found
+    subgroup keeps the generator tuple it was reached by (each join at
+    least doubles the order, so at most log_2 |P| generators), and joins
+    are grown from that tuple, not from all elements.
+    """
     G = P.parent
     found: dict[tuple[int, ...], Subgroup] = {}
     triv = trivial_subgroup(G)
@@ -371,7 +383,7 @@ def all_subgroups(P: Subgroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> li
             if J.elems not in found:
                 found[J.elems] = J
                 queue.append((J, gens + (x,)))
-    return sorted(found.values(), key=lambda s: (s.order, s.elems))
+    return tuple(sorted(found.values(), key=lambda s: (s.order, s.elems)))
 
 
 class ClassData:

@@ -10,11 +10,14 @@ from __future__ import annotations
 import itertools
 
 from blockfuse.algebra import AlgebraElement, center_basis, multiply, one, zero
+from blockfuse.brauer import (BrauerPair, conjugate_block, is_pair_of_block, maximal_pairs,
+                              subpair_table)
 from blockfuse.fusion import FusionSystem, fully_normalized
 from blockfuse.gf import (FieldTower, Poly, _fp_is_irreducible, _pdivmod, _pinvmod, _pmod,
                           _pmul, factor, factor_over_subfield)
-from blockfuse.groups import (FiniteGroup, GroupMap, Subgroup, cyclic_subgroup,
-                              generated_subgroup, normalizer_in, trivial_subgroup)
+from blockfuse.groups import (FiniteGroup, GroupMap, Subgroup, all_subgroups,
+                              cyclic_subgroup, generated_subgroup, normalizer_in,
+                              trivial_subgroup)
 from blockfuse.linalg import Echelon
 
 
@@ -104,6 +107,34 @@ def extension_counterexample_scan(F: FusionSystem) -> GroupMap | None:
                        for psi in F.hom_set(n, P)):
                 return phi
     return None
+
+
+def block_fusion_scan(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair,
+                      seed: int = 0) -> FusionSystem:
+    """The block fusion system by scanning every x in G against every
+    Q <= P and testing x e_Q = e_{xQ} through the subpair table, one
+    conjugate_block call per x with xQ <= P."""
+    if not is_pair_of_block(root, b):
+        raise ValueError("root is not a pair of the given block")
+    mp = maximal_pairs(G, tower, b, seed)
+    if root.subgroup.order != mp.defect_order:
+        raise ValueError("root pair is not maximal for the block")
+    P = root.subgroup
+    pset = set(P.elems)
+    table = subpair_table(root, seed)
+    isos = set()
+    for Q in all_subgroups(P):
+        e_q = table[Q.elems]
+        for x in range(G.order):
+            images = tuple(G.conj(x, g) for g in Q.elems)
+            if not set(images) <= pset:
+                continue
+            target_elems = tuple(sorted(images))
+            if conjugate_block(x, e_q) != table[target_elems]:
+                continue
+            target = Subgroup(G, target_elems, _checked=True)
+            isos.add(GroupMap(Q, target, images, _checked=True))
+    return FusionSystem(P, isos)
 
 
 def commuting_with(G: FiniteGroup, elems) -> tuple[int, ...]:

@@ -3,8 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from blockfuse.algebra import (basis_element, find_block, primitive_central_idempotents,
-                               principal_block)
+import blockfuse.cli as cli
+import blockfuse.fusion as fusion
+import blockfuse.groups as groups_mod
+from blockfuse.algebra import (augmentation, basis_element, find_block,
+                               primitive_central_idempotents, principal_block)
 from blockfuse.brauer import maximal_pairs
 from blockfuse.fusion import (_extension_counterexample, alperin_check,
                               assert_fusion_axioms, block_fusion, check_extension_axiom,
@@ -13,10 +16,11 @@ from blockfuse.fusion import (_extension_counterexample, alperin_check,
                               group_fusion, inner_automorphisms, is_centric, is_saturated,
                               map_order, n_phi, saturation_report, sylow_index)
 from blockfuse.gf import make_tower
-from blockfuse.groups import (GroupMap, all_subgroups, centralizer_in, conjugation_map,
-                              cyclic_subgroup, full_subgroup, generated_subgroup,
-                              normalizer_in, sylow_p_subgroup, trivial_subgroup)
-from oracles import extension_counterexample_scan, n_phi_scan
+from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, centralizer_in,
+                              conjugation_map, cyclic_subgroup, full_subgroup,
+                              generated_subgroup, normalizer_in, sylow_p_subgroup,
+                              trivial_subgroup)
+from oracles import block_fusion_scan, extension_counterexample_scan, n_phi_scan
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -108,6 +112,74 @@ def test_principal_block_fusion_is_group_fusion(groups, d24):
         F = block_fusion(G, tower, pb, root)
         assert fusion_equal(F, group_fusion(root.subgroup, G))
         assert is_saturated(F)
+
+
+def test_block_fusion_matches_scan_oracle_on_corpus(corpus_run):
+    cases = []
+    for entry in corpus_run["_raw"]:
+        objects = entry.get("_objects", {})
+        if "principal" in objects:
+            G, tower = objects["group"], objects["tower"]
+            pb = principal_block(primitive_central_idempotents(G, tower))
+            cases.append((objects["principal"], G, tower, pb,
+                          maximal_pairs(G, tower, pb).pairs[0]))
+        for ctx in objects.get("contexts", ()):
+            cases.append((ctx.system_l, ctx.group, ctx.tower, ctx.block, ctx.root))
+            cases.append((ctx.system_k, ctx.group, ctx.tower, ctx.k_block, ctx.k_root))
+    assert cases
+    for F, G, tower, b, root in cases:
+        assert F.isos == block_fusion_scan(G, tower, b, root).isos
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_block_fusion_matches_scan_oracle_on_builtin_groups(groups, p):
+    """Every block of every builtin group over F_{p^2} and over F_p."""
+    tower = make_tower(p, 1, 2)
+    non_principal = 0
+    for G in groups.values():
+        for over_k in (False, True):
+            for b in primitive_central_idempotents(G, tower, over_k):
+                root = maximal_pairs(G, tower, b).pairs[0]
+                assert (block_fusion(G, tower, b, root).isos
+                        == block_fusion_scan(G, tower, b, root).isos)
+                non_principal += augmentation(b.elem) != 1
+    assert non_principal
+
+
+def test_fusion_report_shares_lattices_and_transports_by_cosets(monkeypatch):
+    """On the s4 fusion report at p = 2 each subgroup lattice is enumerated
+    once, conjugate_block runs once per distinct map c_x: Q -> P (that is,
+    per coset x C_G(Q)), and the cached lattice is not handed out."""
+    G = cli.load_group_file("builtin:s4")
+    enumerated = []
+    transported = []
+    lattice, conjugate = groups_mod._subgroup_lattice, fusion.conjugate_block
+
+    def counted_lattice(P):
+        enumerated.append((id(P.parent), P.elems))
+        return lattice(P)
+
+    def counted_conjugate(x, block):
+        transported.append(x)
+        return conjugate(x, block)
+
+    monkeypatch.setattr(groups_mod, "_subgroup_lattice", counted_lattice)
+    monkeypatch.setattr(fusion, "conjugate_block", counted_conjugate)
+    (system,) = cli.fusion_report(G, F2)["systems"]
+    assert enumerated and len(enumerated) == len(set(enumerated))
+    P = Subgroup(G, system["root"]["P"])
+    pset = set(P.elems)
+    maps = set()
+    for Q in all_subgroups(P):
+        for x in range(G.order):
+            images = tuple(G.conj(x, g) for g in Q.elems)
+            if pset.issuperset(images):
+                maps.add((Q.elems, images))
+    assert 0 < len(transported) <= len(maps)
+    subs = all_subgroups(P)
+    expected = [S.elems for S in subs]
+    subs.clear()
+    assert [S.elems for S in all_subgroups(P)] == expected
 
 
 def test_fully_centralized_normalized(d24):
@@ -257,6 +329,8 @@ def test_hom_sets_closed_under_inner_twists(groups, d24):
 def _assert_matches_scan_oracles(F):
     P = F.p_subgroup
     assert _extension_counterexample(F) == extension_counterexample_scan(F)
+    assert F.hom_counts() == {(Q.elems, R.elems): len(F.hom_set(Q, R))
+                              for Q in F.subgroups for R in F.subgroups}
     for Q in F.subgroups:
         for phi in F.hom_set(Q, P):
             assert n_phi(P, phi).subgroup == n_phi_scan(P, phi)
