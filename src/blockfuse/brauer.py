@@ -16,8 +16,8 @@ from .algebra import (BlockIdempotent, VerificationError, brauer_map, central_mu
                       conjugate_element, embed, find_block, is_stable,
                       primitive_central_idempotents)
 from .gf import FieldTower
-from .groups import (FiniteGroup, Subgroup, all_subgroups, centralizer, normalizer_in,
-                     sylow_p_subgroup)
+from .groups import (FiniteGroup, Subgroup, all_subgroups, centralizer, normalizer,
+                     normalizer_in, sylow_p_subgroup)
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ def normal_leq(sub: BrauerPair, sup: BrauerPair) -> bool:
     Q, R = sub.subgroup, sup.subgroup
     if not Q.is_subset_of(R):
         raise ValueError("sub.P is not contained in sup.P")
-    conj = Q.parent.conj
-    qset = set(Q.elems)
-    if any(conj(x, g) not in qset for x in R.elems for g in Q.elems):
+    if normalizer_in(R, Q).order != R.order:
         raise ValueError("sub.P is not normal in sup.P")
     f = sub.block.elem
     if not is_stable(f, R):
@@ -186,13 +184,7 @@ def defect_order(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> int:
 
 def pair_stabilizer(pair: BrauerPair) -> Subgroup:
     """N_G(P, e): ambient elements fixing both coordinates."""
-    G = pair.group
-    P = pair.subgroup
-    pset = set(P.elems)
     e = pair.block.elem
-    members = []
-    for x in range(G.order):
-        if all(G.conj(x, g) in pset for g in P.elems):
-            if conjugate_element(x, e) == e:
-                members.append(x)
-    return Subgroup(G, members, _checked=True)
+    members = [x for x in normalizer(pair.group, pair.subgroup).elems
+               if conjugate_element(x, e) == e]
+    return Subgroup(pair.group, members, _checked=True)

@@ -323,6 +323,8 @@ def _worker(payload: tuple) -> dict:
 def run_corpus(entries, base: Path | None = None, jobs: int = 1, seed: int = 0,
                keep_objects: bool = False) -> dict:
     entries = list(entries)
+    # the pool starts all of its workers up front: no more than there are entries
+    jobs = min(jobs, len(entries))
     if jobs > 1 and not keep_objects:
         payloads = [(e.__dict__ | {"checks": list(e.checks) if e.checks else None},
                      str(base) if base else "", seed) for e in entries]
@@ -417,6 +419,8 @@ def main(argv=None) -> int:
     seed = int(os.environ.get("BLOCKFUSE_SEED", "0"))
 
     if args.command == "verify":
+        if args.jobs < 1:
+            return _input_error(f"--jobs must be at least 1, got {args.jobs}")
         corpus_path = Path(args.corpus) if args.corpus else default_corpus_path()
         try:
             entries = load_corpus(corpus_path)

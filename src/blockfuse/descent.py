@@ -21,7 +21,7 @@ from .fusion import (FusionSystem, alperin_check, block_fusion, check_extension_
                      closure, factorization_check, fully_centralized, fully_normalized,
                      fusion_equal, is_centric, is_saturated)
 from .gf import FieldTower
-from .groups import FiniteGroup, GroupMap, Subgroup
+from .groups import FiniteGroup, GroupMap, Subgroup, normalizer_in
 
 
 def frobenius_stabilizer_order(a) -> int:
@@ -121,19 +121,11 @@ class GoursatInvariants:
 
 
 def _coset_order(G: FiniteGroup, x: int, H: Subgroup) -> int:
-    hset = set(H.elems)
     d, cur = 1, x
-    while cur not in hset:
+    while cur not in H:
         cur = G.mul[cur][x]
         d += 1
     return d
-
-
-def _is_normal(H: Subgroup, N: Subgroup) -> bool:
-    """H normal in N (H <= N assumed)."""
-    G = H.parent
-    hset = set(H.elems)
-    return all(G.conj(x, h) in hset for x in N.elems for h in H.elems)
 
 
 def goursat_invariants(pair: BrauerPair, b: BlockIdempotent) -> GoursatInvariants:
@@ -143,7 +135,7 @@ def goursat_invariants(pair: BrauerPair, b: BlockIdempotent) -> GoursatInvariant
     p1 = pair_stabilizer(descend_pair(pair))
     k2 = frobenius_stabilizer_order(pair.block.elem)
     p2 = frobenius_stabilizer_order(b.elem)
-    if not k1.is_subset_of(p1) or not _is_normal(k1, p1):
+    if not k1.is_subset_of(p1) or normalizer_in(p1, k1).order != p1.order:
         raise VerificationError("pair stabilizer is not normal in the orbit-sum stabilizer")
     if p2 % k2:
         raise VerificationError("Galois stabilizers are not nested")

@@ -2,22 +2,53 @@
 
 Element indices run 0..order-1 and index 0 is always the identity.  Groups
 built from permutation generators enumerate elements by breadth-first
-closure in the given generator order, so indices are reproducible.
+closure in the given generator order, so indices are reproducible.  The
+closure records, for every element, its products with the generators and
+the (element, generator) pair that first reached it; element c is
+parent(c) * gen(c), so column c of the table is one gather of column
+parent(c) through the generator products.
 
-A `Subgroup` is a sorted index set inside a parent group.  Its
-`as_group()` view re-labels the subgroup as a standalone multiplication
-table group (needed to treat centralizer algebras as group algebras in
-their own right); the re-map back to parent indices is kept on the view
-as `ambient` / `ambient_elems`, and views are cached per element set so
+A group keeps its table twice: `mul`, rows of ints for scalar lookups (the
+rows share one int object per index), and an int16/int32 numpy array for
+whole-table work.  Two more tables are built on first use: the conjugation
+table K[x, g] = x g x^-1 and, per element g, the centralizer bitmask
+cmask[g] (bit h set iff gh = hg).
+
+A `Subgroup` is a sorted index set inside a parent group together with the
+same set as an int bitmask (bit g set iff g is a member).  Membership and
+inclusion are integer tests, C_H(S) is H's mask ANDed with cmask[s] for s
+in S, and N_H(S) is one gather from K.  Subgroups are generated, and the
+subgroup lattice is joined, by Dimino's coset enumeration: <H, x> is the
+union of right cosets Hy, and only coset representatives times generators
+are tested for membership.
+
+`as_group()` re-labels a subgroup as a standalone multiplication table
+group (needed to treat centralizer algebras as group algebras in their own
+right); the re-map back to parent indices is kept on the view as
+`ambient` / `ambient_elems`, and views are cached per element set so
 identical subgroups share one object.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count, islice
+from operator import lt
+
 import numpy as np
 
 DEFAULT_MAX_ORDER = 2000
 DEFAULT_SUBGROUP_BOUND = 256
+
+
+def _index_dtype(n: int):
+    return np.int16 if n <= 1 << 15 else np.int32
+
+
+def _shared_rows(table: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Rows as tuples, converted one row at a time; equal entries share one
+    int object, so the tuples cost a pointer per entry."""
+    get = list(range(table.shape[1])).__getitem__
+    return tuple(tuple(map(get, row.tolist())) for row in table)
 
 
 class FiniteGroup:
@@ -26,7 +57,11 @@ class FiniteGroup:
     def __init__(self, name, mul, inv, *, ambient=None, ambient_elems=None,
                  _validate=True):
         self.name = str(name)
-        self.mul = tuple(tuple(int(x) for x in row) for row in mul)
+        table = np.asarray(mul)
+        if _validate:
+            _validate_group_table(table, np.asarray(inv))
+        self._table = table.astype(_index_dtype(len(table)), copy=False)
+        self.mul = _shared_rows(self._table)
         self.order = len(self.mul)
         self.inv = tuple(int(x) for x in inv)
         self.id = 0
@@ -36,10 +71,11 @@ class FiniteGroup:
         self._ambient_pos = (
             {g: i for i, g in enumerate(self.ambient_elems)}
             if self.ambient_elems is not None else None)
-        if _validate:
-            _validate_group_table(self.mul, self.inv)
         # lazily filled caches; values are deterministic, so concurrent
         # population is harmless
+        self._conj: np.ndarray | None = None
+        self._cmasks: tuple[int, ...] | None = None
+        self._full: Subgroup | None = None
         self._localized: dict[tuple[int, ...], FiniteGroup] = {}
         self._class_data: ClassData | None = None
         self._block_cache: dict = {}
@@ -71,13 +107,31 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def _validate_group_table(mul, inv) -> None:
-    n = len(mul)
+def _conj_table(G: FiniteGroup) -> np.ndarray:
+    """K[x, g] = x g x^-1, built on first use."""
+    if G._conj is None:
+        M = G._table
+        G._conj = M[M, np.asarray(G.inv, dtype=M.dtype)[:, None]]
+    return G._conj
+
+
+def _centralizer_masks(G: FiniteGroup) -> tuple[int, ...]:
+    """cmask[g] = the bitmask of C_G(g), built on first use."""
+    if G._cmasks is None:
+        M = G._table
+        rows = np.packbits(M == M.T, axis=1, bitorder="little")
+        G._cmasks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+    return G._cmasks
+
+
+def _validate_group_table(arr: np.ndarray, inv: np.ndarray) -> None:
+    n = len(arr)
     if n == 0:
         raise ValueError("empty multiplication table")
-    arr = np.asarray(mul, dtype=np.int64)
     if arr.shape != (n, n):
         raise ValueError("multiplication table is not square")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("multiplication table entries are not integers")
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError("multiplication table entry out of range")
     ar = np.arange(n)
@@ -88,11 +142,11 @@ def _validate_group_table(mul, inv) -> None:
     for a in range(n):
         if not np.array_equal(arr[arr[a]], arr[a][arr]):
             raise ValueError(f"multiplication table is not associative (row {a})")
-    if len(inv) != n:
+    if inv.shape != (n,):
         raise ValueError("inverse table length mismatch")
-    for a in range(n):
-        if mul[a][inv[a]] != 0 or mul[inv[a]][a] != 0:
-            raise ValueError(f"inverse table wrong at {a}")
+    wrong = np.flatnonzero((arr[ar, inv] != 0) | (arr[inv, ar] != 0))
+    if len(wrong):
+        raise ValueError(f"inverse table wrong at {wrong[0]}")
 
 
 def _table_from_spec(spec, max_order):
@@ -108,12 +162,12 @@ def _table_from_spec(spec, max_order):
     return table, inv
 
 
-def _perm_compose(f, g):
-    # (f*g)(x) = f(g(x))
-    return tuple(f[x] for x in g)
-
-
 def _bfs_from_generators(degree, generators, max_order):
+    """Table and inverses of the group generated by the permutations.
+
+    Elements are numbered in breadth-first order from the identity, trying
+    the generators in the given order; (f*g)(x) = f(g(x)).
+    """
     gens = []
     for gen in generators:
         gen = tuple(int(x) for x in gen)
@@ -123,26 +177,32 @@ def _bfs_from_generators(degree, generators, max_order):
     identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
-    queue = [identity]
-    while queue:
-        cur = queue.pop(0)
-        for gen in gens:
-            nxt = _perm_compose(cur, gen)
-            if nxt not in index:
+    right = []          # right[i][j]: the index of elems[i] * gens[j]
+    first = [(0, 0)]    # first[c]: the (parent, generator) that reached c
+    for i, cur in enumerate(elems):  # elems grows while it is walked: a queue
+        row = []
+        for j, gen in enumerate(gens):
+            nxt = tuple(map(cur.__getitem__, gen))
+            k = index.get(nxt)
+            if k is None:
                 if len(elems) >= max_order:
                     raise ValueError(f"group order exceeds bound {max_order}")
-                index[nxt] = len(elems)
+                k = index[nxt] = len(elems)
                 elems.append(nxt)
-                queue.append(nxt)
+                first.append((i, j))
+            row.append(k)
+        right.append(row)
     n = len(elems)
-    mul = [[index[_perm_compose(a, b)] for b in elems] for a in elems]
-    inv = [0] * n
-    for i, e in enumerate(elems):
-        out = [0] * degree
-        for src, dst in enumerate(e):
-            out[dst] = src
-        inv[i] = index[tuple(out)]
-    return mul, inv
+    dtype = _index_dtype(n)
+    R = np.array(right, dtype=dtype).reshape(n, len(gens))
+    # row c of T is column c of the table: a * elems[c] = (a * elems[p]) * gen
+    T = np.empty((n, n), dtype=dtype)
+    T[0] = np.arange(n)
+    for c in range(1, n):
+        p, j = first[c]
+        T[c] = R[T[p], j]
+    mul = T.T
+    return mul, mul.argmin(axis=1)
 
 
 def build_group(spec, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -168,23 +228,41 @@ def build_group(spec, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 
 
 def _validate_light(g: FiniteGroup) -> None:
-    n = g.order
-    arr = np.asarray(g.mul, dtype=np.int64)
-    ar = np.arange(n)
+    arr = g._table
+    ar = np.arange(g.order)
     if not (arr[0] == ar).all() or not (arr[:, 0] == ar).all():
         raise ValueError("index 0 is not a two-sided identity")
     if not (np.sort(arr, axis=1) == ar).all():
         raise ValueError("multiplication table rows are not permutations")
 
 
-class Subgroup:
-    """Sorted element-index set, closed under the parent multiplication."""
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
-    __slots__ = ("parent", "elems")
+
+def _mask_of(elems) -> int:
+    return sum(map((1).__lshift__, elems))
+
+
+def _mask_elems(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
+
+
+class Subgroup:
+    """Sorted element-index set, closed under the parent multiplication.
+
+    `mask` holds the same set as an int bitmask, made on first use.
+    """
+
+    __slots__ = ("parent", "elems", "_mask")
 
     def __init__(self, parent: FiniteGroup, elems, *, _checked=False):
         self.parent = parent
-        self.elems = tuple(sorted(set(int(x) for x in elems)))
+        if _checked and type(elems) is tuple and all(map(lt, elems, islice(elems, 1, None))):
+            self.elems = elems
+        else:
+            self.elems = tuple(sorted(set(map(int, elems))))
+        self._mask = None
         if not _checked:
             if not self.elems or self.elems[0] != 0:
                 raise ValueError("subgroup must contain the identity")
@@ -197,15 +275,28 @@ class Subgroup:
                     if mul[a][b] not in member:
                         raise ValueError("element set is not closed under multiplication")
 
+    @classmethod
+    def _of(cls, parent: FiniteGroup, elems: tuple[int, ...], mask: int | None = None):
+        """A subgroup from a sorted element tuple known to be closed."""
+        S = cls.__new__(cls)
+        S.parent, S.elems, S._mask = parent, elems, mask
+        return S
+
     @property
     def order(self) -> int:
         return len(self.elems)
 
+    @property
+    def mask(self) -> int:
+        if self._mask is None:
+            self._mask = _mask_of(self.elems)
+        return self._mask
+
     def __contains__(self, g: int) -> bool:
-        return g in self.elems
+        return g >= 0 and bool(self.mask >> g & 1)
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        return set(self.elems) <= set(other.elems)
+        return not self.mask & ~other.mask
 
     def conjugate(self, x: int) -> "Subgroup":
         conj = self.parent.conj
@@ -217,21 +308,20 @@ class Subgroup:
         The full subgroup is its own view, so algebras over G and over
         C_G(1) share one owner and one cache.
         """
-        if len(self.elems) == self.parent.order:
-            return self.parent
-        cached = self.parent._localized.get(self.elems)
+        G = self.parent
+        if len(self.elems) == G.order:
+            return G
+        cached = G._localized.get(self.elems)
         if cached is not None:
             return cached
-        pos = {g: i for i, g in enumerate(self.elems)}
-        pmul = self.parent.mul
-        pinv = self.parent.inv
-        mul = [[pos[pmul[a][b]] for b in self.elems] for a in self.elems]
-        inv = [pos[pinv[a]] for a in self.elems]
+        elems = np.array(self.elems)
+        pos = np.zeros(G.order, dtype=_index_dtype(len(elems)))
+        pos[elems] = np.arange(len(elems))
         view = FiniteGroup(
-            f"{self.parent.name}[{','.join(map(str, self.elems))}]",
-            mul, inv, ambient=self.parent, ambient_elems=self.elems,
-            _validate=False)
-        self.parent._localized[self.elems] = view
+            f"{G.name}[{','.join(map(str, self.elems))}]",
+            pos[G._table[np.ix_(elems, elems)]], pos[np.asarray(G.inv)[elems]],
+            ambient=G, ambient_elems=self.elems, _validate=False)
+        G._localized[self.elems] = view
         return view
 
     def __eq__(self, other) -> bool:
@@ -246,26 +336,53 @@ class Subgroup:
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (0,), _checked=True)
+    return Subgroup._of(G, (0,), 1)
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, range(G.order), _checked=True)
+    """G as a subgroup of itself; cached on the group."""
+    if G._full is None:
+        G._full = Subgroup._of(G, tuple(range(G.order)), (1 << G.order) - 1)
+    return G._full
+
+
+def _join(mul, H: list[int], hmask: int, gens: tuple[int, ...], x: int):
+    """Elements (unsorted) and mask of <H, x>, for H = <gens> given by its
+    elements and mask and x not in H: Dimino's enumeration.
+
+    The join is kept a union of right cosets Hy.  A representative r
+    times a generator s that falls outside it adds the whole coset H(rs);
+    when no product leaves it, the union is closed under right
+    multiplication by generators, so it is the join.
+    """
+    gens += (x,)
+    elems, reps = list(H), []
+
+    def add_coset(y):
+        nonlocal hmask
+        coset = [mul[h][y] for h in H]
+        elems.extend(coset)
+        hmask |= _mask_of(coset)
+        reps.append(y)
+
+    add_coset(x)
+    for r in reps:
+        row = mul[r]
+        for s in gens:
+            if not hmask >> row[s] & 1:
+                add_coset(row[s])
+    return elems, hmask
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
-    seen = {0}
-    queue = [0]
-    gens = [int(g) for g in gens]
-    mul = G.mul
-    while queue:
-        cur = queue.pop()
-        for g in gens:
-            nxt = mul[cur][g]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return Subgroup(G, seen, _checked=True)
+    """<gens>, joining one generator at a time by Dimino's enumeration."""
+    elems, mask, used = [0], 1, ()
+    for g in gens:
+        g = int(g)
+        if not mask >> g & 1:
+            elems, mask = _join(G.mul, elems, mask, used, g)
+            used += (g,)
+    return Subgroup._of(G, tuple(sorted(elems)), mask)
 
 
 def cyclic_subgroup(G: FiniteGroup, g: int) -> Subgroup:
@@ -273,11 +390,12 @@ def cyclic_subgroup(G: FiniteGroup, g: int) -> Subgroup:
 
 
 def centralizer_in(H: Subgroup, S: Subgroup) -> Subgroup:
-    G = H.parent
-    mul = G.mul
-    members = [h for h in H.elems
-               if all(mul[h][s] == mul[s][h] for s in S.elems)]
-    return Subgroup(G, members, _checked=True)
+    """C_H(S): H's mask ANDed with the centralizer mask of each s in S."""
+    cmask = _centralizer_masks(H.parent)
+    mask = H.mask
+    for s in S.elems:
+        mask &= cmask[s]
+    return Subgroup._of(H.parent, _mask_elems(mask), mask)
 
 
 def centralizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
@@ -286,12 +404,13 @@ def centralizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
 
 
 def normalizer_in(H: Subgroup, S: Subgroup) -> Subgroup:
+    """N_H(S): the h in H whose row of the conjugation table maps S into S."""
     G = H.parent
-    sset = set(S.elems)
-    conj = G.conj
-    members = [h for h in H.elems
-               if all(conj(h, s) in sset for s in S.elems)]
-    return Subgroup(G, members, _checked=True)
+    rows, cols = np.array(H.elems), np.array(S.elems)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[cols] = True
+    keep = inside[_conj_table(G)[rows[:, None], cols]].all(axis=1)
+    return Subgroup._of(G, tuple(rows[keep].tolist()))
 
 
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
@@ -319,13 +438,12 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     H = trivial_subgroup(G)
     while H.order < target:
         N = normalizer(G, H)
-        hset = set(H.elems)
         grown = False
         for x in N.elems:
-            if x in hset:
+            if x in H:
                 continue
             d, cur = 1, x
-            while cur not in hset:
+            while cur not in H:
                 cur = G.mul[cur][x]
                 d += 1
             if d % p == 0:
@@ -357,33 +475,34 @@ def all_subgroups(P: Subgroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> li
 def _subgroup_lattice(P: Subgroup) -> tuple[Subgroup, ...]:
     """Closure of the cyclic subgroups under joining with one generator per
     cyclic subgroup; every subgroup is such an iterated join.  Each found
-    subgroup keeps the generator tuple it was reached by (each join at
-    least doubles the order, so at most log_2 |P| generators), and joins
-    are grown from that tuple, not from all elements.
+    subgroup keeps the generator tuple it was reached by, and each join
+    <H, x> is one Dimino enumeration from H.  <H, x> = <H, hx> for h in H,
+    so once x is joined its whole right coset Hx is skipped.
     """
     G = P.parent
-    found: dict[tuple[int, ...], Subgroup] = {}
-    triv = trivial_subgroup(G)
-    found[triv.elems] = triv
+    mul = G.mul
+    found: dict[int, list[int]] = {1: [0]}
     cyclic_gens = []
     queue = []
-    for g in P.elems:
-        H = cyclic_subgroup(G, g)
-        if H.elems not in found:
-            found[H.elems] = H
+    for g in P.elems[1:]:
+        elems, mask = _join(mul, [0], 1, (), g)
+        if mask not in found:
+            found[mask] = elems
             cyclic_gens.append(g)
-            queue.append((H, (g,)))
+            queue.append((elems, mask, (g,)))
     while queue:
-        H, gens = queue.pop()
-        hset = set(H.elems)
+        H, hmask, gens = queue.pop()
+        covered = hmask
         for x in cyclic_gens:
-            if x in hset:
+            if covered >> x & 1:
                 continue
-            J = generated_subgroup(G, gens + (x,))
-            if J.elems not in found:
-                found[J.elems] = J
-                queue.append((J, gens + (x,)))
-    return tuple(sorted(found.values(), key=lambda s: (s.order, s.elems)))
+            covered |= _mask_of([mul[h][x] for h in H])
+            elems, mask = _join(mul, H, hmask, gens, x)
+            if mask not in found:
+                found[mask] = elems
+                queue.append((elems, mask, gens + (x,)))
+    subs = (Subgroup._of(G, tuple(sorted(elems)), mask) for mask, elems in found.items())
+    return tuple(sorted(subs, key=lambda s: (s.order, s.elems)))
 
 
 class ClassData:
@@ -464,7 +583,7 @@ class GroupMap:
     def __init__(self, domain: Subgroup, codomain: Subgroup, images, *, _checked=False):
         self.domain = domain
         self.codomain = codomain
-        self.images = tuple(int(x) for x in images)
+        self.images = tuple(map(int, images))
         self._pos = None
         if not _checked:
             if domain.parent is not codomain.parent:

@@ -15,9 +15,7 @@ from blockfuse.brauer import (BrauerPair, conjugate_block, is_pair_of_block, max
 from blockfuse.fusion import FusionSystem, fully_normalized
 from blockfuse.gf import (FieldTower, Poly, _fp_is_irreducible, _pdivmod, _pinvmod, _pmod,
                           _pmul, factor, factor_over_subfield)
-from blockfuse.groups import (FiniteGroup, GroupMap, Subgroup, all_subgroups,
-                              cyclic_subgroup, generated_subgroup, normalizer_in,
-                              trivial_subgroup)
+from blockfuse.groups import FiniteGroup, GroupMap, Subgroup, all_subgroups
 from blockfuse.linalg import Echelon
 
 
@@ -48,16 +46,104 @@ def all_subgroups_brute(P: Subgroup) -> set[tuple[int, ...]]:
     return out
 
 
+def perm_table_bfs(degree: int, generators, max_order: int = 2000):
+    """Multiplication table and inverses of a permutation group: elements
+    by breadth-first closure in generator order, then every ordered pair
+    composed as tuples and looked up; (f*g)(x) = f(g(x))."""
+    def compose(f, g):
+        return tuple(f[x] for x in g)
+
+    gens = [tuple(int(x) for x in gen) for gen in generators]
+    identity = tuple(range(degree))
+    elems = [identity]
+    index = {identity: 0}
+    queue = [identity]
+    while queue:
+        cur = queue.pop(0)
+        for gen in gens:
+            nxt = compose(cur, gen)
+            if nxt not in index:
+                if len(elems) >= max_order:
+                    raise ValueError(f"group order exceeds bound {max_order}")
+                index[nxt] = len(elems)
+                elems.append(nxt)
+                queue.append(nxt)
+    mul = [[index[compose(a, b)] for b in elems] for a in elems]
+    inv = []
+    for e in elems:
+        out = [0] * degree
+        for src, dst in enumerate(e):
+            out[dst] = src
+        inv.append(index[tuple(out)])
+    return mul, inv
+
+
+def generated_subgroup_bfs(G: FiniteGroup, gens) -> Subgroup:
+    """<gens> by breadth-first closure of the identity under right
+    multiplication by the generators."""
+    seen = {0}
+    queue = [0]
+    gens = [int(g) for g in gens]
+    while queue:
+        cur = queue.pop()
+        for g in gens:
+            nxt = G.mul[cur][g]
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return Subgroup(G, seen, _checked=True)
+
+
+def centralizer_in_scan(H: Subgroup, S: Subgroup) -> Subgroup:
+    """C_H(S) by testing hs = sh for every h in H and s in S."""
+    mul = H.parent.mul
+    members = [h for h in H.elems if all(mul[h][s] == mul[s][h] for s in S.elems)]
+    return Subgroup(H.parent, members, _checked=True)
+
+
+def normalizer_in_scan(H: Subgroup, S: Subgroup) -> Subgroup:
+    """N_H(S) by conjugating every s in S by every h in H."""
+    G = H.parent
+    sset = set(S.elems)
+    members = [h for h in H.elems if all(G.conj(h, s) in sset for s in S.elems)]
+    return Subgroup(G, members, _checked=True)
+
+
+def subgroup_lattice_bfs_joins(P: Subgroup) -> list[Subgroup]:
+    """Every subgroup of P, sorted by (order, element set): the cyclic
+    subgroups closed under joins with one generator per cyclic subgroup,
+    each join a breadth-first closure of the generator tuple."""
+    G = P.parent
+    found = {(0,): generated_subgroup_bfs(G, ())}
+    cyclic_gens = []
+    queue = []
+    for g in P.elems:
+        H = generated_subgroup_bfs(G, (g,))
+        if H.elems not in found:
+            found[H.elems] = H
+            cyclic_gens.append(g)
+            queue.append((H, (g,)))
+    while queue:
+        H, gens = queue.pop()
+        for x in cyclic_gens:
+            if x in H.elems:
+                continue
+            J = generated_subgroup_bfs(G, gens + (x,))
+            if J.elems not in found:
+                found[J.elems] = J
+                queue.append((J, gens + (x,)))
+    return sorted(found.values(), key=lambda s: (s.order, s.elems))
+
+
 def all_subgroups_by_element_joins(P: Subgroup) -> list[Subgroup]:
     """Every subgroup of P, sorted by (order, element set): cyclic
     subgroups, then joins of each found subgroup's full element set with
     every single element of P, until stable."""
     G = P.parent
-    triv = trivial_subgroup(G)
-    found = {triv.elems: triv}
+    found = {(0,): generated_subgroup_bfs(G, ())}
     queue = []
     for g in P.elems:
-        H = cyclic_subgroup(G, g)
+        H = generated_subgroup_bfs(G, (g,))
         if H.elems not in found:
             found[H.elems] = H
             queue.append(H)
@@ -67,7 +153,7 @@ def all_subgroups_by_element_joins(P: Subgroup) -> list[Subgroup]:
         for x in P.elems:
             if x in hset:
                 continue
-            J = generated_subgroup(G, H.elems + (x,))
+            J = generated_subgroup_bfs(G, H.elems + (x,))
             if J.elems not in found:
                 found[J.elems] = J
                 queue.append(J)
@@ -80,8 +166,8 @@ def n_phi_scan(P: Subgroup, phi: GroupMap) -> Subgroup:
     G = P.parent
     Q = phi.domain
     R = phi.image_subgroup()
-    NQ = normalizer_in(P, Q)
-    NR = normalizer_in(P, R)
+    NQ = normalizer_in_scan(P, Q)
+    NR = normalizer_in_scan(P, R)
     members = []
     for y in NQ.elems:
         for z in NR.elems:

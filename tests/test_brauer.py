@@ -1,6 +1,6 @@
 import pytest
 
-from blockfuse.algebra import (basis_element, find_block,
+from blockfuse.algebra import (basis_element, conjugate_element, find_block,
                                primitive_central_idempotents, principal_block)
 from blockfuse.brauer import (BrauerPair, centralizer_blocks, conjugate_pair,
                               is_pair_of_block, maximal_pairs, normal_leq,
@@ -244,3 +244,16 @@ def test_pair_stabilizer(d24):
     b2 = _d24_block_b(d24, F2)
     mp2 = maximal_pairs(d24, F2, b2)
     assert pair_stabilizer(mp2.pairs[0]).order == 24
+
+
+def test_pair_stabilizer_matches_scan(groups):
+    """N_G(P, e) against testing every element of G for both coordinates."""
+    for name in ("d24", "s4", "c3sc4"):
+        G = groups[name]
+        for b in primitive_central_idempotents(G, F4):
+            for pair in maximal_pairs(G, F4, b).pairs:
+                P, e = pair.subgroup, pair.block.elem
+                scan = tuple(x for x in range(G.order)
+                             if all(G.conj(x, g) in P.elems for g in P.elems)
+                             and conjugate_element(x, e) == e)
+                assert pair_stabilizer(pair).elems == scan

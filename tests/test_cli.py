@@ -156,6 +156,32 @@ def test_jobs_output_matches_serial(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_verify_pool_is_capped_at_entry_count(tmp_path, capsys, monkeypatch):
+    """The pool starts every worker it is given; the stand-in pool records
+    the request and runs the entries in this process."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    path = _write_corpus(tmp_path, [{"group": "builtin:c3", "p": 2, "label": "a"},
+                                    {"group": "builtin:s3", "p": 3, "label": "b"}])
+    code, out = _run(capsys, ["verify", "--corpus", path, "--jobs", "64"])
+    assert code == 0 and json.loads(out)["ok"]
+    assert requested == [2]
+
+
 def test_seed_does_not_change_results(capsys, monkeypatch):
     # each invocation loads a fresh group, so block caches do not carry over
     # and the seeded splitting really runs
@@ -219,6 +245,8 @@ def test_verify_under_optimized_mode():
     (["fusion", "--group", "builtin:s3", "--p", "2", "--block", "99"], "out of range"),
     (["descent", "--group", "builtin:s3", "--p", "2", "--block", "first"], "--block"),
     (["verify", "--corpus", "no_such_corpus.json"], "no_such_corpus.json"),
+    (["verify", "--jobs", "0"], "--jobs must be at least 1"),
+    (["verify", "--jobs", "-2"], "--jobs must be at least 1"),
 ])
 def test_bad_input_exits_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2

@@ -1,13 +1,37 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import blockfuse.cli as cli
 from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
                               centralizer, centralizer_in, conjugacy_classes,
                               conjugation_map, coset_reps, cyclic_subgroup, full_subgroup,
                               generated_subgroup, inclusion_map, normalizer,
                               normalizer_in, p_part, sylow_p_subgroup, trivial_subgroup)
-from oracles import (all_subgroups_brute, all_subgroups_by_element_joins, commuting_with,
-                     conjugacy_classes_brute)
+from conftest import GROUP_NAMES
+from oracles import (all_subgroups_brute, all_subgroups_by_element_joins,
+                     centralizer_in_scan, commuting_with, conjugacy_classes_brute,
+                     generated_subgroup_bfs, normalizer_in_scan, perm_table_bfs,
+                     subgroup_lattice_bfs_joins)
+
+BENCH_GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+
+
+def _perm_specs():
+    paths = [cli._builtin_path(name) for name in GROUP_NAMES]
+    paths += sorted(BENCH_GROUPS.glob("*.json"))
+    return [json.loads(Path(path).read_text(encoding="utf-8")) for path in paths]
+
+
+@pytest.fixture(scope="module")
+def bench_groups():
+    return {spec["name"]: build_group(spec) for spec in _perm_specs()[len(GROUP_NAMES):]}
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
 
 
 def test_build_trivial_table():
@@ -237,3 +261,51 @@ def test_all_subgroups_matches_element_join_oracle(groups):
     for P in sylows + [full_subgroup(wreath)]:
         assert ([S.elems for S in all_subgroups(P)]
                 == [S.elems for S in all_subgroups_by_element_joins(P)])
+
+
+@pytest.mark.parametrize("spec", _perm_specs(), ids=lambda spec: spec["name"])
+def test_perm_build_matches_pairwise_oracle(spec):
+    G = build_group(spec)
+    mul, inv = perm_table_bfs(spec["degree"], spec["generators"])
+    assert G.mul == tuple(map(tuple, mul))
+    assert G.inv == tuple(inv)
+    # one int object per index, shared by every row
+    assert len({id(x) for row in G.mul for x in row}) == G.order
+
+
+def test_centralizers_and_normalizers_match_scans_on_sylow_lattices(groups, bench_groups):
+    for G in list(groups.values()) + list(bench_groups.values()):
+        for p in _primes(G.order):
+            P = sylow_p_subgroup(G, p)
+            for S in all_subgroups(P):
+                for H in (full_subgroup(G), P):
+                    C = centralizer_in(H, S)
+                    assert C.elems == centralizer_in_scan(H, S).elems
+                    assert C.mask == sum(1 << g for g in C.elems)
+                    assert normalizer_in(H, S).elems == normalizer_in_scan(H, S).elems
+
+
+@given(st.data())
+def test_generated_subgroups_match_oracles(groups, bench_groups, data):
+    pool = sorted(groups.values(), key=lambda g: g.name) + [bench_groups["2^3:S4"]]
+    G = data.draw(st.sampled_from(pool), label="group")
+    element = st.integers(0, G.order - 1)
+    gens = data.draw(st.lists(element, max_size=3), label="gens")
+    other = data.draw(st.lists(element, max_size=3), label="other")
+    H = generated_subgroup(G, gens)
+    assert H.elems == generated_subgroup_bfs(G, gens).elems
+    S = generated_subgroup(G, other)
+    for A in (H, full_subgroup(G)):
+        assert centralizer_in(A, S).elems == centralizer_in_scan(A, S).elems
+        assert normalizer_in(A, S).elems == normalizer_in_scan(A, S).elems
+    assert S.is_subset_of(H) == (set(S.elems) <= set(H.elems))
+    assert [g in H for g in range(-1, G.order + 1)] == [
+        g in H.elems for g in range(-1, G.order + 1)]
+
+
+def test_lattices_match_bfs_join_oracle(groups, bench_groups):
+    cases = [full_subgroup(G) for G in groups.values()]
+    cases += [sylow_p_subgroup(G, p) for G in bench_groups.values() for p in _primes(G.order)]
+    for P in cases:
+        assert ([S.elems for S in all_subgroups(P)]
+                == [S.elems for S in subgroup_lattice_bfs_joins(P)])
