@@ -17,8 +17,8 @@ from .algebra import (AlgebraElement, BlockIdempotent, VerificationError, augmen
                       is_central, is_k_rational, is_stable, multiply, one,
                       primitive_central_idempotents, principal_block, trace_map, zero)
 from .brauer import (BrauerPair, MaximalPairs, SubpairTable, centralizer_blocks,
-                     conjugate_block, conjugate_pair, defect_order, is_pair_of_block,
-                     maximal_pairs, normal_leq, pair_stabilizer, subpair, subpair_table)
+                     conjugate_block, conjugate_pair, is_pair_of_block, maximal_pairs,
+                     normal_leq, pair_stabilizer, subpair, subpair_table)
 from .fusion import (FusionSystem, Nphi, SaturationReport, alperin_check,
                      assert_fusion_axioms, block_fusion, check_extension_axiom,
                      check_sylow_axiom, closure, factorization_check, fully_centralized,

@@ -350,13 +350,15 @@ def primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
 
     Splitting runs on class-sum coordinates, per class sum in class order,
     leftmost summand first; the output is sorted by group coefficient
-    sequence, so block indices are reproducible.  Results are cached on
-    the group object.
+    sequence, so block indices are reproducible.  The blocks are memoized
+    on the group per tower and field.
     """
-    cache_key = (tower.key, over_k)
-    cached = G._block_cache.get(cache_key)
-    if cached is not None:
-        return cached
+    return G.memo(("blocks", tower.key, over_k),
+                  lambda: _primitive_central_idempotents(G, tower, over_k, seed))
+
+
+def _primitive_central_idempotents(G: FiniteGroup, tower: FieldTower, over_k: bool,
+                                   seed: int) -> tuple[BlockIdempotent, ...]:
     cd = class_data(G)
     width = len(cd.reps)
     summands = [[1] + [0] * (width - 1)]
@@ -388,9 +390,7 @@ def primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
         summands = refined
     elems = sorted((AlgebraElement(G, tower, tuple(c[k] for k in cd.class_of))
                     for c in summands), key=lambda a: a.coeffs)
-    blocks = tuple(BlockIdempotent(elem, over_k, i) for i, elem in enumerate(elems))
-    G._block_cache[cache_key] = blocks
-    return blocks
+    return tuple(BlockIdempotent(elem, over_k, i) for i, elem in enumerate(elems))
 
 
 def find_block(blocks, elem: AlgebraElement) -> BlockIdempotent:

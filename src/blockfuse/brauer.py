@@ -48,7 +48,7 @@ class BrauerPair:
 def centralizer_blocks(G: FiniteGroup, tower: FieldTower, P: Subgroup,
                        over_k: bool, seed: int = 0) -> tuple[BlockIdempotent, ...]:
     """Blocks of k C_G(P), the centralizer treated as a group in its own
-    right; cached through the localized view."""
+    right; memoized on the centralizer's view."""
     owner = centralizer(G, P).as_group()
     return primitive_central_idempotents(owner, tower, over_k, seed)
 
@@ -107,7 +107,12 @@ class SubpairTable:
 
 def subpair_table(root: BrauerPair, seed: int = 0) -> SubpairTable:
     """For every Q <= P the unique block e_Q with (Q, e_Q) under the root,
-    solved along the normalizer tower of each Q."""
+    solved along the normalizer tower of each Q; memoized on the group per
+    root."""
+    return root.group.memo(("subpairs", root), lambda: _subpair_table(root, seed))
+
+
+def _subpair_table(root: BrauerPair, seed: int) -> SubpairTable:
     G = root.group
     tower = root.block.elem.tower
     over_k = root.block.over_k
@@ -155,10 +160,16 @@ def maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
 
     Restricting to a single Sylow subgroup is justified because defect
     groups form one conjugacy class; the corpus cross-checks compare with
-    an unrestricted search.
+    an unrestricted search.  The result is memoized on G per tower and
+    block.
     """
     if b.elem.group is not G:
         raise ValueError("block does not belong to kG")
+    return G.memo(("maximal_pairs", tower.key, b), lambda: _maximal_pairs(G, tower, b, seed))
+
+
+def _maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
+                   seed: int) -> MaximalPairs:
     p = tower.p
     S = sylow_p_subgroup(G, p)
     candidates = []
@@ -176,10 +187,6 @@ def maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
                 pairs.append(BrauerPair(P, e))
     pairs.sort(key=lambda pr: (pr.subgroup.elems, pr.block.index))
     return MaximalPairs(tuple(pairs), defect, S)
-
-
-def defect_order(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> int:
-    return maximal_pairs(G, tower, b).defect_order
 
 
 def pair_stabilizer(pair: BrauerPair) -> Subgroup:

@@ -155,20 +155,24 @@ def fusion_report(G, tower, block_sel="all", seed: int = 0) -> dict:
     }
 
 
-def descent_report(G, tower, block_sel="all", seed: int = 0) -> dict:
+def _descent_blocks(G, tower, block_sel: str, seed: int) -> list:
+    """The L-block with index block_sel, or for 'all' the first L-block of
+    each Galois orbit."""
     l_blocks = primitive_central_idempotents(G, tower, over_k=False, seed=seed)
-    if block_sel == "all":
-        seen: set[int] = set()
-        selected = []
-        for b in l_blocks:
-            if b.index in seen:
-                continue
+    if block_sel != "all":
+        return [l_blocks[int(block_sel)]]
+    seen: set[int] = set()
+    selected = []
+    for b in l_blocks:
+        if b.index not in seen:
             seen.update(x.index for x in galois_orbit(b))
             selected.append(b)
-    else:
-        selected = [l_blocks[int(block_sel)]]
+    return selected
+
+
+def descent_report(G, tower, block_sel="all", seed: int = 0) -> dict:
     out = []
-    for b in selected:
+    for b in _descent_blocks(G, tower, block_sel, seed):
         rep, _ = run_descent(G, tower, b, seed)
         out.append(rep.to_json())
     return {
@@ -198,7 +202,7 @@ class CorpusEntry:
         return CorpusEntry(
             group=d["group"], p=int(d["p"]), m=int(d.get("m", 1)), n=int(d.get("n", 1)),
             block=str(d.get("block", "all")),
-            checks=tuple(d["checks"]) if d.get("checks") else None,
+            checks=_check_names(d["checks"]) if d.get("checks") else None,
             label=d.get("label"))
 
     def wants(self, check: str) -> bool:
@@ -206,6 +210,15 @@ class CorpusEntry:
 
 
 ALL_CHECKS = ("blocks", "correspondence", "principal", "descent")
+
+
+def _check_names(names) -> tuple[str, ...]:
+    """names as a tuple; ValueError if one is not in ALL_CHECKS."""
+    names = tuple(names)
+    for name in names:
+        if name not in ALL_CHECKS:
+            raise ValueError(f"unknown check {name!r}; the checks are {', '.join(ALL_CHECKS)}")
+    return names
 
 
 def _check_block(G, tower, block: str, seed: int = 0) -> None:
@@ -268,20 +281,9 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, seed: int = 0,
             objects["principal"] = system
             verdicts += [same, sat, root.subgroup.order == mp.sylow.order]
         if entry.wants("descent"):
-            l_blocks = primitive_central_idempotents(G, tower, over_k=False, seed=seed)
-            if entry.block == "all":
-                seen: set[int] = set()
-                selected = []
-                for b in l_blocks:
-                    if b.index in seen:
-                        continue
-                    seen.update(x.index for x in galois_orbit(b))
-                    selected.append(b)
-            else:
-                selected = [l_blocks[int(entry.block)]]
             descents = []
             contexts = []
-            for b in selected:
+            for b in _descent_blocks(G, tower, entry.block, seed):
                 rep, ctx = run_descent(G, tower, b, seed)
                 axioms_ok = True
                 try:
@@ -427,7 +429,10 @@ def main(argv=None) -> int:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             return _input_error(f"corpus {corpus_path}: {type(exc).__name__}: {exc}")
         if args.checks:
-            wanted = tuple(args.checks.split(","))
+            try:
+                wanted = _check_names(args.checks.split(","))
+            except ValueError as exc:
+                return _input_error(f"--checks: {exc}")
             entries = [CorpusEntry(e.group, e.p, e.m, e.n, e.block, wanted, e.label)
                        for e in entries]
         report = run_corpus(entries, base=corpus_path.parent, jobs=args.jobs, seed=seed)
@@ -440,7 +445,7 @@ def main(argv=None) -> int:
         return 0 if report["ok"] else 1
 
     # Bad input exits 2, a failed theorem check 3; exit 1 is a false
-    # verdict.  Only the --block range waits for the (cached) L-blocks,
+    # verdict.  Only the --block range waits for the (memoized) L-blocks,
     # which every report computes first.
     block = getattr(args, "block", "all")
     try:

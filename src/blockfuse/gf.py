@@ -367,32 +367,6 @@ class FieldElement:
     def coeffs(self) -> tuple[int, ...]:
         return self.tower.coeffs(self.code)
 
-    def _check(self, other: "FieldElement") -> None:
-        if self.tower is not other.tower:
-            raise ValueError("field tower mismatch")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.tower, self.tower.add(self.code, other.code))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.tower, self.tower.sub(self.code, other.code))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.tower, self.tower.mul(self.code, other.code))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.tower, self.tower.div(self.code, other.code))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.tower, self.tower.pow(self.code, e))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, self.tower.neg(self.code))
-
     def __bool__(self) -> bool:
         return self.code != 0
 

@@ -10,9 +10,16 @@ parent(c) through the generator products.
 
 A group keeps its table twice: `mul`, rows of ints for scalar lookups (the
 rows share one int object per index), and an int16/int32 numpy array for
-whole-table work.  Two more tables are built on first use: the conjugation
-table K[x, g] = x g x^-1 and, per element g, the centralizer bitmask
-cmask[g] (bit h set iff gh = hg).
+whole-table work.
+
+Everything derived from the group is built on first use and kept in one
+dict, `FiniteGroup._memo`, filled only through `FiniteGroup.memo(key,
+build)`: the conjugation table K[x, g] = x g x^-1, the centralizer
+bitmasks cmask[g] (bit h set iff gh = hg), G as a subgroup of itself,
+subgroup views, subgroup lattices and class data here, and the blocks,
+maximal pairs and subpair tables of the algebra and brauer layers.  The
+memo lives as long as the group, which the command line builds once per
+report or corpus entry.
 
 A `Subgroup` is a sorted index set inside a parent group together with the
 same set as an int bitmask (bit g set iff g is a member).  Membership and
@@ -25,7 +32,7 @@ are tested for membership.
 `as_group()` re-labels a subgroup as a standalone multiplication table
 group (needed to treat centralizer algebras as group algebras in their own
 right); the re-map back to parent indices is kept on the view as
-`ambient` / `ambient_elems`, and views are cached per element set so
+`ambient` / `ambient_elems`, and views are memoized per element set so
 identical subgroups share one object.
 """
 
@@ -71,15 +78,17 @@ class FiniteGroup:
         self._ambient_pos = (
             {g: i for i, g in enumerate(self.ambient_elems)}
             if self.ambient_elems is not None else None)
-        # lazily filled caches; values are deterministic, so concurrent
+        # the only cache; values are deterministic, so concurrent
         # population is harmless
-        self._conj: np.ndarray | None = None
-        self._cmasks: tuple[int, ...] | None = None
-        self._full: Subgroup | None = None
-        self._localized: dict[tuple[int, ...], FiniteGroup] = {}
-        self._class_data: ClassData | None = None
-        self._block_cache: dict = {}
-        self._subgroups: dict[tuple[int, ...], tuple[Subgroup, ...]] = {}
+        self._memo: dict = {}
+
+    def memo(self, key, build):
+        """The value stored under key, or build() stored there on first
+        use.  A build that raises stores nothing; no value is None."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     def elements(self) -> range:
         return range(self.order)
@@ -108,20 +117,20 @@ class FiniteGroup:
 
 
 def _conj_table(G: FiniteGroup) -> np.ndarray:
-    """K[x, g] = x g x^-1, built on first use."""
-    if G._conj is None:
+    """K[x, g] = x g x^-1, memoized."""
+    def build():
         M = G._table
-        G._conj = M[M, np.asarray(G.inv, dtype=M.dtype)[:, None]]
-    return G._conj
+        return M[M, np.asarray(G.inv, dtype=M.dtype)[:, None]]
+    return G.memo("conj", build)
 
 
 def _centralizer_masks(G: FiniteGroup) -> tuple[int, ...]:
-    """cmask[g] = the bitmask of C_G(g), built on first use."""
-    if G._cmasks is None:
+    """cmask[g] = the bitmask of C_G(g), memoized."""
+    def build():
         M = G._table
         rows = np.packbits(M == M.T, axis=1, bitorder="little")
-        G._cmasks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
-    return G._cmasks
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+    return G.memo("cmasks", build)
 
 
 def _validate_group_table(arr: np.ndarray, inv: np.ndarray) -> None:
@@ -306,23 +315,21 @@ class Subgroup:
         """Standalone multiplication-table copy, re-map kept on the view.
 
         The full subgroup is its own view, so algebras over G and over
-        C_G(1) share one owner and one cache.
+        C_G(1) share one owner and one memo.
         """
         G = self.parent
         if len(self.elems) == G.order:
             return G
-        cached = G._localized.get(self.elems)
-        if cached is not None:
-            return cached
-        elems = np.array(self.elems)
-        pos = np.zeros(G.order, dtype=_index_dtype(len(elems)))
-        pos[elems] = np.arange(len(elems))
-        view = FiniteGroup(
-            f"{G.name}[{','.join(map(str, self.elems))}]",
-            pos[G._table[np.ix_(elems, elems)]], pos[np.asarray(G.inv)[elems]],
-            ambient=G, ambient_elems=self.elems, _validate=False)
-        G._localized[self.elems] = view
-        return view
+
+        def build():
+            elems = np.array(self.elems)
+            pos = np.zeros(G.order, dtype=_index_dtype(len(elems)))
+            pos[elems] = np.arange(len(elems))
+            return FiniteGroup(
+                f"{G.name}[{','.join(map(str, self.elems))}]",
+                pos[G._table[np.ix_(elems, elems)]], pos[np.asarray(G.inv)[elems]],
+                ambient=G, ambient_elems=self.elems, _validate=False)
+        return G.memo(("view", self.elems), build)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and other.parent is self.parent
@@ -340,10 +347,8 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    """G as a subgroup of itself; cached on the group."""
-    if G._full is None:
-        G._full = Subgroup._of(G, tuple(range(G.order)), (1 << G.order) - 1)
-    return G._full
+    """G as a subgroup of itself, memoized."""
+    return G.memo("full", lambda: Subgroup._of(G, tuple(range(G.order)), (1 << G.order) - 1))
 
 
 def _join(mul, H: list[int], hmask: int, gens: tuple[int, ...], x: int):
@@ -459,17 +464,13 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 def all_subgroups(P: Subgroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> list[Subgroup]:
     """Every subgroup of P, sorted by (order, element set).
 
-    The lattice is enumerated once per element set of P and cached on the
-    parent group; each call returns a fresh list.  Intended for p-groups
-    of modest order.
+    The lattice is enumerated once per element set of P and memoized on
+    the parent group; each call returns a fresh list.  Intended for
+    p-groups of modest order.
     """
     if P.order > max_order:
         raise ValueError(f"subgroup enumeration bound exceeded ({P.order} > {max_order})")
-    cache = P.parent._subgroups
-    lattice = cache.get(P.elems)
-    if lattice is None:
-        lattice = cache[P.elems] = _subgroup_lattice(P)
-    return list(lattice)
+    return list(P.parent.memo(("subgroups", P.elems), lambda: _subgroup_lattice(P)))
 
 
 def _subgroup_lattice(P: Subgroup) -> tuple[Subgroup, ...]:
@@ -549,14 +550,12 @@ class ClassData:
 
 
 def class_data(G: FiniteGroup) -> ClassData:
-    """The group's ClassData, built on first use and cached on the group."""
-    if G._class_data is None:
-        G._class_data = ClassData(G)
-    return G._class_data
+    """The group's ClassData, memoized."""
+    return G.memo("class_data", lambda: ClassData(G))
 
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Classes as sorted tuples, ordered by smallest member; cached."""
+    """Classes as sorted tuples, ordered by smallest member; memoized."""
     return class_data(G).classes
 
 

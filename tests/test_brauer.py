@@ -1,5 +1,7 @@
 import pytest
 
+import blockfuse.brauer as brauer
+import blockfuse.cli as cli
 from blockfuse.algebra import (basis_element, conjugate_element, find_block,
                                primitive_central_idempotents, principal_block)
 from blockfuse.brauer import (BrauerPair, centralizer_blocks, conjugate_pair,
@@ -8,6 +10,8 @@ from blockfuse.brauer import (BrauerPair, centralizer_blocks, conjugate_pair,
 from blockfuse.gf import make_tower
 from blockfuse.groups import (all_subgroups, cyclic_subgroup, sylow_p_subgroup,
                               trivial_subgroup)
+
+from conftest import GROUP_NAMES, load_builtin
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -257,3 +261,58 @@ def test_pair_stabilizer_matches_scan(groups):
                              if all(G.conj(x, g) in P.elems for g in P.elems)
                              and conjugate_element(x, e) == e)
                 assert pair_stabilizer(pair).elems == scan
+
+
+def test_corpus_builds_pairs_and_tables_once(monkeypatch):
+    """One corpus pass builds the maximal pairs of each (group, tower, block)
+    and the subpair table of each root exactly once; every other call is a
+    memo hit."""
+    pair_keys, roots = [], []
+
+    def count_pairs(G, tower, b, seed):
+        pair_keys.append((tower.key, b))  # b holds its group: ids stay distinct
+        return build_pairs(G, tower, b, seed)
+
+    def count_tables(root, seed):
+        roots.append(root)
+        return build_table(root, seed)
+
+    build_pairs, build_table = brauer._maximal_pairs, brauer._subpair_table
+    monkeypatch.setattr(brauer, "_maximal_pairs", count_pairs)
+    monkeypatch.setattr(brauer, "_subpair_table", count_tables)
+    report = cli.run_corpus(cli.load_corpus(cli.default_corpus_path()),
+                            base=cli.default_corpus_path().parent)
+    assert report["ok"]
+    assert len(pair_keys) == len(set(pair_keys)) == 106
+    assert len(roots) == len(set(roots)) == 104
+
+
+def _pairs_summary(mp):
+    return (mp.defect_order, mp.sylow.elems,
+            [(pr.subgroup.elems, _block_summary(pr.block)) for pr in mp.pairs])
+
+
+def _block_summary(e):
+    return (e.index, e.over_k, e.owner.ambient_elems, e.elem.tower.key, e.elem.coeffs)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_memoized_pairs_match_a_fresh_group(name):
+    """One group answers for F_{p^2}/F_p at p = 2 and 3, L- and K-blocks
+    interleaved; each answer equals the one of a freshly loaded group, so
+    no memo key ignores the tower or mixes the two kinds of block."""
+    G = load_builtin(name)
+    for p in (2, 3):
+        tower = make_tower(p, 1, 2)
+        for over_k in (False, True):
+            fresh = load_builtin(name)
+            blocks = primitive_central_idempotents(G, tower, over_k)
+            fresh_blocks = primitive_central_idempotents(fresh, tower, over_k)
+            assert list(map(_block_summary, blocks)) == list(map(_block_summary, fresh_blocks))
+            for b, fb in zip(blocks, fresh_blocks):
+                mp, fmp = maximal_pairs(G, tower, b), maximal_pairs(fresh, tower, fb)
+                assert _pairs_summary(mp) == _pairs_summary(fmp)
+                for root, froot in zip(mp.pairs, fmp.pairs):
+                    table = {q: _block_summary(e) for q, e in subpair_table(root).items()}
+                    assert table == {q: _block_summary(e)
+                                     for q, e in subpair_table(froot).items()}

@@ -247,9 +247,14 @@ def test_verify_under_optimized_mode():
     (["verify", "--corpus", "no_such_corpus.json"], "no_such_corpus.json"),
     (["verify", "--jobs", "0"], "--jobs must be at least 1"),
     (["verify", "--jobs", "-2"], "--jobs must be at least 1"),
+    (["verify", "--checks", "blocks,blcoks"], "--checks: unknown check 'blcoks'"),
+    (["verify", "--corpus", "{tmp}/checks.json"], "unknown check 'blcoks'"),
 ])
-def test_bad_input_exits_2_with_one_line(argv, message, capsys):
-    assert main(argv) == 2
+def test_bad_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
+    """{tmp}/checks.json is a corpus whose one entry names an unknown check."""
+    (tmp_path / "checks.json").write_text(json.dumps(
+        {"entries": [{"group": "builtin:s3", "p": 2, "checks": ["blcoks"]}]}))
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("blockfuse: error: ") and captured.err.count("\n") == 1
@@ -335,8 +340,8 @@ def test_reports_add_no_group_attributes():
     cli.fusion_report(G, tower)
     cli.descent_report(G, tower)
     assert set(vars(G)) == keys
-    views = list(G._localized.values())
-    assert views and G._class_data is not None
+    views = [v for k, v in G._memo.items() if k[0] == "view"]
+    assert views and G._memo.get("class_data") is not None
     for view in views:
         assert set(vars(view)) == keys
 

@@ -250,3 +250,27 @@ def test_factor_over_subfield_roundtrip(tower_key, coeffs):
     assert fac.expand() == f
     for poly, _ in fac.factors:
         assert all(t.is_k_rational(c) for c in poly.codes)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_factor_matches_sympy_over_prime_fields(p):
+    """Differential check: over F_p, factor and sympy's factor_list agree on
+    the unit and on the monic irreducible factors with multiplicities."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    t = make_tower(p, 1, 1)
+    rng = random.Random(p)
+    for trial in range(40):
+        codes = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [rng.randrange(1, p)]
+        if trial % 4 == 0:  # repeated factors
+            codes = list(gf._pmul(t, codes, codes))
+        got = factor(Poly.make(t, codes))
+        lc, pairs = sympy.Poly(codes[::-1], x, modulus=p).factor_list()
+        expected = []
+        for fac, mult in pairs:
+            coeffs = [int(c) % p for c in fac.all_coeffs()[::-1]]
+            scale = pow(coeffs[-1], -1, p)
+            expected.append((tuple(c * scale % p for c in coeffs), mult))
+            lc *= coeffs[-1] ** mult
+        assert got.unit.code == int(lc) % p
+        assert sorted((f.codes, m) for f, m in got.factors) == sorted(expected)
