@@ -22,8 +22,8 @@ from .algebra import (VerificationError, augmentation, is_k_rational,
                       primitive_central_idempotents, principal_block)
 from .brauer import maximal_pairs
 from .descent import block_correspondence, galois_orbit, run_descent
-from .fusion import (assert_fusion_axioms, block_fusion, fully_normalized, fusion_equal,
-                     group_fusion, is_centric, is_saturated, saturation_report)
+from .fusion import (assert_fusion_axioms, block_fusion, fusion_equal, group_fusion,
+                     is_saturated, saturation_report)
 from .gf import make_tower
 from .groups import build_group
 from . import __version__
@@ -135,9 +135,9 @@ def _fusion_system_report(G, tower, block, seed) -> dict:
         "extension_axiom": sat.extension_ok,
         "sylow_index": sat.aut_index,
         "witness": sat.witness,
-        "centric": [list(Q.elems) for Q in system.subgroups if is_centric(system, Q)],
+        "centric": [list(Q.elems) for Q in system.subgroups if Q.elems in system.centric],
         "fully_normalized": [list(Q.elems) for Q in system.subgroups
-                             if fully_normalized(system, Q)],
+                             if Q.elems in system.fully_normalized],
     }
 
 
@@ -199,10 +199,13 @@ class CorpusEntry:
 
     @staticmethod
     def from_dict(d: dict) -> "CorpusEntry":
+        checks = d.get("checks")
+        if checks is not None and not isinstance(checks, list):
+            raise ValueError(f'"checks" must be a list of check names, not {checks!r}')
         return CorpusEntry(
             group=d["group"], p=int(d["p"]), m=int(d.get("m", 1)), n=int(d.get("n", 1)),
             block=str(d.get("block", "all")),
-            checks=_check_names(d["checks"]) if d.get("checks") else None,
+            checks=_check_names(checks) if checks else None,
             label=d.get("label"))
 
     def wants(self, check: str) -> bool:
@@ -289,7 +292,7 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, seed: int = 0,
                 try:
                     assert_fusion_axioms(ctx.system_l)
                     assert_fusion_axioms(ctx.system_k)
-                except Exception:
+                except VerificationError:
                     axioms_ok = False
                 d = rep.to_json()
                 d["axioms_ok"] = axioms_ok

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from .algebra import (BlockIdempotent, VerificationError, central_multiply, find_block,
                       galois_apply, is_k_rational, primitive_central_idempotents)
 from .brauer import BrauerPair, maximal_pairs, pair_stabilizer, subpair_table
-from .fusion import (FusionSystem, alperin_check, block_fusion, check_extension_axiom,
-                     closure, factorization_check, fully_centralized, fully_normalized,
-                     fusion_equal, is_centric, is_saturated)
+from .fusion import (FusionSystem, SaturationReport, alperin_check, block_fusion, closure,
+                     factorization_check, fusion_equal, saturation_report)
 from .gf import FieldTower
 from .groups import FiniteGroup, GroupMap, Subgroup, normalizer_in
 
@@ -216,11 +215,19 @@ def check_generation(ctx: GaloisContext) -> bool:
 @dataclass(frozen=True)
 class SaturationTransfer:
     holds: bool
-    saturated_l: bool
-    saturated_k: bool
+    report_l: SaturationReport
+    report_k: SaturationReport
     index_group: int      # [N_G(P, orbit sum) : N_G(P, e)]
     index_galois: int     # [Gamma_b : Gamma_e]
     index_field: int      # degree of K(e) over K(b)
+
+    @property
+    def saturated_l(self) -> bool:
+        return self.report_l.saturated
+
+    @property
+    def saturated_k(self) -> bool:
+        return self.report_k.saturated
 
 
 def check_saturation_transfer(ctx: GaloisContext) -> SaturationTransfer:
@@ -233,23 +240,18 @@ def check_saturation_transfer(ctx: GaloisContext) -> SaturationTransfer:
     index_field = (ctx.tower.gamma_order // inv.k2_order) // (ctx.tower.gamma_order // inv.p2_order)
     if not index_group == index_galois == index_field:
         raise VerificationError("descent index expressions disagree")
-    sat_l = is_saturated(ctx.system_l)
-    sat_k = is_saturated(ctx.system_k)
-    holds = sat_k == (sat_l and index_galois % ctx.tower.p != 0)
-    return SaturationTransfer(holds, sat_l, sat_k, index_group, index_galois, index_field)
+    rep_l = saturation_report(ctx.system_l)
+    rep_k = saturation_report(ctx.system_k)
+    holds = rep_k.saturated == (rep_l.saturated and index_galois % ctx.tower.p != 0)
+    return SaturationTransfer(holds, rep_l, rep_k, index_group, index_galois, index_field)
 
 
 def check_local_agreement(ctx: GaloisContext) -> bool:
     """Fully centralized, fully normalized and centric agree between the
     L-side and K-side systems on every subgroup of P."""
-    for Q in ctx.system_l.subgroups:
-        if fully_centralized(ctx.system_l, Q) != fully_centralized(ctx.system_k, Q):
-            return False
-        if fully_normalized(ctx.system_l, Q) != fully_normalized(ctx.system_k, Q):
-            return False
-        if is_centric(ctx.system_l, Q) != is_centric(ctx.system_k, Q):
-            return False
-    return True
+    L, K = ctx.system_l, ctx.system_k
+    return (L.fully_centralized == K.fully_centralized
+            and L.fully_normalized == K.fully_normalized and L.centric == K.centric)
 
 
 def check_order_preservation(ctx: GaloisContext, seed: int = 0) -> bool:
@@ -354,8 +356,8 @@ def run_descent(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
         sigma_images=ctx.sigma.images,
         generation_ok=check_generation(ctx),
         saturation=sat,
-        extension_ok_l=check_extension_axiom(ctx.system_l),
-        extension_ok_k=check_extension_axiom(ctx.system_k),
+        extension_ok_l=sat.report_l.extension_ok,
+        extension_ok_k=sat.report_k.extension_ok,
         alperin_ok_l=alperin_check(ctx.system_l),
         alperin_ok_k=alperin_check(ctx.system_k),
         local_agreement_ok=check_local_agreement(ctx),

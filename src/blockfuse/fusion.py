@@ -7,6 +7,10 @@ is carried by its set of isomorphisms onto their images; hom sets for any
 ordered pair (Q, R) are derived from those by post-composing with
 inclusions, which is exact because a fusion system is determined by the
 isomorphisms it contains.
+
+F-isomorphism classes and the local predicates (fully normalized, fully
+centralized, centric) are decided once per system, on construction, and
+N_P(Q), C_P(Q) once per (group, P) in a table memoized on the group.
 """
 
 from __future__ import annotations
@@ -23,7 +27,12 @@ from .groups import (FiniteGroup, GroupMap, Subgroup, all_subgroups, centralizer
 
 
 class FusionSystem:
-    """Category on the subgroups of a p-group P, carried by its isos."""
+    """Category on the subgroups of a p-group P, carried by its isos.
+
+    `fully_normalized`, `fully_centralized` and `centric` hold the element
+    sets of the objects with that property, decided on construction per
+    F-isomorphism class; a class is centric iff C_P(R) <= R for every R
+    in it."""
 
     def __init__(self, P: Subgroup, isos):
         self.p_subgroup = P
@@ -33,7 +42,18 @@ class FusionSystem:
         for m in sorted(self.isos, key=lambda m: (m.domain.elems, m.images)):
             self._by_domain.setdefault(m.domain.elems, []).append(m)
         self._hom_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], frozenset] = {}
-        self._iso_classes: list[tuple[Subgroup, ...]] | None = None
+        local = _local_table(P)
+        normalized, centralized, centric = set(), set(), set()
+        for cls in _f_classes(self.subgroups, self.isos):
+            top_n = max(local[R.elems][0].order for R in cls)
+            top_c = max(local[R.elems][1].order for R in cls)
+            normalized.update(R.elems for R in cls if local[R.elems][0].order == top_n)
+            centralized.update(R.elems for R in cls if local[R.elems][1].order == top_c)
+            if all(local[R.elems][1].is_subset_of(R) for R in cls):
+                centric.update(R.elems for R in cls)
+        self.fully_normalized = frozenset(normalized)
+        self.fully_centralized = frozenset(centralized)
+        self.centric = frozenset(centric)
 
     @property
     def prime(self) -> int | None:
@@ -78,37 +98,47 @@ class FusionSystem:
     def aut_set(self, Q: Subgroup) -> frozenset:
         return self.hom_set(Q, Q)
 
-    def iso_classes(self) -> list[tuple[Subgroup, ...]]:
-        if self._iso_classes is None:
-            by_elems = {S.elems: S for S in self.subgroups}
-            parent: dict[tuple[int, ...], tuple[int, ...]] = {e: e for e in by_elems}
-
-            def find(e):
-                while parent[e] != e:
-                    parent[e] = parent[parent[e]]
-                    e = parent[e]
-                return e
-
-            for m in self.isos:
-                a, b = find(m.domain.elems), find(m.image_elems)
-                if a != b:
-                    parent[a] = b
-            groups: dict[tuple[int, ...], list[Subgroup]] = {}
-            for e, S in by_elems.items():
-                groups.setdefault(find(e), []).append(S)
-            self._iso_classes = [tuple(sorted(v, key=lambda s: s.elems))
-                                 for v in groups.values()]
-        return self._iso_classes
-
-    def iso_class_of(self, Q: Subgroup) -> tuple[Subgroup, ...]:
-        for cls in self.iso_classes():
-            if Q in cls:
-                return cls
-        raise ValueError("subgroup is not an object of this fusion system")
-
     def __repr__(self) -> str:
         return (f"FusionSystem(|P|={self.p_subgroup.order}, "
                 f"objects={len(self.subgroups)}, isos={len(self.isos)})")
+
+
+def _f_classes(subgroups, isos) -> list[list[Subgroup]]:
+    """The F-isomorphism classes of the objects, by union-find over the
+    isos' (domain, image) pairs."""
+    parent = {S.elems: S.elems for S in subgroups}
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for m in isos:
+        a, b = find(m.domain.elems), find(m.image_elems)
+        if a != b:
+            parent[a] = b
+    classes: dict[tuple[int, ...], list[Subgroup]] = {}
+    for S in subgroups:
+        classes.setdefault(find(S.elems), []).append(S)
+    return list(classes.values())
+
+
+def _local_table(P: Subgroup) -> dict[tuple[int, ...], tuple[Subgroup, Subgroup]]:
+    """(N_P(Q), C_P(Q)) for every Q <= P, keyed by Q's element set;
+    memoized on the group per P."""
+    return P.parent.memo(("local", P.elems), lambda: _build_local_table(P))
+
+
+def _build_local_table(P: Subgroup) -> dict[tuple[int, ...], tuple[Subgroup, Subgroup]]:
+    return {Q.elems: (normalizer_in(P, Q), centralizer_in(P, Q)) for Q in all_subgroups(P)}
+
+
+def _object(F: FusionSystem, Q: Subgroup) -> tuple[int, ...]:
+    P = F.p_subgroup
+    if Q.parent is not P.parent or not Q.is_subset_of(P):
+        raise ValueError("subgroup is not an object of this fusion system")
+    return Q.elems
 
 
 @dataclass(frozen=True)
@@ -119,16 +149,18 @@ class Nphi:
     subgroup: Subgroup
 
 
-def _inner_isos(P: Subgroup):
-    """Conjugation isos between subgroups of P induced by elements of P."""
+def _conjugation_isos(P: Subgroup, xs) -> set[GroupMap]:
+    """The maps c_x: Q -> xQx^-1 for Q <= P and x in xs, where xQx^-1 <= P."""
     G = P.parent
-    out = set()
+    pset = set(P.elems)
+    isos = set()
     for Q in all_subgroups(P):
-        for u in P.elems:
-            images = tuple(G.conj(u, g) for g in Q.elems)
-            target = Subgroup(G, images, _checked=True)
-            out.add(GroupMap(Q, target, images, _checked=True))
-    return out
+        for x in xs:
+            images = tuple(G.conj(x, g) for g in Q.elems)
+            if pset.issuperset(images):
+                target = Subgroup(G, images, _checked=True)
+                isos.add(GroupMap(Q, target, images, _checked=True))
+    return isos
 
 
 def group_fusion(P: Subgroup, G: FiniteGroup) -> FusionSystem:
@@ -136,15 +168,7 @@ def group_fusion(P: Subgroup, G: FiniteGroup) -> FusionSystem:
     subgroups of P realized by elements of G."""
     if P.parent is not G:
         raise ValueError("P must be a subgroup of G")
-    pset = set(P.elems)
-    isos = set()
-    for Q in all_subgroups(P):
-        for x in range(G.order):
-            images = tuple(G.conj(x, g) for g in Q.elems)
-            if set(images) <= pset:
-                target = Subgroup(G, images, _checked=True)
-                isos.add(GroupMap(Q, target, images, _checked=True))
-    return FusionSystem(P, isos)
+    return FusionSystem(P, _conjugation_isos(P, G.elements()))
 
 
 def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair,
@@ -200,7 +224,7 @@ def closure(P: Subgroup, seeds) -> FusionSystem:
             by_cod.setdefault(m.codomain.elems, []).append(m)
             queue.append(m)
 
-    for m in _inner_isos(P):
+    for m in _conjugation_isos(P, P.elems):
         add(m)
     for s in seeds:
         if s.domain.elems not in contained or not set(s.images) <= set(P.elems):
@@ -228,30 +252,24 @@ def fusion_equal(F1: FusionSystem, F2: FusionSystem) -> bool:
 
 
 def fully_centralized(F: FusionSystem, Q: Subgroup) -> bool:
-    P = F.p_subgroup
-    mine = centralizer_in(P, Q).order
-    return all(mine >= centralizer_in(P, R).order for R in F.iso_class_of(Q))
+    return _object(F, Q) in F.fully_centralized
 
 
 def fully_normalized(F: FusionSystem, Q: Subgroup) -> bool:
-    P = F.p_subgroup
-    mine = normalizer_in(P, Q).order
-    return all(mine >= normalizer_in(P, R).order for R in F.iso_class_of(Q))
+    return _object(F, Q) in F.fully_normalized
 
 
 def is_centric(F: FusionSystem, Q: Subgroup) -> bool:
     """True iff every isomorphic copy R has C_P(R) = Z(R)."""
-    P = F.p_subgroup
-    return all(centralizer_in(P, R).elems == centralizer_in(R, R).elems
-               for R in F.iso_class_of(Q))
+    return _object(F, Q) in F.centric
 
 
-def _normalizer_cosets(P: Subgroup, Q: Subgroup, NQ: Subgroup) -> list[tuple[int, ...]]:
-    """The left cosets of Q C_P(Q) in NQ = N_P(Q), each led by its
-    smallest element."""
+def _normalizer_cosets(P: Subgroup, Q: Subgroup) -> list[tuple[int, ...]]:
+    """The left cosets of Q C_P(Q) in N_P(Q), each led by its smallest
+    element."""
+    NQ, CQ = _local_table(P)[Q.elems]
     mul = P.parent.mul
-    C = centralizer_in(P, Q).elems
-    QC = Subgroup(P.parent, {mul[q][c] for q in Q.elems for c in C}, _checked=True)
+    QC = Subgroup(P.parent, {mul[q][c] for q in Q.elems for c in CQ.elems}, _checked=True)
     return [tuple(mul[x][h] for h in QC.elems) for x in coset_reps(NQ, QC)]
 
 
@@ -276,11 +294,11 @@ def n_phi(P: Subgroup, phi: GroupMap) -> Nphi:
     Aut_P(R) is built as a set of image tuples, so each coset of
     Q C_P(Q) costs one lookup of a |Q|-tuple.  Definitions as in
     Aschbacher-Kessar-Oliver, Fusion Systems in Algebra and Topology, I.2."""
-    if len(set(phi.images)) != phi.domain.order:
-        raise ValueError("phi must be an isomorphism onto its image")
     Q = phi.domain
+    if len(set(phi.images)) != Q.order or not Q.is_subset_of(P):
+        raise ValueError("phi must be an isomorphism from a subgroup of P onto its image")
     aut_r = {m.images for m in inner_automorphisms(P, phi.image_subgroup())}
-    members = _intertwiners(phi, _normalizer_cosets(P, Q, normalizer_in(P, Q)), aut_r)
+    members = _intertwiners(phi, _normalizer_cosets(P, Q), aut_r)
     return Nphi(phi, Subgroup(P.parent, members))
 
 
@@ -304,10 +322,7 @@ def sylow_index(F: FusionSystem) -> int:
 
 def check_sylow_axiom(F: FusionSystem) -> bool:
     """Aut_P(P) has p-prime index in Aut_F(P)."""
-    p = F.prime
-    if p is None:
-        return True
-    return sylow_index(F) % p != 0
+    return F.prime is None or sylow_index(F) % F.prime != 0
 
 
 def _extension_counterexample(F: FusionSystem):
@@ -317,22 +332,17 @@ def _extension_counterexample(F: FusionSystem):
     Q runs in `F.subgroups` order and phi in order of its image tuple, so
     the witness is canonical.  N_phi comes from Aut_P(R) lookups per coset
     of Q C_P(Q) as in `n_phi`; phi extends iff its images are among the
-    restrictions to Q of the morphisms N_phi -> P.  Normalizers, the
-    automizers of the fully normalized subgroups (decided once per
-    F-isomorphism class) and the restriction sets are tables local to this
-    call.
+    restrictions to Q of the morphisms N_phi -> P.  The automizers of the
+    system's fully normalized subgroups and the restriction sets are
+    tables local to this call.
     """
     P = F.p_subgroup
-    normalizers = {S.elems: normalizer_in(P, S) for S in F.subgroups}
-    automizers: dict[tuple[int, ...], set[tuple[int, ...]]] = {}  # fully normalized only
-    for cls in F.iso_classes():
-        top = max(normalizers[S.elems].order for S in cls)
-        for S in cls:
-            if normalizers[S.elems].order == top:
-                automizers[S.elems] = {m.images for m in inner_automorphisms(P, S)}
+    local, conj = _local_table(P), P.parent.conj
+    automizers = {S: {tuple(conj(u, g) for g in S) for u in local[S][0].elems}
+                  for S in F.fully_normalized}  # Aut_P(S) as image tuples
     restrictions: dict[tuple[tuple[int, ...], tuple[int, ...]], set[tuple[int, ...]]] = {}
     for Q in F.subgroups:
-        cosets = _normalizer_cosets(P, Q, normalizers[Q.elems])
+        cosets = _normalizer_cosets(P, Q)
         for phi in sorted(F.hom_set(Q, P), key=lambda m: m.images):
             aut_r = automizers.get(phi.image_elems)
             if aut_r is None:
@@ -361,20 +371,9 @@ def is_saturated(F: FusionSystem) -> bool:
 def alperin_check(F: FusionSystem) -> bool:
     """True iff F is generated by the automorphism groups of its centric,
     fully normalized subgroups."""
-    seeds = []
-    for Q in F.subgroups:
-        if is_centric(F, Q) and fully_normalized(F, Q):
-            seeds.extend(F.aut_set(Q))
+    seeds = [m for Q in F.subgroups
+             if Q.elems in F.centric and Q.elems in F.fully_normalized for m in F.aut_set(Q)]
     return fusion_equal(closure(F.p_subgroup, seeds), F)
-
-
-def _map_power(sigma: GroupMap, k: int) -> GroupMap:
-    acc = sigma
-    if k == 0:
-        return GroupMap(sigma.domain, sigma.codomain, sigma.domain.elems, _checked=True)
-    for _ in range(k - 1):
-        acc = sigma.compose(acc)
-    return acc
 
 
 def map_order(sigma: GroupMap) -> int:
@@ -393,8 +392,10 @@ def factorization_check(F: FusionSystem, F_big: FusionSystem, sigma: GroupMap) -
     P = F.p_subgroup
     if sigma not in F_big.aut_set(P):
         raise ValueError("sigma is not an automorphism in the larger system")
-    order = map_order(sigma)
-    powers = [_map_power(sigma, k) for k in range(order)]
+    powers = [GroupMap(P, P, P.elems, _checked=True)]
+    for _ in range(map_order(sigma) - 1):
+        powers.append(sigma.compose(powers[-1]))
+    order = len(powers)
     inverses = [powers[(-k) % order] for k in range(order)]
     for Q in F_big.subgroups:
         for R in F_big.subgroups:
@@ -436,8 +437,10 @@ class SaturationReport:
 
 
 def saturation_report(F: FusionSystem) -> SaturationReport:
+    """Both saturation axioms with their witness: the Sylow index and the
+    extension check run once each."""
     idx = sylow_index(F)
-    sylow_ok = check_sylow_axiom(F)
+    sylow_ok = F.prime is None or idx % F.prime != 0
     counter = _extension_counterexample(F)
     witness = None
     if not sylow_ok:
@@ -453,17 +456,8 @@ def assert_fusion_axioms(F: FusionSystem) -> None:
     """Raise unless F satisfies the defining axioms of a fusion system:
     inner maps present, injectivity, closure under restriction to the
     image with inverses, and under composition."""
-    P = F.p_subgroup
-    G = P.parent
-    pset = set(P.elems)
-    for Q in F.subgroups:
-        for u in P.elems:
-            images = tuple(G.conj(u, g) for g in Q.elems)
-            if not set(images) <= pset:
-                raise VerificationError("inner conjugation leaves P")
-            target = Subgroup(G, images, _checked=True)
-            if GroupMap(Q, target, images, _checked=True) not in F.isos:
-                raise VerificationError("inner conjugation map is missing")
+    if not _conjugation_isos(F.p_subgroup, F.p_subgroup.elems) <= F.isos:
+        raise VerificationError("inner conjugation map is missing")
     for m in F.isos:
         if len(set(m.images)) != m.domain.order:
             raise VerificationError("non-injective morphism stored")
@@ -473,10 +467,7 @@ def assert_fusion_axioms(F: FusionSystem) -> None:
             if Q.order < m.domain.order and Q.is_subset_of(m.domain):
                 if m.restrict(Q) not in F.isos:
                     raise VerificationError("restriction is missing")
-    by_dom: dict[tuple[int, ...], list[GroupMap]] = {}
     for m in F.isos:
-        by_dom.setdefault(m.domain.elems, []).append(m)
-    for m in F.isos:
-        for other in by_dom.get(m.image_elems, ()):
+        for other in F._by_domain.get(m.image_elems, ()):
             if other.compose(m.onto_image()).onto_image() not in F.isos:
                 raise VerificationError("composition is missing")

@@ -17,9 +17,9 @@ dict, `FiniteGroup._memo`, filled only through `FiniteGroup.memo(key,
 build)`: the conjugation table K[x, g] = x g x^-1, the centralizer
 bitmasks cmask[g] (bit h set iff gh = hg), G as a subgroup of itself,
 subgroup views, subgroup lattices and class data here, and the blocks,
-maximal pairs and subpair tables of the algebra and brauer layers.  The
-memo lives as long as the group, which the command line builds once per
-report or corpus entry.
+maximal pairs, subpair tables and N_P(Q)/C_P(Q) tables of the algebra,
+brauer and fusion layers.  The memo lives as long as the group, which
+the command line builds once per report or corpus entry.
 
 A `Subgroup` is a sorted index set inside a parent group together with the
 same set as an int bitmask (bit g set iff g is a member).  Membership and

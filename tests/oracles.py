@@ -12,7 +12,7 @@ import itertools
 from blockfuse.algebra import AlgebraElement, center_basis, multiply, one, zero
 from blockfuse.brauer import (BrauerPair, conjugate_block, is_pair_of_block, maximal_pairs,
                               subpair_table)
-from blockfuse.fusion import FusionSystem, fully_normalized
+from blockfuse.fusion import FusionSystem
 from blockfuse.gf import (FieldTower, Poly, _fp_is_irreducible, _pdivmod, _pinvmod, _pmod,
                           _pmul, factor, factor_over_subfield)
 from blockfuse.groups import FiniteGroup, GroupMap, Subgroup, all_subgroups
@@ -177,16 +177,56 @@ def n_phi_scan(P: Subgroup, phi: GroupMap) -> Subgroup:
     return Subgroup(G, members)
 
 
+def iso_class_scan(F: FusionSystem, Q: Subgroup) -> list[Subgroup]:
+    """The objects joined to Q by a chain of isos of F (in either
+    direction), by breadth-first search; ValueError unless Q is an object."""
+    if Q not in F.subgroups:
+        raise ValueError("subgroup is not an object of this fusion system")
+    linked: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for m in F.isos:
+        linked.setdefault(m.domain.elems, set()).add(m.image_elems)
+        linked.setdefault(m.image_elems, set()).add(m.domain.elems)
+    seen = {Q.elems}
+    frontier = [Q.elems]
+    while frontier:
+        for nxt in linked.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return [R for R in F.subgroups if R.elems in seen]
+
+
+def fully_centralized_scan(F: FusionSystem, Q: Subgroup) -> bool:
+    """|C_P(Q)| is maximal in Q's F-class, every centralizer by scan."""
+    P = F.p_subgroup
+    mine = centralizer_in_scan(P, Q).order
+    return all(mine >= centralizer_in_scan(P, R).order for R in iso_class_scan(F, Q))
+
+
+def fully_normalized_scan(F: FusionSystem, Q: Subgroup) -> bool:
+    """|N_P(Q)| is maximal in Q's F-class, every normalizer by scan."""
+    P = F.p_subgroup
+    mine = normalizer_in_scan(P, Q).order
+    return all(mine >= normalizer_in_scan(P, R).order for R in iso_class_scan(F, Q))
+
+
+def is_centric_scan(F: FusionSystem, Q: Subgroup) -> bool:
+    """Every R in Q's F-class has C_P(R) = Z(R), both by scan."""
+    P = F.p_subgroup
+    return all(centralizer_in_scan(P, R).elems == centralizer_in_scan(R, R).elems
+               for R in iso_class_scan(F, Q))
+
+
 def extension_counterexample_scan(F: FusionSystem) -> GroupMap | None:
     """First morphism into P with fully normalized image that does not
     extend to N_phi, deciding each morphism on its own: fully normalized
-    from the class scan, N_phi by `n_phi_scan`, extension by trying every
+    by `fully_normalized_scan`, N_phi by `n_phi_scan`, extension by trying every
     morphism N_phi -> P.  Same scan order as the production check (Q in
     `F.subgroups` order, phi by image tuple)."""
     P = F.p_subgroup
     for Q in F.subgroups:
         for phi in sorted(F.hom_set(Q, P), key=lambda m: m.images):
-            if not fully_normalized(F, phi.image_subgroup()):
+            if not fully_normalized_scan(F, phi.image_subgroup()):
                 continue
             n = n_phi_scan(P, phi.onto_image())
             if not any(all(psi.apply(g) == phi.apply(g) for g in Q.elems)

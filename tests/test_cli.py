@@ -249,11 +249,16 @@ def test_verify_under_optimized_mode():
     (["verify", "--jobs", "-2"], "--jobs must be at least 1"),
     (["verify", "--checks", "blocks,blcoks"], "--checks: unknown check 'blcoks'"),
     (["verify", "--corpus", "{tmp}/checks.json"], "unknown check 'blcoks'"),
+    (["verify", "--corpus", "{tmp}/string_checks.json"],
+     '"checks" must be a list of check names'),
 ])
 def test_bad_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
-    """{tmp}/checks.json is a corpus whose one entry names an unknown check."""
+    """{tmp}/checks.json is a corpus whose one entry names an unknown check,
+    {tmp}/string_checks.json one whose "checks" is a string."""
     (tmp_path / "checks.json").write_text(json.dumps(
         {"entries": [{"group": "builtin:s3", "p": 2, "checks": ["blcoks"]}]}))
+    (tmp_path / "string_checks.json").write_text(json.dumps(
+        {"entries": [{"group": "builtin:s3", "p": 2, "checks": "descent"}]}))
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -328,6 +333,30 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     (entry,) = json.loads(out)["entries"]
     assert entry["kind"] == "internal"
     assert entry["error"] == "ZeroDivisionError: inverse of zero"
+
+
+@pytest.mark.parametrize("exc,code,kind", [
+    (VerificationError("composition is missing"), 1, None),
+    (TypeError("unhashable type: 'list'"), 3, "internal"),
+])
+def test_axiom_check_failures(exc, code, kind, tmp_path, capsys, monkeypatch):
+    """A VerificationError from the fusion-axiom check is a false verdict
+    (axioms_ok false, exit 1); any other exception is a program fault and
+    surfaces as an internal error (exit 3), not as a false verdict."""
+    def failing(F):
+        raise exc
+
+    monkeypatch.setattr(cli, "assert_fusion_axioms", failing)
+    path = _write_corpus(tmp_path, [{"group": "builtin:d24", "p": 2, "m": 1, "n": 2,
+                                     "label": "d24", "checks": ["descent"]}])
+    got, out = _run(capsys, ["verify", "--corpus", path])
+    assert got == code
+    (entry,) = json.loads(out)["entries"]
+    assert entry.get("kind") == kind and entry["ok"] is False
+    if kind is None:
+        assert entry["descent"] and not any(d["axioms_ok"] for d in entry["descent"])
+    else:
+        assert entry["error"] == f"{type(exc).__name__}: {exc}"
 
 
 def test_reports_add_no_group_attributes():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import blockfuse.cli as cli
+import blockfuse.descent as descent
 import blockfuse.fusion as fusion
 import blockfuse.groups as groups_mod
 from blockfuse.algebra import (augmentation, basis_element, find_block,
@@ -16,11 +17,12 @@ from blockfuse.fusion import (_extension_counterexample, alperin_check,
                               group_fusion, inner_automorphisms, is_centric, is_saturated,
                               map_order, n_phi, saturation_report, sylow_index)
 from blockfuse.gf import make_tower
-from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, centralizer_in,
-                              conjugation_map, cyclic_subgroup, full_subgroup,
+from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
+                              centralizer_in, conjugation_map, cyclic_subgroup, full_subgroup,
                               generated_subgroup, normalizer_in, sylow_p_subgroup,
                               trivial_subgroup)
-from oracles import block_fusion_scan, extension_counterexample_scan, n_phi_scan
+from oracles import (block_fusion_scan, extension_counterexample_scan, fully_centralized_scan,
+                     fully_normalized_scan, is_centric_scan, n_phi_scan)
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -205,6 +207,81 @@ def test_is_centric_cases(d24, groups):
     assert not is_centric(F, trivial_subgroup(d24))
 
 
+def test_local_predicates_reject_non_objects(d24):
+    b = _d24_block_b(d24)
+    root = maximal_pairs(d24, F2, b).pairs[0]
+    F = block_fusion(d24, F2, b, root)
+    outside = cyclic_subgroup(d24, 1)  # order 12, not inside P
+    for predicate in (fully_centralized, fully_normalized, is_centric):
+        with pytest.raises(ValueError):
+            predicate(F, outside)
+        with pytest.raises(ValueError):
+            predicate(F, full_subgroup(d24))
+
+
+def _assert_local_facts_match_scans(F):
+    """The system's three sets, and the predicates reading them, equal the
+    per-subgroup class scans."""
+    for facts, predicate, scan in (
+            (F.fully_centralized, fully_centralized, fully_centralized_scan),
+            (F.fully_normalized, fully_normalized, fully_normalized_scan),
+            (F.centric, is_centric, is_centric_scan)):
+        expected = [Q.elems for Q in F.subgroups if scan(F, Q)]
+        assert facts == frozenset(expected)
+        assert [Q.elems for Q in F.subgroups if predicate(F, Q)] == expected
+
+
+def test_local_facts_match_scan_oracles_on_corpus(corpus_run):
+    """The principal systems and the L- and K-systems of all 52 descents."""
+    principal, contexts = [], []
+    for entry in corpus_run["_raw"]:
+        objects = entry.get("_objects", {})
+        principal += [objects["principal"]] if "principal" in objects else []
+        contexts += objects.get("contexts", [])
+    assert principal and len(contexts) == 52
+    for F in principal + [F for ctx in contexts for F in (ctx.system_l, ctx.system_k)]:
+        _assert_local_facts_match_scans(F)
+
+
+def test_centric_is_an_inclusion_not_an_order_bound():
+    """In P = D8 x C2 the subgroup R = D8 x 1 has |C_P(R)| = 4 < |R|, yet
+    C_P(R) = Z(D8) x C2 is not inside R, so R is not centric."""
+    G = build_group({"kind": "perm", "name": "D8xC2", "degree": 6, "generators": [
+        [1, 2, 3, 0, 4, 5], [0, 3, 2, 1, 4, 5], [0, 1, 2, 3, 5, 4]]})
+    P = full_subgroup(G)
+    R = generated_subgroup(G, [1, 2])
+    assert R.order == 8 and centralizer_in(P, R).order == 4
+    F = closure(P, [])
+    assert not is_centric(F, R) and is_centric(F, P)
+    _assert_local_facts_match_scans(F)
+
+
+def test_corpus_decides_saturation_once_per_system(monkeypatch):
+    """One corpus pass runs the extension check once on each block fusion
+    system (135 in all) and builds the N_P/C_P table once per (group, P)."""
+    built, checked, tables = [], [], []
+
+    def recording(build):
+        def wrapped(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+        return wrapped
+
+    for mod in (cli, descent):
+        monkeypatch.setattr(mod, "block_fusion", recording(mod.block_fusion))
+    extension, local = fusion._extension_counterexample, fusion._build_local_table
+    monkeypatch.setattr(fusion, "_extension_counterexample",
+                        lambda F: checked.append(F) or extension(F))
+    monkeypatch.setattr(fusion, "_build_local_table", lambda P: tables.append(P) or local(P))
+    report = cli.run_corpus(cli.load_corpus(cli.default_corpus_path()),
+                            base=cli.default_corpus_path().parent)
+    assert report["ok"]
+    assert len(checked) == len({id(F) for F in checked}) == 135
+    assert {id(F) for F in checked} == {id(F) for F in built}
+    keys = [(id(P.parent), P.elems) for P in tables]
+    assert len(keys) == len(set(keys)) == 41
+
+
 def test_n_phi_cases(groups, d24):
     d8 = groups["d8"]
     P8 = full_subgroup(d8)
@@ -386,6 +463,13 @@ def test_closure_extension_check_matches_scan_oracle(sylow2_homs, data):
     P, homs = sylow2_homs[data.draw(st.sampled_from(("d8", "s4")))]
     seeds = data.draw(st.lists(st.sampled_from(homs), max_size=3))
     _assert_matches_scan_oracles(closure(P, seeds))
+
+
+@given(st.data())
+def test_closure_local_facts_match_scan_oracles(sylow2_homs, data):
+    P, homs = sylow2_homs[data.draw(st.sampled_from(("d8", "s4")))]
+    seeds = data.draw(st.lists(st.sampled_from(homs), max_size=3))
+    _assert_local_facts_match_scans(closure(P, seeds))
 
 
 def test_extension_witness_is_canonical(groups):
