@@ -199,6 +199,8 @@ class CorpusEntry:
 
     @staticmethod
     def from_dict(d: dict) -> "CorpusEntry":
+        if not isinstance(d, dict) or not isinstance(d.get("group"), str):
+            raise ValueError(f'a corpus entry must be an object with a "group" file, not {d!r}')
         checks = d.get("checks")
         if checks is not None and not isinstance(checks, list):
             raise ValueError(f'"checks" must be a list of check names, not {checks!r}')
@@ -348,8 +350,8 @@ def run_corpus(entries, base: Path | None = None, jobs: int = 1, seed: int = 0,
 def load_corpus(path: Path) -> list[CorpusEntry]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a corpus must be a JSON object")
+    if not isinstance(data, dict) or not isinstance(data.get("entries", []), list):
+        raise ValueError('a corpus must be a JSON object whose "entries" is a list')
     return [CorpusEntry.from_dict(d) for d in data.get("entries", [])]
 
 

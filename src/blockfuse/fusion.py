@@ -3,14 +3,14 @@ blocks, saturation axioms, generated closure, Alperin generation, and the
 twist-factorization checker.
 
 Morphisms are stored extensionally as `GroupMap` image arrays.  A system
-is carried by its set of isomorphisms onto their images; hom sets for any
-ordered pair (Q, R) are derived from those by post-composing with
-inclusions, which is exact because a fusion system is determined by the
-isomorphisms it contains.
+is its set of isomorphisms, each onto its image, since a fusion system is
+determined by the isomorphisms it contains (Aschbacher-Kessar-Oliver, LMS
+LNS 391, I.2): systems are equal iff their iso sets are, and hom sets are
+derived from the isos on each call, without a cache.
 
 F-isomorphism classes and the local predicates (fully normalized, fully
 centralized, centric) are decided once per system, on construction, and
-N_P(Q), C_P(Q) once per (group, P) in a table memoized on the group.
+N_P(Q), C_P(Q) and the inner isos once per (group, P), memoized on the group.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .groups import (FiniteGroup, GroupMap, Subgroup, all_subgroups, centralizer
 class FusionSystem:
     """Category on the subgroups of a p-group P, carried by its isos.
 
+    Each iso goes from an object onto its image, which is its codomain;
+    the constructor raises ValueError for any other map.
+
     `fully_normalized`, `fully_centralized` and `centric` hold the element
     sets of the objects with that property, decided on construction per
     F-isomorphism class; a class is centric iff C_P(R) <= R for every R
@@ -38,10 +41,13 @@ class FusionSystem:
         self.p_subgroup = P
         self.subgroups = tuple(all_subgroups(P))
         self.isos = frozenset(isos)
+        objects = set(self.subgroups)  # a Subgroup hashes and compares with its parent
         self._by_domain: dict[tuple[int, ...], list[GroupMap]] = {}
         for m in sorted(self.isos, key=lambda m: (m.domain.elems, m.images)):
+            if not (m.domain in objects and m.codomain in objects
+                    and m.codomain.order == m.domain.order):
+                raise ValueError(f"{m!r} is not an iso between subgroups of P onto its image")
             self._by_domain.setdefault(m.domain.elems, []).append(m)
-        self._hom_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], frozenset] = {}
         local = _local_table(P)
         normalized, centralized, centric = set(), set(), set()
         for cls in _f_classes(self.subgroups, self.isos):
@@ -68,16 +74,9 @@ class FusionSystem:
     def hom_set(self, Q: Subgroup, R: Subgroup) -> frozenset:
         """All morphisms Q -> R: isos out of Q whose image lies inside R,
         with codomain R."""
-        key = (Q.elems, R.elems)
-        got = self._hom_cache.get(key)
-        if got is None:
-            rset = set(R.elems)
-            got = frozenset(
-                GroupMap(m.domain, R, m.images, _checked=True)
-                for m in self._by_domain.get(Q.elems, ())
-                if set(m.images) <= rset)
-            self._hom_cache[key] = got
-        return got
+        rset = set(R.elems)
+        return frozenset(GroupMap(m.domain, R, m.images, _checked=True)
+                         for m in self._by_domain.get(Q.elems, ()) if rset.issuperset(m.images))
 
     def hom_counts(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
         """|Hom(Q, R)| for every ordered pair of objects, keyed by element
@@ -163,6 +162,11 @@ def _conjugation_isos(P: Subgroup, xs) -> set[GroupMap]:
     return isos
 
 
+def _inner_isos(P: Subgroup) -> frozenset:
+    """`_conjugation_isos(P, P.elems)`, memoized on the group per P."""
+    return P.parent.memo(("inner", P.elems), lambda: frozenset(_conjugation_isos(P, P.elems)))
+
+
 def group_fusion(P: Subgroup, G: FiniteGroup) -> FusionSystem:
     """The fusion system of G on P: all conjugation maps between
     subgroups of P realized by elements of G."""
@@ -224,10 +228,11 @@ def closure(P: Subgroup, seeds) -> FusionSystem:
             by_cod.setdefault(m.codomain.elems, []).append(m)
             queue.append(m)
 
-    for m in _conjugation_isos(P, P.elems):
+    for m in _inner_isos(P):
         add(m)
     for s in seeds:
-        if s.domain.elems not in contained or not set(s.images) <= set(P.elems):
+        if (s.domain.parent is not P.parent or s.domain.elems not in contained
+                or not set(s.images) <= set(P.elems)):
             raise ValueError("seed morphism is not between subgroups of P")
         add(s.onto_image())
     while queue:
@@ -244,11 +249,11 @@ def closure(P: Subgroup, seeds) -> FusionSystem:
 
 
 def fusion_equal(F1: FusionSystem, F2: FusionSystem) -> bool:
-    """Hom-set equality over every ordered pair of subgroups."""
+    """Equality of the iso sets, which is hom-set equality over every
+    ordered pair of subgroups because each iso is stored onto its image."""
     if F1.p_subgroup != F2.p_subgroup:
         raise ValueError("fusion systems live over different p-groups")
-    return all(F1.hom_set(Q, R) == F2.hom_set(Q, R)
-               for Q in F1.subgroups for R in F1.subgroups)
+    return F1.isos == F2.isos
 
 
 def fully_centralized(F: FusionSystem, Q: Subgroup) -> bool:
@@ -329,12 +334,12 @@ def _extension_counterexample(F: FusionSystem):
     """First morphism phi: Q -> P with fully normalized image that does not
     extend to N_phi, or None.
 
-    Q runs in `F.subgroups` order and phi in order of its image tuple, so
-    the witness is canonical.  N_phi comes from Aut_P(R) lookups per coset
-    of Q C_P(Q) as in `n_phi`; phi extends iff its images are among the
-    restrictions to Q of the morphisms N_phi -> P.  The automizers of the
-    system's fully normalized subgroups and the restriction sets are
-    tables local to this call.
+    Q runs in `F.subgroups` order and phi over the isos out of Q by image
+    tuple, so the witness (with codomain P) is canonical.  N_phi comes from
+    Aut_P(R) lookups per coset of Q C_P(Q) as in `n_phi`; phi extends iff
+    its images are among the restrictions to Q of the isos out of N_phi.
+    The automizers of the system's fully normalized subgroups and the
+    restriction sets are tables local to this call.
     """
     P = F.p_subgroup
     local, conj = _local_table(P), P.parent.conj
@@ -343,7 +348,7 @@ def _extension_counterexample(F: FusionSystem):
     restrictions: dict[tuple[tuple[int, ...], tuple[int, ...]], set[tuple[int, ...]]] = {}
     for Q in F.subgroups:
         cosets = _normalizer_cosets(P, Q)
-        for phi in sorted(F.hom_set(Q, P), key=lambda m: m.images):
+        for phi in F._by_domain.get(Q.elems, ()):
             aut_r = automizers.get(phi.image_elems)
             if aut_r is None:
                 continue
@@ -352,9 +357,9 @@ def _extension_counterexample(F: FusionSystem):
             extended = restrictions.get(key)
             if extended is None:
                 extended = restrictions[key] = {tuple(psi.apply(g) for g in Q.elems)
-                                                for psi in F.hom_set(N, P)}
+                                                for psi in F._by_domain.get(N.elems, ())}
             if phi.images not in extended:
-                return phi
+                return phi.with_codomain(P)
     return None
 
 
@@ -386,41 +391,29 @@ def map_order(sigma: GroupMap) -> int:
 
 
 def factorization_check(F: FusionSystem, F_big: FusionSystem, sigma: GroupMap) -> bool:
-    """Every morphism of the larger system factors, for a single exponent
-    i, both as (sigma^i restricted) after a morphism of F and as a
-    morphism of F after (sigma^i restricted)."""
+    """Every iso phi: Q -> R of the larger system factors, for a single
+    exponent i, both as sigma^i after an iso of F (sigma^-i . phi on Q) and
+    as an iso of F (phi . sigma^-i on sigma^i(Q)) after sigma^i restricted;
+    a morphism factors iff the iso onto its image does."""
     P = F.p_subgroup
-    if sigma not in F_big.aut_set(P):
+    if sigma not in F_big.isos:
         raise ValueError("sigma is not an automorphism in the larger system")
     powers = [GroupMap(P, P, P.elems, _checked=True)]
     for _ in range(map_order(sigma) - 1):
         powers.append(sigma.compose(powers[-1]))
     order = len(powers)
-    inverses = [powers[(-k) % order] for k in range(order)]
-    for Q in F_big.subgroups:
-        for R in F_big.subgroups:
-            for phi in F_big.hom_set(Q, R):
-                ok = False
-                for i in range(order):
-                    sig_inv = inverses[i]
-                    # psi = sigma^-i . phi : Q -> sigma^-i(R)
-                    left = sig_inv.compose(phi.onto_image()).onto_image()
-                    target_l = Subgroup(P.parent,
-                                        tuple(sig_inv.apply(g) for g in R.elems),
-                                        _checked=True)
-                    in_f_left = left.with_codomain(target_l) in F.hom_set(Q, target_l)
-                    if not in_f_left:
-                        continue
-                    # psi' = phi . sigma^-i : sigma^i(Q) -> R
-                    dom_r = Subgroup(P.parent,
-                                     tuple(powers[i].apply(g) for g in Q.elems),
-                                     _checked=True)
-                    right = phi.compose(sig_inv.restrict(dom_r))
-                    if right.with_codomain(R) in F.hom_set(dom_r, R):
-                        ok = True
-                        break
-                if not ok:
-                    return False
+    isos = {(m.domain.elems, m.images) for m in F.isos}
+    for phi in F_big.isos:
+        Q = phi.domain
+        for i in range(order):
+            sig_inv = powers[-i % order]
+            if (Q.elems, tuple(sig_inv.apply(g) for g in phi.images)) not in isos:
+                continue
+            dom_r = Subgroup(P.parent, tuple(powers[i].apply(g) for g in Q.elems), _checked=True)
+            if (dom_r.elems, phi.compose(sig_inv.restrict(dom_r)).images) in isos:
+                break
+        else:
+            return False
     return True
 
 
@@ -456,7 +449,7 @@ def assert_fusion_axioms(F: FusionSystem) -> None:
     """Raise unless F satisfies the defining axioms of a fusion system:
     inner maps present, injectivity, closure under restriction to the
     image with inverses, and under composition."""
-    if not _conjugation_isos(F.p_subgroup, F.p_subgroup.elems) <= F.isos:
+    if not _inner_isos(F.p_subgroup) <= F.isos:
         raise VerificationError("inner conjugation map is missing")
     for m in F.isos:
         if len(set(m.images)) != m.domain.order:
@@ -469,5 +462,5 @@ def assert_fusion_axioms(F: FusionSystem) -> None:
                     raise VerificationError("restriction is missing")
     for m in F.isos:
         for other in F._by_domain.get(m.image_elems, ()):
-            if other.compose(m.onto_image()).onto_image() not in F.isos:
+            if other.compose(m) not in F.isos:
                 raise VerificationError("composition is missing")

@@ -235,6 +235,48 @@ def extension_counterexample_scan(F: FusionSystem) -> GroupMap | None:
     return None
 
 
+def fusion_equal_scan(F1: FusionSystem, F2: FusionSystem) -> bool:
+    """Hom-set equality over every ordered pair of subgroups."""
+    if F1.p_subgroup != F2.p_subgroup:
+        raise ValueError("fusion systems live over different p-groups")
+    return all(F1.hom_set(Q, R) == F2.hom_set(Q, R)
+               for Q in F1.subgroups for R in F1.subgroups)
+
+
+def factorization_check_scan(F: FusionSystem, F_big: FusionSystem, sigma: GroupMap) -> bool:
+    """The twist factorization tested on every morphism phi: Q -> R of the
+    larger system, for every ordered pair (Q, R): for some i,
+    sigma^-i . phi lies in F's Hom(Q, sigma^-i(R)) and phi . sigma^-i in
+    F's Hom(sigma^i(Q), R)."""
+    P = F.p_subgroup
+    if sigma not in F_big.aut_set(P):
+        raise ValueError("sigma is not an automorphism in the larger system")
+    powers = [GroupMap(P, P, P.elems, _checked=True)]
+    while sigma.compose(powers[-1]).images != P.elems:
+        powers.append(sigma.compose(powers[-1]))
+    order = len(powers)
+    for Q in F_big.subgroups:
+        for R in F_big.subgroups:
+            for phi in F_big.hom_set(Q, R):
+                ok = False
+                for i in range(order):
+                    sig_inv = powers[-i % order]
+                    left = sig_inv.compose(phi.onto_image()).onto_image()
+                    target_l = Subgroup(P.parent, tuple(sig_inv.apply(g) for g in R.elems),
+                                        _checked=True)
+                    if left.with_codomain(target_l) not in F.hom_set(Q, target_l):
+                        continue
+                    dom_r = Subgroup(P.parent, tuple(powers[i].apply(g) for g in Q.elems),
+                                     _checked=True)
+                    right = phi.compose(sig_inv.restrict(dom_r))
+                    if right.with_codomain(R) in F.hom_set(dom_r, R):
+                        ok = True
+                        break
+                if not ok:
+                    return False
+    return True
+
+
 def block_fusion_scan(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair,
                       seed: int = 0) -> FusionSystem:
     """The block fusion system by scanning every x in G against every

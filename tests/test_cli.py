@@ -272,10 +272,12 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
         path.write_text(text)
         assert main(["blocks", "--group", str(path), "--p", "2"]) == 2
         assert capsys.readouterr().err.startswith("blockfuse: error: group ")
-    for text in ("[1, 2]", json.dumps({"entries": [{"p": 2}]})):
-        path.write_text(text)
+    for corpus in ([1, 2], {"entries": [{"p": 2}]}, {"entries": [1]}, {"entries": {"a": 1}},
+                   {"entries": [{"group": 5, "p": 2}]}):
+        path.write_text(json.dumps(corpus))
         assert main(["verify", "--corpus", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("blockfuse: error: corpus ")
+        err = capsys.readouterr().err
+        assert err.startswith("blockfuse: error: corpus ") and err.count("\n") == 1
 
 
 def _write_corpus(tmp_path, entries) -> str:

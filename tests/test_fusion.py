@@ -10,7 +10,7 @@ import blockfuse.groups as groups_mod
 from blockfuse.algebra import (augmentation, basis_element, find_block,
                                primitive_central_idempotents, principal_block)
 from blockfuse.brauer import maximal_pairs
-from blockfuse.fusion import (_extension_counterexample, alperin_check,
+from blockfuse.fusion import (FusionSystem, _extension_counterexample, alperin_check,
                               assert_fusion_axioms, block_fusion, check_extension_axiom,
                               check_sylow_axiom, closure, factorization_check,
                               fully_centralized, fully_normalized, fusion_equal,
@@ -21,8 +21,9 @@ from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
                               centralizer_in, conjugation_map, cyclic_subgroup, full_subgroup,
                               generated_subgroup, normalizer_in, sylow_p_subgroup,
                               trivial_subgroup)
-from oracles import (block_fusion_scan, extension_counterexample_scan, fully_centralized_scan,
-                     fully_normalized_scan, is_centric_scan, n_phi_scan)
+from oracles import (block_fusion_scan, extension_counterexample_scan,
+                     factorization_check_scan, fully_centralized_scan, fully_normalized_scan,
+                     fusion_equal_scan, is_centric_scan, n_phi_scan)
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -258,8 +259,10 @@ def test_centric_is_an_inclusion_not_an_order_bound():
 
 def test_corpus_decides_saturation_once_per_system(monkeypatch):
     """One corpus pass runs the extension check once on each block fusion
-    system (135 in all) and builds the N_P/C_P table once per (group, P)."""
-    built, checked, tables = [], [], []
+    system (135 in all), builds the N_P/C_P table and the inner isos of P
+    once per (group, P), and derives at most 326 hom sets (the automizers
+    read by the Sylow index and the Alperin seeds)."""
+    built, checked, tables, inner, homs = [], [], [], [], []
 
     def recording(build):
         def wrapped(*args, **kwargs):
@@ -273,6 +276,16 @@ def test_corpus_decides_saturation_once_per_system(monkeypatch):
     monkeypatch.setattr(fusion, "_extension_counterexample",
                         lambda F: checked.append(F) or extension(F))
     monkeypatch.setattr(fusion, "_build_local_table", lambda P: tables.append(P) or local(P))
+    memo, hom_set = groups_mod.FiniteGroup.memo, fusion.FusionSystem.hom_set
+
+    def counted_memo(G, key, build):
+        if key[0] == "inner":
+            return memo(G, key, lambda: inner.append((id(G), key[1])) or build())
+        return memo(G, key, build)
+
+    monkeypatch.setattr(groups_mod.FiniteGroup, "memo", counted_memo)
+    monkeypatch.setattr(fusion.FusionSystem, "hom_set",
+                        lambda F, Q, R: homs.append(Q) or hom_set(F, Q, R))
     report = cli.run_corpus(cli.load_corpus(cli.default_corpus_path()),
                             base=cli.default_corpus_path().parent)
     assert report["ok"]
@@ -280,6 +293,8 @@ def test_corpus_decides_saturation_once_per_system(monkeypatch):
     assert {id(F) for F in checked} == {id(F) for F in built}
     keys = [(id(P.parent), P.elems) for P in tables]
     assert len(keys) == len(set(keys)) == 41
+    assert len(inner) == len(set(inner)) == 41
+    assert 0 < len(homs) <= 326
 
 
 def test_n_phi_cases(groups, d24):
@@ -340,6 +355,23 @@ def test_fusion_equal_cases(d24):
         for R in F.subgroups:
             assert F.hom_set(Q, R) <= F_tilde.hom_set(Q, R)
     assert not fusion_equal(F, F_tilde)
+
+
+def test_fusion_system_accepts_only_isos_onto_images(groups, d24):
+    d8 = groups["d8"]
+    P = full_subgroup(d8)
+    twin = full_subgroup(cli.load_group_file("builtin:d8"))  # same table, another group
+    C4 = cyclic_subgroup(d8, 1)
+    inner = closure(P, []).isos
+    for bad in (GroupMap(twin, twin, twin.elems), GroupMap(C4, P, C4.elems)):
+        with pytest.raises(ValueError):
+            FusionSystem(P, inner | {bad})
+    with pytest.raises(ValueError):
+        closure(P, [GroupMap(twin, twin, twin.elems)])
+    C4 = _c4(d24)
+    outside = cyclic_subgroup(d24, next(g for g in d24.elements() if g not in C4.elems))
+    with pytest.raises(ValueError):
+        FusionSystem(C4, [GroupMap(outside, outside, outside.elems)])
 
 
 def test_alperin_cases(groups, d24):
@@ -413,6 +445,20 @@ def _assert_matches_scan_oracles(F):
             assert n_phi(P, phi).subgroup == n_phi_scan(P, phi)
 
 
+def test_equality_and_factorization_match_scan_oracles_on_corpus(corpus_run):
+    """Both verdicts of every descent: L = K and closure(L + sigma) = K,
+    and the twist factorization of K over L."""
+    contexts = [ctx for entry in corpus_run["_raw"]
+                for ctx in entry.get("_objects", {}).get("contexts", ())]
+    assert len(contexts) == 52
+    for ctx in contexts:
+        generated = closure(ctx.root.subgroup, ctx.system_l.isos | {ctx.sigma})
+        for F in (ctx.system_l, generated):
+            assert fusion_equal(F, ctx.system_k) == fusion_equal_scan(F, ctx.system_k)
+        assert (factorization_check(ctx.system_l, ctx.system_k, ctx.sigma)
+                == factorization_check_scan(ctx.system_l, ctx.system_k, ctx.sigma))
+
+
 def test_extension_check_matches_scan_oracle_on_corpus(corpus_run):
     systems = [F for entry in corpus_run["_raw"]
                for ctx in entry.get("_objects", {}).get("contexts", ())
@@ -470,6 +516,19 @@ def test_closure_local_facts_match_scan_oracles(sylow2_homs, data):
     P, homs = sylow2_homs[data.draw(st.sampled_from(("d8", "s4")))]
     seeds = data.draw(st.lists(st.sampled_from(homs), max_size=3))
     _assert_local_facts_match_scans(closure(P, seeds))
+
+
+@given(st.data())
+def test_closure_equality_and_factorization_match_scan_oracles(sylow2_homs, data):
+    """F = closure(P, s1) inside F_big = closure(P, s1 + s2), with sigma
+    drawn from Aut_{F_big}(P)."""
+    P, homs = sylow2_homs[data.draw(st.sampled_from(("d8", "s4")))]
+    s1 = data.draw(st.lists(st.sampled_from(homs), max_size=2))
+    s2 = data.draw(st.lists(st.sampled_from(homs), max_size=2))
+    F, F_big = closure(P, s1), closure(P, s1 + s2)
+    sigma = data.draw(st.sampled_from(sorted(F_big.aut_set(P), key=lambda m: m.images)))
+    assert fusion_equal(F, F_big) == fusion_equal_scan(F, F_big)
+    assert factorization_check(F, F_big, sigma) == factorization_check_scan(F, F_big, sigma)
 
 
 def test_extension_witness_is_canonical(groups):
