@@ -44,8 +44,7 @@ def main() -> int:
     t = make_tower(2, 1, 2)
     blocks4 = primitive_central_idempotents(G, t)
     b4 = find_block(blocks4, basis_element(G, t, g) + basis_element(G, t, g2))
-    report, ctx = run_descent(G, t, b4)
-    data = report.to_json()
+    data, _ = run_descent(G, t, b4)
     print(f"orbit size {data['orbit_size']}, descent index {data['index']}, "
           f"g0 = {data['g0']}, sigma = {data['sigma']}")
     print(f"saturated over F4: {data['saturated']['l']}, over F2: {data['saturated']['k']}")

@@ -25,11 +25,10 @@ from .fusion import (FusionSystem, Nphi, SaturationReport, alperin_check,
                      fully_normalized, fusion_equal, group_fusion, inner_automorphisms,
                      is_centric, is_saturated, map_order, n_phi, saturation_report,
                      sylow_index)
-from .descent import (Correspondence, DescentReport, GaloisContext, GoursatInvariants,
-                      SaturationTransfer, block_correspondence, check_generation,
-                      check_local_agreement, check_order_preservation,
-                      check_saturation_transfer, descend_pair, frobenius_stabilizer_order,
-                      galois_context, galois_orbit, goursat_invariants, orbit_sum,
-                      run_descent, twist_automorphism)
+from .descent import (Correspondence, GaloisContext, GoursatInvariants, SaturationTransfer,
+                      block_correspondence, check_generation, check_local_agreement,
+                      check_order_preservation, check_saturation_transfer, descend_pair,
+                      frobenius_stabilizer_order, galois_context, galois_orbit,
+                      goursat_invariants, orbit_sum, run_descent, twist_automorphism)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -294,7 +294,6 @@ class BlockIdempotent:
     elem: AlgebraElement
     over_k: bool
     index: int
-    primitive_central: bool = True
 
     @property
     def owner(self) -> FiniteGroup:
@@ -344,8 +343,7 @@ def _bezout_idempotents(t: FieldTower, mu, factors, vectors) -> list[list[int]]:
 
 
 def primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
-                                  over_k: bool = False, seed: int = 0
-                                  ) -> tuple[BlockIdempotent, ...]:
+                                  over_k: bool = False) -> tuple[BlockIdempotent, ...]:
     """The complete set of blocks of L[G], or of K[G] when over_k.
 
     Splitting runs on class-sum coordinates, per class sum in class order,
@@ -354,11 +352,11 @@ def primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
     on the group per tower and field.
     """
     return G.memo(("blocks", tower.key, over_k),
-                  lambda: _primitive_central_idempotents(G, tower, over_k, seed))
+                  lambda: _primitive_central_idempotents(G, tower, over_k))
 
 
-def _primitive_central_idempotents(G: FiniteGroup, tower: FieldTower, over_k: bool,
-                                   seed: int) -> tuple[BlockIdempotent, ...]:
+def _primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
+                                   over_k: bool) -> tuple[BlockIdempotent, ...]:
     cd = class_data(G)
     width = len(cd.reps)
     summands = [[1] + [0] * (width - 1)]
@@ -372,9 +370,9 @@ def _primitive_central_idempotents(G: FiniteGroup, tower: FieldTower, over_k: bo
             if over_k:
                 if not all(tower.is_k_rational(x) for x in mu):
                     raise VerificationError("minimal polynomial left the subfield")
-                fac = factor_over_subfield(mu_poly, seed)
+                fac = factor_over_subfield(mu_poly)
             else:
-                fac = factor(mu_poly, seed)
+                fac = factor(mu_poly)
             if len(fac.factors) == 1:
                 refined.append(c)
                 continue

@@ -46,11 +46,11 @@ class BrauerPair:
 
 
 def centralizer_blocks(G: FiniteGroup, tower: FieldTower, P: Subgroup,
-                       over_k: bool, seed: int = 0) -> tuple[BlockIdempotent, ...]:
+                       over_k: bool) -> tuple[BlockIdempotent, ...]:
     """Blocks of k C_G(P), the centralizer treated as a group in its own
     right; memoized on the centralizer's view."""
     owner = centralizer(G, P).as_group()
-    return primitive_central_idempotents(owner, tower, over_k, seed)
+    return primitive_central_idempotents(owner, tower, over_k)
 
 
 def is_pair_of_block(pair: BrauerPair, b: BlockIdempotent) -> bool:
@@ -105,14 +105,14 @@ class SubpairTable:
         return self.assignment.items()
 
 
-def subpair_table(root: BrauerPair, seed: int = 0) -> SubpairTable:
+def subpair_table(root: BrauerPair) -> SubpairTable:
     """For every Q <= P the unique block e_Q with (Q, e_Q) under the root,
     solved along the normalizer tower of each Q; memoized on the group per
     root."""
-    return root.group.memo(("subpairs", root), lambda: _subpair_table(root, seed))
+    return root.group.memo(("subpairs", root), lambda: _subpair_table(root))
 
 
-def _subpair_table(root: BrauerPair, seed: int) -> SubpairTable:
+def _subpair_table(root: BrauerPair) -> SubpairTable:
     G = root.group
     tower = root.block.elem.tower
     over_k = root.block.over_k
@@ -126,7 +126,7 @@ def _subpair_table(root: BrauerPair, seed: int) -> SubpairTable:
         N = normalizer_in(P, Q)
         e_n = solve(N)
         sup = BrauerPair(N, e_n)
-        hits = [f for f in centralizer_blocks(G, tower, Q, over_k, seed)
+        hits = [f for f in centralizer_blocks(G, tower, Q, over_k)
                 if normal_leq(BrauerPair(Q, f), sup)]
         if len(hits) != 1:
             raise VerificationError(
@@ -139,11 +139,11 @@ def _subpair_table(root: BrauerPair, seed: int) -> SubpairTable:
     return SubpairTable(root, table)
 
 
-def subpair(root: BrauerPair, Q: Subgroup, seed: int = 0) -> BlockIdempotent:
+def subpair(root: BrauerPair, Q: Subgroup) -> BlockIdempotent:
     """The unique block e_Q of k C_G(Q) with (Q, e_Q) below the root."""
     if not Q.is_subset_of(root.subgroup):
         raise ValueError("Q is not contained in the root's subgroup")
-    return subpair_table(root, seed)[Q.elems]
+    return subpair_table(root)[Q.elems]
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,7 @@ class MaximalPairs:
     sylow: Subgroup
 
 
-def maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
-                  seed: int = 0) -> MaximalPairs:
+def maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> MaximalPairs:
     """All maximal pairs of the block b with first coordinate inside one
     fixed Sylow p-subgroup, plus the defect-group order.
 
@@ -165,11 +164,10 @@ def maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
     """
     if b.elem.group is not G:
         raise ValueError("block does not belong to kG")
-    return G.memo(("maximal_pairs", tower.key, b), lambda: _maximal_pairs(G, tower, b, seed))
+    return G.memo(("maximal_pairs", tower.key, b), lambda: _maximal_pairs(G, tower, b))
 
 
-def _maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
-                   seed: int) -> MaximalPairs:
+def _maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> MaximalPairs:
     p = tower.p
     S = sylow_p_subgroup(G, p)
     candidates = []
@@ -182,7 +180,7 @@ def _maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
     for P, br in candidates:
         if P.order != defect:
             continue
-        for e in centralizer_blocks(G, tower, P, b.over_k, seed):
+        for e in centralizer_blocks(G, tower, P, b.over_k):
             if central_multiply(br, e.elem) == e.elem:
                 pairs.append(BrauerPair(P, e))
     pairs.sort(key=lambda pr: (pr.subgroup.elems, pr.block.index))

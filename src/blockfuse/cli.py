@@ -2,16 +2,13 @@
 corpus verification with deterministic machine-readable output.
 
 All reports are JSON; `--format table` is a rendering of the same data.
-Identical inputs produce byte-identical reports.  The environment variable
-BLOCKFUSE_SEED (default 0) seeds the equal-degree splitting inside the
-polynomial factorization; results are canonical for every seed.
+Identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -59,29 +56,29 @@ def _tower_dict(tower) -> dict:
     return {"p": tower.p, "m": tower.m, "n": tower.n, "modulus": list(tower.modulus)}
 
 
-def _block_entry(G, tower, block, seed) -> dict:
+def _block_entry(G, tower, block) -> dict:
     return {
         "index": block.index,
         "support": block.elem.to_sparse(),
         "k_rational": is_k_rational(block.elem),
-        "defect_order": maximal_pairs(G, tower, block, seed).defect_order,
+        "defect_order": maximal_pairs(G, tower, block).defect_order,
         "principal": augmentation(block.elem) == 1,
     }
 
 
-def blocks_report(G, tower, seed: int = 0) -> dict:
-    l_blocks = primitive_central_idempotents(G, tower, over_k=False, seed=seed)
+def blocks_report(G, tower) -> dict:
+    l_blocks = primitive_central_idempotents(G, tower, over_k=False)
     report = {
         "group": G.name,
         "order": G.order,
         "tower": _tower_dict(tower),
-        "blocks": [_block_entry(G, tower, b, seed) for b in l_blocks],
+        "blocks": [_block_entry(G, tower, b) for b in l_blocks],
     }
-    corr = block_correspondence(G, tower, seed)
+    corr = block_correspondence(G, tower)
     report["orbits"] = [list(o) for o in corr.orbits]
     if tower.gamma_order > 1:
-        k_blocks = primitive_central_idempotents(G, tower, over_k=True, seed=seed)
-        report["k_blocks"] = [_block_entry(G, tower, b, seed) for b in k_blocks]
+        k_blocks = primitive_central_idempotents(G, tower, over_k=True)
+        report["k_blocks"] = [_block_entry(G, tower, b) for b in k_blocks]
         report["k_block_of_orbit"] = list(corr.k_block_of_orbit)
     return report
 
@@ -112,10 +109,10 @@ def _generating_maps(aut_maps) -> list:
     return gens
 
 
-def _fusion_system_report(G, tower, block, seed) -> dict:
-    mp = maximal_pairs(G, tower, block, seed)
+def _fusion_system_report(G, tower, block) -> dict:
+    mp = maximal_pairs(G, tower, block)
     root = mp.pairs[0]
-    system = block_fusion(G, tower, block, root, seed)
+    system = block_fusion(G, tower, block, root)
     P = root.subgroup
     sat = saturation_report(system)
     label = {Q.elems: ",".join(map(str, Q.elems)) for Q in system.subgroups}
@@ -141,8 +138,8 @@ def _fusion_system_report(G, tower, block, seed) -> dict:
     }
 
 
-def fusion_report(G, tower, block_sel="all", seed: int = 0) -> dict:
-    l_blocks = primitive_central_idempotents(G, tower, over_k=False, seed=seed)
+def fusion_report(G, tower, block_sel="all") -> dict:
+    l_blocks = primitive_central_idempotents(G, tower, over_k=False)
     if block_sel == "all":
         selected = list(l_blocks)
     else:
@@ -151,14 +148,14 @@ def fusion_report(G, tower, block_sel="all", seed: int = 0) -> dict:
         "group": G.name,
         "order": G.order,
         "tower": _tower_dict(tower),
-        "systems": [_fusion_system_report(G, tower, b, seed) for b in selected],
+        "systems": [_fusion_system_report(G, tower, b) for b in selected],
     }
 
 
-def _descent_blocks(G, tower, block_sel: str, seed: int) -> list:
+def _descent_blocks(G, tower, block_sel: str) -> list:
     """The L-block with index block_sel, or for 'all' the first L-block of
     each Galois orbit."""
-    l_blocks = primitive_central_idempotents(G, tower, over_k=False, seed=seed)
+    l_blocks = primitive_central_idempotents(G, tower, over_k=False)
     if block_sel != "all":
         return [l_blocks[int(block_sel)]]
     seen: set[int] = set()
@@ -170,11 +167,8 @@ def _descent_blocks(G, tower, block_sel: str, seed: int) -> list:
     return selected
 
 
-def descent_report(G, tower, block_sel="all", seed: int = 0) -> dict:
-    out = []
-    for b in _descent_blocks(G, tower, block_sel, seed):
-        rep, _ = run_descent(G, tower, b, seed)
-        out.append(rep.to_json())
+def descent_report(G, tower, block_sel="all") -> dict:
+    out = [run_descent(G, tower, b)[0] for b in _descent_blocks(G, tower, block_sel)]
     return {
         "group": G.name,
         "order": G.order,
@@ -204,11 +198,15 @@ class CorpusEntry:
         checks = d.get("checks")
         if checks is not None and not isinstance(checks, list):
             raise ValueError(f'"checks" must be a list of check names, not {checks!r}')
-        return CorpusEntry(
-            group=d["group"], p=int(d["p"]), m=int(d.get("m", 1)), n=int(d.get("n", 1)),
-            block=str(d.get("block", "all")),
-            checks=_check_names(checks) if checks else None,
-            label=d.get("label"))
+        p, m, n = d["p"], d.get("m", 1), d.get("n", 1)
+        for name, value in (("p", p), ("m", m), ("n", n)):
+            if type(value) is not int:  # bool is an int subclass, and not a number here
+                raise ValueError(f'"{name}" must be an integer, not {value!r}')
+        label = d.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ValueError(f'"label" must be a string, not {label!r}')
+        return CorpusEntry(group=d["group"], p=p, m=m, n=n, block=str(d.get("block", "all")),
+                           checks=_check_names(checks) if checks else None, label=label)
 
     def wants(self, check: str) -> bool:
         return self.checks is None or check in self.checks
@@ -226,19 +224,19 @@ def _check_names(names) -> tuple[str, ...]:
     return names
 
 
-def _check_block(G, tower, block: str, seed: int = 0) -> None:
+def _check_block(G, tower, block: str) -> None:
     """Raise InputError unless block is 'all' or the index of an L-block."""
     if block == "all":
         return
     if not block.isdecimal():
         raise InputError(f"--block must be a block index or 'all', not {block!r}")
-    count = len(primitive_central_idempotents(G, tower, over_k=False, seed=seed))
+    count = len(primitive_central_idempotents(G, tower, over_k=False))
     if int(block) >= count:
         raise InputError(f"--block {block} is out of range: {G.name} has {count} "
                          f"blocks over F_{tower.p}^{tower.n}")
 
 
-def run_entry(entry: CorpusEntry, base: Path | None = None, seed: int = 0,
+def run_entry(entry: CorpusEntry, base: Path | None = None,
               keep_objects: bool = False) -> dict:
     """Run every requested check for one corpus entry; never raises, error
     text is embedded instead, with its kind: "input" (group file, tower,
@@ -257,14 +255,14 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, seed: int = 0,
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return error("input", exc)
     try:
-        _check_block(G, tower, entry.block, seed)
+        _check_block(G, tower, entry.block)
         report: dict = {"label": label, "group": G.name, "order": G.order,
                         "tower": _tower_dict(tower)}
         verdicts = []
         if entry.wants("blocks"):
-            report["blocks"] = blocks_report(G, tower, seed)
+            report["blocks"] = blocks_report(G, tower)
         if entry.wants("correspondence"):
-            corr = block_correspondence(G, tower, seed)
+            corr = block_correspondence(G, tower)
             report["correspondence"] = {
                 "orbits": [list(o) for o in corr.orbits],
                 "k_block_of_orbit": list(corr.k_block_of_orbit),
@@ -274,11 +272,11 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, seed: int = 0,
             }
             verdicts += [corr.bijective, corr.defects_match]
         if entry.wants("principal"):
-            l_blocks = primitive_central_idempotents(G, tower, over_k=False, seed=seed)
+            l_blocks = primitive_central_idempotents(G, tower, over_k=False)
             pb = principal_block(l_blocks)
-            mp = maximal_pairs(G, tower, pb, seed)
+            mp = maximal_pairs(G, tower, pb)
             root = mp.pairs[0]
-            system = block_fusion(G, tower, pb, root, seed)
+            system = block_fusion(G, tower, pb, root)
             same = fusion_equal(system, group_fusion(root.subgroup, G))
             sat = is_saturated(system)
             report["principal"] = {"block_index": pb.index, "sylow_order": mp.sylow.order,
@@ -288,19 +286,18 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, seed: int = 0,
         if entry.wants("descent"):
             descents = []
             contexts = []
-            for b in _descent_blocks(G, tower, entry.block, seed):
-                rep, ctx = run_descent(G, tower, b, seed)
+            for b in _descent_blocks(G, tower, entry.block):
+                d, ctx = run_descent(G, tower, b)
                 axioms_ok = True
                 try:
                     assert_fusion_axioms(ctx.system_l)
                     assert_fusion_axioms(ctx.system_k)
                 except VerificationError:
                     axioms_ok = False
-                d = rep.to_json()
                 d["axioms_ok"] = axioms_ok
                 descents.append(d)
                 contexts.append(ctx)
-                verdicts += [rep.all_ok, axioms_ok]
+                verdicts += [d["all_ok"], axioms_ok]
             report["descent"] = descents
             objects["contexts"] = contexts
         report["ok"] = all(verdicts)
@@ -322,23 +319,23 @@ def _strip_objects(report: dict) -> dict:
 
 
 def _worker(payload: tuple) -> dict:
-    entry_dict, base_str, seed = payload
+    entry_dict, base_str = payload
     base = Path(base_str) if base_str else None
-    return run_entry(CorpusEntry.from_dict(entry_dict), base, seed)
+    return run_entry(CorpusEntry.from_dict(entry_dict), base)
 
 
-def run_corpus(entries, base: Path | None = None, jobs: int = 1, seed: int = 0,
+def run_corpus(entries, base: Path | None = None, jobs: int = 1,
                keep_objects: bool = False) -> dict:
     entries = list(entries)
     # the pool starts all of its workers up front: no more than there are entries
     jobs = min(jobs, len(entries))
     if jobs > 1 and not keep_objects:
         payloads = [(e.__dict__ | {"checks": list(e.checks) if e.checks else None},
-                     str(base) if base else "", seed) for e in entries]
+                     str(base) if base else "") for e in entries]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, payloads))
     else:
-        results = [run_entry(e, base, seed, keep_objects) for e in entries]
+        results = [run_entry(e, base, keep_objects) for e in entries]
     stripped = [_strip_objects(r) for r in results]
     report = {"version": __version__, "entries": stripped,
               "ok": all(r.get("ok", False) for r in stripped)}
@@ -423,7 +420,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--format", choices=("json", "table"), default="json")
 
     args = parser.parse_args(argv)
-    seed = int(os.environ.get("BLOCKFUSE_SEED", "0"))
 
     if args.command == "verify":
         if args.jobs < 1:
@@ -440,7 +436,7 @@ def main(argv=None) -> int:
                 return _input_error(f"--checks: {exc}")
             entries = [CorpusEntry(e.group, e.p, e.m, e.n, e.block, wanted, e.label)
                        for e in entries]
-        report = run_corpus(entries, base=corpus_path.parent, jobs=args.jobs, seed=seed)
+        report = run_corpus(entries, base=corpus_path.parent, jobs=args.jobs)
         _emit(report, args.format)
         kinds = {e.get("kind") for e in report["entries"]}
         if kinds & {"verification", "internal"}:
@@ -462,13 +458,13 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _input_error(f"group {args.group}: {type(exc).__name__}: {exc}")
     try:
-        _check_block(G, tower, block, seed)
+        _check_block(G, tower, block)
         if args.command == "blocks":
-            report = blocks_report(G, tower, seed)
+            report = blocks_report(G, tower)
         elif args.command == "fusion":
-            report = fusion_report(G, tower, block, seed)
+            report = fusion_report(G, tower, block)
         else:
-            report = descent_report(G, tower, block, seed)
+            report = descent_report(G, tower, block)
     except InputError as exc:
         return _input_error(str(exc))
     except VerificationError as exc:

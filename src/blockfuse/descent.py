@@ -78,9 +78,9 @@ class Correspondence:
     defects_match: bool
 
 
-def block_correspondence(G: FiniteGroup, tower: FieldTower, seed: int = 0) -> Correspondence:
-    l_blocks = primitive_central_idempotents(G, tower, over_k=False, seed=seed)
-    k_blocks = primitive_central_idempotents(G, tower, over_k=True, seed=seed)
+def block_correspondence(G: FiniteGroup, tower: FieldTower) -> Correspondence:
+    l_blocks = primitive_central_idempotents(G, tower, over_k=False)
+    k_blocks = primitive_central_idempotents(G, tower, over_k=True)
     seen: set[int] = set()
     orbits = []
     k_of_orbit = []
@@ -94,11 +94,11 @@ def block_correspondence(G: FiniteGroup, tower: FieldTower, seed: int = 0) -> Co
         orbits.append(tuple(sorted(x.index for x in orbit)))
         tilde = orbit_sum(b)
         k_of_orbit.append(tilde.index)
-        orders = {maximal_pairs(G, tower, x, seed).defect_order for x in orbit}
+        orders = {maximal_pairs(G, tower, x).defect_order for x in orbit}
         if len(orders) != 1:
             raise VerificationError("orbit members have different defect orders")
         defects_l.append(orders.pop())
-        defects_k.append(maximal_pairs(G, tower, tilde, seed).defect_order)
+        defects_k.append(maximal_pairs(G, tower, tilde).defect_order)
     bijective = (sorted(k_of_orbit) == [b.index for b in k_blocks]
                  and len(set(k_of_orbit)) == len(k_of_orbit))
     defects_match = tuple(defects_l) == tuple(defects_k)
@@ -181,23 +181,22 @@ class GaloisContext:
     system_k: FusionSystem = field(repr=False)
 
 
-def galois_context(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
-                   seed: int = 0) -> GaloisContext:
+def galois_context(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> GaloisContext:
     k_block = orbit_sum(b)
     if central_multiply(b.elem, k_block.elem) != b.elem:
         raise VerificationError("orbit sum does not cover the block")
-    mp_l = maximal_pairs(G, tower, b, seed)
+    mp_l = maximal_pairs(G, tower, b)
     root = mp_l.pairs[0]
     k_root = descend_pair(root)
-    mp_k = maximal_pairs(G, tower, k_block, seed)
+    mp_k = maximal_pairs(G, tower, k_block)
     if mp_k.defect_order != mp_l.defect_order:
         raise VerificationError("defect orders differ across the descent")
     if k_root not in mp_k.pairs:
         raise VerificationError("descended root is not a maximal pair over K")
     inv = goursat_invariants(root, b)
     g0, sigma = twist_automorphism(root, b, inv)
-    system_l = block_fusion(G, tower, b, root, seed)
-    system_k = block_fusion(G, tower, k_block, k_root, seed)
+    system_l = block_fusion(G, tower, b, root)
+    system_k = block_fusion(G, tower, k_block, k_root)
     return GaloisContext(G, tower, b, k_block, root, k_root, inv, g0, sigma,
                          system_l, system_k)
 
@@ -254,114 +253,55 @@ def check_local_agreement(ctx: GaloisContext) -> bool:
             and L.fully_normalized == K.fully_normalized and L.centric == K.centric)
 
 
-def check_order_preservation(ctx: GaloisContext, seed: int = 0) -> bool:
+def check_order_preservation(ctx: GaloisContext) -> bool:
     """Descending every subpair of the maximal root lands under the
     descended root: the orbit-sum map on pairs preserves the order."""
-    table_l = subpair_table(ctx.root, seed)
-    table_k = subpair_table(ctx.k_root, seed)
+    table_l = subpair_table(ctx.root)
+    table_k = subpair_table(ctx.k_root)
     return all(orbit_sum(e_q) == table_k[elems] for elems, e_q in table_l.items())
 
 
-@dataclass
-class DescentReport:
-    group_name: str
-    tower_key: tuple[int, int, int]
-    block_index: int
-    k_block_index: int
-    orbit_size: int
-    defect_order: int
-    root_subgroup: tuple[int, ...]
-    root_block_index: int
-    k_root_block_index: int
-    stab_order_l: int
-    stab_order_k: int
-    gamma_b_order: int
-    gamma_e_order: int
-    index: int
-    g0: int
-    sigma_images: tuple[int, ...]
-    generation_ok: bool
-    saturation: SaturationTransfer
-    extension_ok_l: bool
-    extension_ok_k: bool
-    alperin_ok_l: bool
-    alperin_ok_k: bool
-    local_agreement_ok: bool
-    order_preserved_ok: bool
-    sigma_in_k_system: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.generation_ok and self.saturation.holds and self.extension_ok_l
-                and self.extension_ok_k and self.alperin_ok_l and self.alperin_ok_k
-                and self.local_agreement_ok and self.order_preserved_ok
-                and self.sigma_in_k_system)
-
-    def to_json(self) -> dict:
-        sat = self.saturation
-        return {
-            "group": self.group_name,
-            "tower": {"p": self.tower_key[0], "m": self.tower_key[1], "n": self.tower_key[2]},
-            "block_index": self.block_index,
-            "k_block_index": self.k_block_index,
-            "orbit_size": self.orbit_size,
-            "defect_order": self.defect_order,
-            "root": {"P": list(self.root_subgroup), "e": self.root_block_index,
-                     "defect_order": self.defect_order},
-            "k_root": {"P": list(self.root_subgroup), "e": self.k_root_block_index,
-                       "defect_order": self.defect_order},
-            "stabilizers": {"pair_l": self.stab_order_l, "pair_k": self.stab_order_k,
-                            "gamma_b": self.gamma_b_order, "gamma_e": self.gamma_e_order},
-            "index": self.index,
-            "g0": self.g0,
-            "sigma": list(self.sigma_images),
-            "verdicts": {
-                "generation": self.generation_ok,
-                "saturation_transfer": sat.holds,
-                "extension_axiom_l": self.extension_ok_l,
-                "extension_axiom_k": self.extension_ok_k,
-                "alperin_l": self.alperin_ok_l,
-                "alperin_k": self.alperin_ok_k,
-                "local_agreement": self.local_agreement_ok,
-                "order_preserved": self.order_preserved_ok,
-                "sigma_in_k_system": self.sigma_in_k_system,
-            },
-            "saturated": {"l": sat.saturated_l, "k": sat.saturated_k},
-            "index_expressions": {"group": sat.index_group, "galois": sat.index_galois,
-                                  "field": sat.index_field},
-            "all_ok": self.all_ok,
-        }
-
-
-def run_descent(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent,
-                seed: int = 0) -> tuple[DescentReport, GaloisContext]:
-    ctx = galois_context(G, tower, b, seed)
+def run_descent(G: FiniteGroup, tower: FieldTower,
+                b: BlockIdempotent) -> tuple[dict, GaloisContext]:
+    """Run every descent check for the L-block b.  Returns the JSON report
+    (the block, its orbit sum and maximal pairs, the Goursat stabilizer
+    orders, the twist g0 and sigma, the nine verdicts, both saturation
+    flags, the three index expressions and `all_ok`, the conjunction of
+    the verdicts) together with the GaloisContext it was read from."""
+    ctx = galois_context(G, tower, b)
     sat = check_saturation_transfer(ctx)
-    report = DescentReport(
-        group_name=G.name,
-        tower_key=tower.key,
-        block_index=b.index,
-        k_block_index=ctx.k_block.index,
-        orbit_size=len(galois_orbit(b)),
-        defect_order=ctx.root.subgroup.order,
-        root_subgroup=ctx.root.subgroup.elems,
-        root_block_index=ctx.root.block.index,
-        k_root_block_index=ctx.k_root.block.index,
-        stab_order_l=ctx.goursat.k1.order,
-        stab_order_k=ctx.goursat.p1.order,
-        gamma_b_order=ctx.goursat.p2_order,
-        gamma_e_order=ctx.goursat.k2_order,
-        index=ctx.goursat.index,
-        g0=ctx.g0,
-        sigma_images=ctx.sigma.images,
-        generation_ok=check_generation(ctx),
-        saturation=sat,
-        extension_ok_l=sat.report_l.extension_ok,
-        extension_ok_k=sat.report_k.extension_ok,
-        alperin_ok_l=alperin_check(ctx.system_l),
-        alperin_ok_k=alperin_check(ctx.system_k),
-        local_agreement_ok=check_local_agreement(ctx),
-        order_preserved_ok=check_order_preservation(ctx, seed),
-        sigma_in_k_system=ctx.sigma in ctx.system_k.aut_set(ctx.root.subgroup),
-    )
+    inv = ctx.goursat
+    P = ctx.root.subgroup
+    orbit_size = len(galois_orbit(b))
+    verdicts = {
+        "generation": check_generation(ctx),
+        "saturation_transfer": sat.holds,
+        "extension_axiom_l": sat.report_l.extension_ok,
+        "extension_axiom_k": sat.report_k.extension_ok,
+        "alperin_l": alperin_check(ctx.system_l),
+        "alperin_k": alperin_check(ctx.system_k),
+        "local_agreement": check_local_agreement(ctx),
+        "order_preserved": check_order_preservation(ctx),
+        "sigma_in_k_system": ctx.sigma in ctx.system_k.aut_set(P),
+    }
+    report = {
+        "group": G.name,
+        "tower": {"p": tower.p, "m": tower.m, "n": tower.n},
+        "block_index": b.index,
+        "k_block_index": ctx.k_block.index,
+        "orbit_size": orbit_size,
+        "defect_order": P.order,
+        "root": {"P": list(P.elems), "e": ctx.root.block.index, "defect_order": P.order},
+        "k_root": {"P": list(P.elems), "e": ctx.k_root.block.index, "defect_order": P.order},
+        "stabilizers": {"pair_l": inv.k1.order, "pair_k": inv.p1.order,
+                        "gamma_b": inv.p2_order, "gamma_e": inv.k2_order},
+        "index": inv.index,
+        "g0": ctx.g0,
+        "sigma": list(ctx.sigma.images),
+        "verdicts": verdicts,
+        "saturated": {"l": sat.saturated_l, "k": sat.saturated_k},
+        "index_expressions": {"group": sat.index_group, "galois": sat.index_galois,
+                              "field": sat.index_field},
+        "all_ok": all(verdicts.values()),
+    }
     return report, ctx

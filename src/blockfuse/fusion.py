@@ -175,8 +175,7 @@ def group_fusion(P: Subgroup, G: FiniteGroup) -> FusionSystem:
     return FusionSystem(P, _conjugation_isos(P, G.elements()))
 
 
-def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair,
-                 seed: int = 0) -> FusionSystem:
+def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> FusionSystem:
     """The fusion system of the block b at the maximal pair root: the
     conjugation maps c_x with x(Q, e_Q) under (R, e_R), decided through
     the subpair table by x e_Q = e_{xQ}.
@@ -186,12 +185,12 @@ def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair,
     transporter per coset, and each distinct map is tested once."""
     if not is_pair_of_block(root, b):
         raise ValueError("root is not a pair of the given block")
-    mp = maximal_pairs(G, tower, b, seed)
+    mp = maximal_pairs(G, tower, b)
     if root.subgroup.order != mp.defect_order:
         raise ValueError("root pair is not maximal for the block")
     P = root.subgroup
     pset = set(P.elems)
-    table = subpair_table(root, seed)
+    table = subpair_table(root)
     everything = full_subgroup(G)
     isos = set()
     for Q in all_subgroups(P):

@@ -277,19 +277,18 @@ def factorization_check_scan(F: FusionSystem, F_big: FusionSystem, sigma: GroupM
     return True
 
 
-def block_fusion_scan(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair,
-                      seed: int = 0) -> FusionSystem:
+def block_fusion_scan(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> FusionSystem:
     """The block fusion system by scanning every x in G against every
     Q <= P and testing x e_Q = e_{xQ} through the subpair table, one
     conjugate_block call per x with xQ <= P."""
     if not is_pair_of_block(root, b):
         raise ValueError("root is not a pair of the given block")
-    mp = maximal_pairs(G, tower, b, seed)
+    mp = maximal_pairs(G, tower, b)
     if root.subgroup.order != mp.defect_order:
         raise ValueError("root pair is not maximal for the block")
     P = root.subgroup
     pset = set(P.elems)
-    table = subpair_table(root, seed)
+    table = subpair_table(root)
     isos = set()
     for Q in all_subgroups(P):
         e_q = table[Q.elems]
@@ -485,8 +484,8 @@ def _bezout_idempotents_kg(t: FieldTower, mu, factors, vectors) -> list[AlgebraE
     return parts
 
 
-def blocks_by_group_algebra_splitting(G: FiniteGroup, t: FieldTower, over_k: bool = False,
-                                      seed: int = 0) -> list[tuple[int, ...]]:
+def blocks_by_group_algebra_splitting(G: FiniteGroup, t: FieldTower,
+                                      over_k: bool = False) -> list[tuple[int, ...]]:
     """Block coefficient vectors, sorted, from the center-splitting loop run
     with |G|-dimensional Krylov sequences and convolution products in
     L[G], the predecessor of the class-sum splitting."""
@@ -496,7 +495,7 @@ def blocks_by_group_algebra_splitting(G: FiniteGroup, t: FieldTower, over_k: boo
         for c in summands:
             mu, vectors = _minimal_polynomial_kg(z, c)
             mu_poly = Poly(t, mu)
-            fac = factor_over_subfield(mu_poly, seed) if over_k else factor(mu_poly, seed)
+            fac = factor_over_subfield(mu_poly) if over_k else factor(mu_poly)
             if len(fac.factors) == 1:
                 refined.append(c)
                 continue

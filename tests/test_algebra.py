@@ -64,7 +64,6 @@ def test_f2_d24_blocks(d24):
     blocks = primitive_central_idempotents(d24, F2)
     b_elem = basis_element(d24, F2, g) + basis_element(d24, F2, g2)
     b = find_block(blocks, b_elem)
-    assert b.primitive_central
     assert principal_block(blocks).elem == one(d24, F2) - b_elem + zero(d24, F2)
 
 

@@ -269,13 +269,13 @@ def test_corpus_builds_pairs_and_tables_once(monkeypatch):
     memo hit."""
     pair_keys, roots = [], []
 
-    def count_pairs(G, tower, b, seed):
+    def count_pairs(G, tower, b):
         pair_keys.append((tower.key, b))  # b holds its group: ids stay distinct
-        return build_pairs(G, tower, b, seed)
+        return build_pairs(G, tower, b)
 
-    def count_tables(root, seed):
+    def count_tables(root):
         roots.append(root)
-        return build_table(root, seed)
+        return build_table(root)
 
     build_pairs, build_table = brauer._maximal_pairs, brauer._subpair_table
     monkeypatch.setattr(brauer, "_maximal_pairs", count_pairs)

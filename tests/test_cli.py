@@ -182,15 +182,6 @@ def test_verify_pool_is_capped_at_entry_count(tmp_path, capsys, monkeypatch):
     assert requested == [2]
 
 
-def test_seed_does_not_change_results(capsys, monkeypatch):
-    # each invocation loads a fresh group, so block caches do not carry over
-    # and the seeded splitting really runs
-    _, base = _run(capsys, ["descent", "--group", "builtin:c3", "--p", "2", "--n", "2"])
-    monkeypatch.setenv("BLOCKFUSE_SEED", "7")
-    _, seeded = _run(capsys, ["descent", "--group", "builtin:c3", "--p", "2", "--n", "2"])
-    assert seeded == base
-
-
 def test_table_format(capsys):
     code, out = _run(capsys, ["blocks", "--group", "builtin:c3", "--p", "3",
                               "--format", "table"])
@@ -272,8 +263,11 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
         path.write_text(text)
         assert main(["blocks", "--group", str(path), "--p", "2"]) == 2
         assert capsys.readouterr().err.startswith("blockfuse: error: group ")
+    s3 = {"group": "builtin:s3", "p": 3}
     for corpus in ([1, 2], {"entries": [{"p": 2}]}, {"entries": [1]}, {"entries": {"a": 1}},
-                   {"entries": [{"group": 5, "p": 2}]}):
+                   {"entries": [{"group": 5, "p": 2}]}, {"entries": [s3 | {"p": 3.9}]},
+                   {"entries": [s3 | {"p": True}]}, {"entries": [s3 | {"n": "2"}]},
+                   {"entries": [s3 | {"label": [1]}]}):
         path.write_text(json.dumps(corpus))
         assert main(["verify", "--corpus", str(path)]) == 2
         err = capsys.readouterr().err

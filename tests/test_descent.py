@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
 from blockfuse.algebra import (AlgebraElement, basis_element, find_block,
@@ -222,9 +226,21 @@ def test_sigma_in_k_system(d24, groups):
 
 def test_run_descent_report_shape(d24):
     b4 = _d24_block_b(d24, F4)
-    report, ctx = run_descent(d24, F4, b4)
-    data = report.to_json()
-    assert data["all_ok"]
+    data, ctx = run_descent(d24, F4, b4)
+    assert set(data) == {"group", "tower", "block_index", "k_block_index", "orbit_size",
+                         "defect_order", "root", "k_root", "stabilizers", "index", "g0",
+                         "sigma", "verdicts", "saturated", "index_expressions", "all_ok"}
+    assert data["all_ok"] is all(data["verdicts"].values()) is True
     assert data["verdicts"]["generation"]
     assert data["index"] == 2
     assert data["sigma"] == [d24.inv[g] for g in ctx.root.subgroup.elems]
+
+
+def test_readme_worked_example_runs(capsys):
+    """The README's python block runs as printed and shows nine verdicts,
+    every one True."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (snippet,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(snippet, "README.md", "exec"), {})
+    verdicts = ast.literal_eval(capsys.readouterr().out)
+    assert len(verdicts) == 9 and all(v is True for v in verdicts.values())

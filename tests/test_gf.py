@@ -252,6 +252,37 @@ def test_factor_over_subfield_roundtrip(tower_key, coeffs):
         assert all(t.is_k_rational(c) for c in poly.codes)
 
 
+def _product_of_small_factors(t, parts, modulus):
+    """The monic product of the drawn factors of degree 1 to 3, coefficients
+    reduced mod `modulus` (t.q, or t.k_order for a Frobenius-fixed f)."""
+    codes = (1,)
+    for part in parts:
+        codes = gf._pmul(t, codes, [c % modulus for c in part] + [1])
+    return Poly.make(t, codes)
+
+
+_SMALL_FACTORS = st.lists(st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                                   min_size=1, max_size=3), min_size=1, max_size=5)
+
+
+@given(tower_key=st.sampled_from(_TOWERS), parts=_SMALL_FACTORS,
+       seed=st.integers(min_value=1, max_value=3))
+def test_factor_does_not_depend_on_the_seed(tower_key, parts, seed):
+    """The seed only drives the equal-degree splitting, which f reaches with
+    several factors of one degree: every seed returns seed 0's result."""
+    t = make_tower(*tower_key)
+    f = _product_of_small_factors(t, parts, t.q)
+    assert factor(f, seed=seed) == factor(f, seed=0)
+
+
+@given(tower_key=st.sampled_from([(2, 1, 2), (3, 1, 2), (2, 1, 4)]), parts=_SMALL_FACTORS,
+       seed=st.integers(min_value=1, max_value=3))
+def test_factor_over_subfield_does_not_depend_on_the_seed(tower_key, parts, seed):
+    t = make_tower(*tower_key)
+    f = _product_of_small_factors(t, parts, t.k_order)
+    assert factor_over_subfield(f, seed=seed) == factor_over_subfield(f, seed=0)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_factor_matches_sympy_over_prime_fields(p):
     """Differential check: over F_p, factor and sympy's factor_list agree on
