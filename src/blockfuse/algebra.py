@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf import FieldTower, Poly, factor, factor_over_subfield, _pdivmod, _pinvmod, _pmod, _pmul
-from .groups import (ClassData, FiniteGroup, Subgroup, centralizer, class_data,
-                     conjugacy_classes, coset_reps)
+from .groups import (ClassData, FiniteGroup, Subgroup, _conj_table, centralizer, class_data,
+                     conj_rows, conjugacy_classes, coset_reps)
 from .linalg import Echelon
 
 
@@ -192,28 +194,32 @@ def conjugate_element(x: int, a: AlgebraElement) -> AlgebraElement:
     """
     g = a.group
     if g.ambient is None:
-        out = [0] * g.order
-        for i, c in enumerate(a.coeffs):
-            if c:
-                out[g.conj(x, i)] = c
-        return AlgebraElement(g, a.tower, tuple(out))
+        # out[h] = a[x^-1 h x]: the coefficients read along the row of x^-1
+        return AlgebraElement(g, a.tower, tuple(map(a.coeffs.__getitem__,
+                                                    conj_rows(g)[g.inv[x]])))
     amb = g.ambient
-    moved = {amb.conj(x, g.ambient_elems[i]): c
-             for i, c in enumerate(a.coeffs) if c}
-    target_elems = tuple(sorted(amb.conj(x, e) for e in g.ambient_elems))
-    target = Subgroup(amb, target_elems, _checked=True).as_group()
-    out = [0] * target.order
-    for i, e in enumerate(target_elems):
-        out[i] = moved.get(e, 0)
-    return AlgebraElement(target, a.tower, tuple(out))
+    row = conj_rows(amb)[x]
+    images = list(map(row.__getitem__, g.ambient_elems))
+    moved = dict(zip(images, a.coeffs))
+    images.sort()
+    target = Subgroup._of(amb, tuple(images)).as_group()
+    return AlgebraElement(target, a.tower, tuple(map(moved.__getitem__, images)))
 
 
 def is_stable(a: AlgebraElement, S: Subgroup) -> bool:
-    """True iff conjugation by every element of S fixes a."""
-    amb = a.group.ambient or a.group
+    """True iff conjugation by every element of S fixes a: one gather of
+    the conjugation table over S x the owner's elements, read through a's
+    coefficients spread over the ambient group, with -1 (no field code)
+    outside the owner, so an image that leaves the owner never matches."""
+    g = a.group
+    amb = g.ambient or g
     if S.parent is not amb:
         raise ValueError("subgroup does not live in the owner's ambient group")
-    return all(conjugate_element(x, a) == a for x in S.elems if x != 0)
+    elems = np.asarray(g.ambient_elems or g.elements())
+    coeffs = np.asarray(a.coeffs)
+    spread = np.full(amb.order, -1, dtype=coeffs.dtype)
+    spread[elems] = coeffs
+    return bool((spread[_conj_table(amb)[np.asarray(S.elems)[:, None], elems]] == coeffs).all())
 
 
 def embed(a: AlgebraElement) -> AlgebraElement:

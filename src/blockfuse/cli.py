@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import (VerificationError, augmentation, is_k_rational,
                       primitive_central_idempotents, principal_block)
 from .brauer import maximal_pairs
@@ -115,8 +117,15 @@ def _fusion_system_report(G, tower, block) -> dict:
     system = block_fusion(G, tower, block, root)
     P = root.subgroup
     sat = saturation_report(system)
-    label = {Q.elems: ",".join(map(str, Q.elems)) for Q in system.subgroups}
-    hom_counts = {f"{label[q]}|{label[r]}": n for (q, r), n in system.hom_counts().items()}
+    # "Q|R" keys inserted in the order render_json sorts them into: rows by
+    # label + "|" ("|" sorts after every digit and ","), columns by label
+    labels = [",".join(map(str, Q.elems)) for Q in system.subgroups]
+    rows = sorted(range(len(labels)), key=lambda i: labels[i] + "|")
+    cols = sorted(range(len(labels)), key=labels.__getitem__)
+    col_labels = [labels[j] for j in cols]
+    hom_counts: dict[str, int] = {}
+    for i, counts in zip(rows, system.hom_count_matrix()[np.ix_(rows, cols)].tolist()):
+        hom_counts.update(zip(map((labels[i] + "|").__add__, col_labels), counts))
     return {
         "block_index": block.index,
         "defect_order": mp.defect_order,
@@ -181,7 +190,7 @@ def descent_report(G, tower, block_sel="all") -> dict:
 @dataclass(frozen=True)
 class CorpusEntry:
     """One corpus line: a group file, a field tower, a block selector and
-    the checks to run (None means all)."""
+    the checks to run (None means all; ValueError if it names none)."""
 
     group: str
     p: int
@@ -190,6 +199,10 @@ class CorpusEntry:
     block: str = "all"
     checks: tuple[str, ...] | None = None
     label: str | None = None
+
+    def __post_init__(self):
+        if self.checks is not None:
+            _check_names(self.checks)
 
     @staticmethod
     def from_dict(d: dict) -> "CorpusEntry":
@@ -206,7 +219,7 @@ class CorpusEntry:
         if label is not None and not isinstance(label, str):
             raise ValueError(f'"label" must be a string, not {label!r}')
         return CorpusEntry(group=d["group"], p=p, m=m, n=n, block=str(d.get("block", "all")),
-                           checks=_check_names(checks) if checks else None, label=label)
+                           checks=None if checks is None else tuple(checks), label=label)
 
     def wants(self, check: str) -> bool:
         return self.checks is None or check in self.checks
@@ -216,8 +229,11 @@ ALL_CHECKS = ("blocks", "correspondence", "principal", "descent")
 
 
 def _check_names(names) -> tuple[str, ...]:
-    """names as a tuple; ValueError if one is not in ALL_CHECKS."""
+    """names as a tuple; ValueError if it is empty or a name is not in
+    ALL_CHECKS."""
     names = tuple(names)
+    if not names:
+        raise ValueError(f"no check selected; the checks are {', '.join(ALL_CHECKS)}")
     for name in names:
         if name not in ALL_CHECKS:
             raise ValueError(f"unknown check {name!r}; the checks are {', '.join(ALL_CHECKS)}")
@@ -330,7 +346,7 @@ def run_corpus(entries, base: Path | None = None, jobs: int = 1,
     # the pool starts all of its workers up front: no more than there are entries
     jobs = min(jobs, len(entries))
     if jobs > 1 and not keep_objects:
-        payloads = [(e.__dict__ | {"checks": list(e.checks) if e.checks else None},
+        payloads = [(e.__dict__ | {"checks": None if e.checks is None else list(e.checks)},
                      str(base) if base else "") for e in entries]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, payloads))
@@ -353,7 +369,62 @@ def load_corpus(path: Path) -> list[CorpusEntry]:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(report, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+
+    With an indent the standard library encodes in Python, one small piece
+    per token.  Here each container joins its pieces once, str, int, bool
+    and None are written directly, and a container of at least
+    `_C_ENCODER_MIN` such scalars goes whole to the C encoder, whose item
+    separator carries the newline and indentation.  Anything else (floats,
+    tuples, non-string keys) is left to the standard library."""
+    return "".join(_json_pieces(report, "\n") + ["\n"])
+
+
+_C_ENCODER_MIN = 16
+_JSON_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, pad: str) -> str:
+    scalar = _JSON_SCALARS.get(type(value))
+    return scalar(value) if scalar else "".join(_json_pieces(value, pad))
+
+
+def _json_pieces(value, pad: str) -> list[str]:
+    """The JSON text of value in pieces; pad, a newline and the indentation
+    of value's first line, starts each of its other lines."""
+    kind = type(value)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        return [scalar(value)]
+    if kind is list:
+        brackets, values = "[]", value
+    elif kind is dict and {*map(type, value)} <= {str}:
+        brackets, values = "{}", value.values()
+    else:
+        return [json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)]
+    if not value:
+        return [brackets]
+    inner = pad + "  "
+    if len(value) >= _C_ENCODER_MIN and {*map(type, values)} <= _JSON_SCALARS.keys():
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        return [brackets[0], inner, text[1:-1], pad, brackets[1]]
+    sep = "," + inner
+    pieces = [brackets[0], inner]
+    if kind is list:
+        for v in value:
+            pieces += (_json_text(v, inner), sep)
+    else:
+        key = _JSON_SCALARS[str]
+        for k, v in sorted(value.items()):
+            pieces += (key(k), ": ", _json_text(v, inner), sep)
+    pieces[-1] = pad
+    pieces.append(brackets[1])
+    return pieces
 
 
 def _flatten(prefix: str, value, lines: list[str]) -> None:
@@ -429,9 +500,9 @@ def main(argv=None) -> int:
             entries = load_corpus(corpus_path)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             return _input_error(f"corpus {corpus_path}: {type(exc).__name__}: {exc}")
-        if args.checks:
+        if args.checks is not None:
             try:
-                wanted = _check_names(args.checks.split(","))
+                wanted = _check_names(args.checks.split(",") if args.checks else ())
             except ValueError as exc:
                 return _input_error(f"--checks: {exc}")
             entries = [CorpusEntry(e.group, e.p, e.m, e.n, e.block, wanted, e.label)

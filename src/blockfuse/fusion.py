@@ -18,12 +18,14 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import VerificationError
 from .brauer import (BrauerPair, conjugate_block, is_pair_of_block, maximal_pairs,
                      subpair_table)
 from .gf import FieldTower
 from .groups import (FiniteGroup, GroupMap, Subgroup, all_subgroups, centralizer_in,
-                     coset_reps, full_subgroup, normalizer_in)
+                     conj_rows, coset_reps, full_subgroup, normalizer_in)
 
 
 class FusionSystem:
@@ -78,21 +80,29 @@ class FusionSystem:
         return frozenset(GroupMap(m.domain, R, m.images, _checked=True)
                          for m in self._by_domain.get(Q.elems, ()) if rset.issuperset(m.images))
 
+    def hom_count_matrix(self) -> np.ndarray:
+        """|Hom(Q, R)| for Q, R over `subgroups`, as the product A @ C: A
+        counts the isos per (domain, image) and C[i, j] is 1 iff
+        subgroups[i] <= subgroups[j], read from the masks.  The product is
+        taken in int64, which is exact and runs without BLAS, whose first
+        call starts a thread pool and keeps megabytes of buffers."""
+        index = {S.elems: i for i, S in enumerate(self.subgroups)}
+        n = len(self.subgroups)
+        A = np.zeros((n, n), dtype=np.int64)
+        for (dom, img), k in Counter((m.domain.elems, m.image_elems) for m in self.isos).items():
+            A[index[dom], index[img]] = k
+        width = (self.p_subgroup.parent.order + 7) // 8
+        masks = np.frombuffer(b"".join(S.mask.to_bytes(width, "little") for S in self.subgroups),
+                              np.uint8).reshape(n, width)
+        C = ~(masks[:, None, :] & ~masks[None, :, :]).any(axis=2)
+        return A @ C.astype(np.int64)
+
     def hom_counts(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
         """|Hom(Q, R)| for every ordered pair of objects, keyed by element
-        sets: the isos are counted per (domain, image), and each count goes
-        to every object R that contains the image."""
-        counts = {(Q.elems, R.elems): 0 for Q in self.subgroups for R in self.subgroups}
-        supergroups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for (dom, img), n in Counter((m.domain.elems, m.image_elems) for m in self.isos).items():
-            above = supergroups.get(img)
-            if above is None:
-                iset = set(img)
-                above = supergroups[img] = [R.elems for R in self.subgroups
-                                            if iset.issubset(R.elems)]
-            for r in above:
-                counts[dom, r] += n
-        return counts
+        sets: `hom_count_matrix` as a dict."""
+        keys = [S.elems for S in self.subgroups]
+        return {(q, r): k for q, row in zip(keys, self.hom_count_matrix().tolist())
+                for r, k in zip(keys, row)}
 
     def aut_set(self, Q: Subgroup) -> frozenset:
         return self.hom_set(Q, Q)
@@ -152,10 +162,11 @@ def _conjugation_isos(P: Subgroup, xs) -> set[GroupMap]:
     """The maps c_x: Q -> xQx^-1 for Q <= P and x in xs, where xQx^-1 <= P."""
     G = P.parent
     pset = set(P.elems)
+    rows = conj_rows(G)
     isos = set()
     for Q in all_subgroups(P):
         for x in xs:
-            images = tuple(G.conj(x, g) for g in Q.elems)
+            images = tuple(map(rows[x].__getitem__, Q.elems))
             if pset.issuperset(images):
                 target = Subgroup(G, images, _checked=True)
                 isos.add(GroupMap(Q, target, images, _checked=True))
@@ -192,12 +203,13 @@ def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> Fusi
     pset = set(P.elems)
     table = subpair_table(root)
     everything = full_subgroup(G)
+    rows = conj_rows(G)
     isos = set()
     for Q in all_subgroups(P):
         e_q = table[Q.elems]
         for x in coset_reps(everything, centralizer_in(everything, Q)):
-            images = tuple(G.conj(x, g) for g in Q.elems)
-            if not set(images) <= pset:
+            images = tuple(map(rows[x].__getitem__, Q.elems))
+            if not pset.issuperset(images):
                 continue
             target_elems = tuple(sorted(images))
             if conjugate_block(x, e_q) != table[target_elems]:
@@ -277,19 +289,19 @@ def _normalizer_cosets(P: Subgroup, Q: Subgroup) -> list[tuple[int, ...]]:
     return [tuple(mul[x][h] for h in QC.elems) for x in coset_reps(NQ, QC)]
 
 
-def _intertwiners(phi: GroupMap, cosets, aut_r: set[tuple[int, ...]]) -> list[int]:
-    """The y in N_P(Q) with phi c_y phi^-1 in Aut_P(R), R = phi(Q), where
-    aut_r holds Aut_P(R) as image tuples over R.elems and cosets are the
-    left cosets of Q C_P(Q) in N_P(Q).
+def _intertwiners(phi: GroupMap, cosets, aut_r: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The cosets whose y in N_P(Q) have phi c_y phi^-1 in Aut_P(R),
+    R = phi(Q), where aut_r holds Aut_P(R) as image tuples over R.elems
+    and cosets are the left cosets of Q C_P(Q) in N_P(Q).
 
     These y form a subgroup containing Q C_P(Q): c_y is the identity on Q
     for y in C_P(Q), and phi c_y phi^-1 = c_{phi(y)} for y in Q.  So the
     leader of each coset decides the whole coset."""
-    conj = phi.domain.parent.conj
-    fwd = dict(zip(phi.domain.elems, phi.images))
+    rows = conj_rows(phi.domain.parent)
+    fwd = dict(zip(phi.domain.elems, phi.images)).__getitem__
     pre = [src for _, src in sorted(zip(phi.images, phi.domain.elems))]  # phi^-1 on R.elems
-    return [y for coset in cosets
-            if tuple(fwd[conj(coset[0], u)] for u in pre) in aut_r for y in coset]
+    return [coset for coset in cosets
+            if tuple(map(fwd, map(rows[coset[0]].__getitem__, pre))) in aut_r]
 
 
 def n_phi(P: Subgroup, phi: GroupMap) -> Nphi:
@@ -302,17 +314,15 @@ def n_phi(P: Subgroup, phi: GroupMap) -> Nphi:
     if len(set(phi.images)) != Q.order or not Q.is_subset_of(P):
         raise ValueError("phi must be an isomorphism from a subgroup of P onto its image")
     aut_r = {m.images for m in inner_automorphisms(P, phi.image_subgroup())}
-    members = _intertwiners(phi, _normalizer_cosets(P, Q), aut_r)
-    return Nphi(phi, Subgroup(P.parent, members))
+    cosets = _intertwiners(phi, _normalizer_cosets(P, Q), aut_r)
+    return Nphi(phi, Subgroup(P.parent, [y for coset in cosets for y in coset]))
 
 
 def inner_automorphisms(P: Subgroup, Q: Subgroup) -> frozenset:
     """Aut_P(Q): conjugations of Q by normalizer elements in P."""
-    G = P.parent
-    out = set()
-    for u in normalizer_in(P, Q).elems:
-        out.add(GroupMap(Q, Q, tuple(G.conj(u, g) for g in Q.elems), _checked=True))
-    return frozenset(out)
+    rows = conj_rows(P.parent)
+    return frozenset(GroupMap(Q, Q, tuple(map(rows[u].__getitem__, Q.elems)), _checked=True)
+                     for u in normalizer_in(P, Q).elems)
 
 
 def sylow_index(F: FusionSystem) -> int:
@@ -338,11 +348,12 @@ def _extension_counterexample(F: FusionSystem):
     Aut_P(R) lookups per coset of Q C_P(Q) as in `n_phi`; phi extends iff
     its images are among the restrictions to Q of the isos out of N_phi.
     The automizers of the system's fully normalized subgroups and the
-    restriction sets are tables local to this call.
+    restriction sets are tables local to this call; N_phi is keyed by Q
+    and the leaders of its cosets, and built only on a miss.
     """
     P = F.p_subgroup
-    local, conj = _local_table(P), P.parent.conj
-    automizers = {S: {tuple(conj(u, g) for g in S) for u in local[S][0].elems}
+    local, rows = _local_table(P), conj_rows(P.parent)
+    automizers = {S: {tuple(map(rows[u].__getitem__, S)) for u in local[S][0].elems}
                   for S in F.fully_normalized}  # Aut_P(S) as image tuples
     restrictions: dict[tuple[tuple[int, ...], tuple[int, ...]], set[tuple[int, ...]]] = {}
     for Q in F.subgroups:
@@ -351,12 +362,14 @@ def _extension_counterexample(F: FusionSystem):
             aut_r = automizers.get(phi.image_elems)
             if aut_r is None:
                 continue
-            N = Subgroup(P.parent, _intertwiners(phi, cosets, aut_r), _checked=True)
-            key = (N.elems, Q.elems)
+            passing = _intertwiners(phi, cosets, aut_r)
+            key = (Q.elems, tuple(coset[0] for coset in passing))
             extended = restrictions.get(key)
             if extended is None:
-                extended = restrictions[key] = {tuple(psi.apply(g) for g in Q.elems)
-                                                for psi in F._by_domain.get(N.elems, ())}
+                N = tuple(sorted(y for coset in passing for y in coset))
+                at = list(map({g: i for i, g in enumerate(N)}.__getitem__, Q.elems))
+                extended = restrictions[key] = {tuple(map(psi.images.__getitem__, at))
+                                                for psi in F._by_domain.get(N, ())}
             if phi.images not in extended:
                 return phi.with_codomain(P)
     return None

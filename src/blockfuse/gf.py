@@ -242,14 +242,17 @@ class FieldTower:
         g = next(g for g in range(1, q)
                  if all(self._pow_digits(self._code_digits(g), e) != one
                         for e in cofactors))
-        # Walk the powers of g once, on digit vectors.
+        # Walk the powers of g once, on digit vectors.  Codes and logs are
+        # taken from one list of ints, so the tables (and _frob and _zech,
+        # built from them) hold one int object per value.
+        ints = list(range(q))
         g_digits = self._code_digits(g)
         weights = [p ** i for i in range(n)]
         cur = one
         exp = [1]
         for _ in range(q - 1):
             cur = self._mul_digits(g_digits, cur)
-            code = sum(c * w for c, w in zip(cur, weights))
+            code = ints[sum(c * w for c, w in zip(cur, weights))]
             if code == 1:
                 break
             exp.append(code)
@@ -257,7 +260,7 @@ class FieldTower:
             raise AssertionError(f"the powers of {g} do not have period q - 1")
         log: list[int | None] = [None] * q
         for i, c in enumerate(exp):
-            log[c] = i
+            log[c] = ints[i]
         self._exp, self._log = exp, log
 
     # -- code arithmetic; add, neg and sub are bound in __init__

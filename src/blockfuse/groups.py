@@ -14,12 +14,16 @@ whole-table work.
 
 Everything derived from the group is built on first use and kept in one
 dict, `FiniteGroup._memo`, filled only through `FiniteGroup.memo(key,
-build)`: the conjugation table K[x, g] = x g x^-1, the centralizer
-bitmasks cmask[g] (bit h set iff gh = hg), G as a subgroup of itself,
-subgroup views, subgroup lattices and class data here, and the blocks,
-maximal pairs, subpair tables and N_P(Q)/C_P(Q) tables of the algebra,
-brauer and fusion layers.  The memo lives as long as the group, which
-the command line builds once per report or corpus entry.
+build)`: the conjugation table K[x, g] = x g x^-1 as a numpy array
+(key "conj") and as shared-int tuple rows (key "conj_rows", for the
+conjugation loops of block fusion; class data keeps `FiniteGroup.conj`, so
+a blocks report does not build rows that on S6 are 720 x 720 pointers),
+the centralizer bitmasks cmask[g] (bit h set iff gh = hg), G as a
+subgroup of itself, subgroup views, subgroup lattices and class data
+here, and the blocks, maximal pairs, subpair tables and N_P(Q)/C_P(Q)
+tables of the algebra, brauer and fusion layers.  The memo lives as long
+as the group, which the command line builds once per report or corpus
+entry.
 
 A `Subgroup` is a sorted index set inside a parent group together with the
 same set as an int bitmask (bit g set iff g is a member).  Membership and
@@ -122,6 +126,13 @@ def _conj_table(G: FiniteGroup) -> np.ndarray:
         M = G._table
         return M[M, np.asarray(G.inv, dtype=M.dtype)[:, None]]
     return G.memo("conj", build)
+
+
+def conj_rows(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """conj_rows(G)[x][g] = x g x^-1: the conjugation table as shared-int
+    tuple rows, memoized, so conjugating a set by x is one row lookup per
+    element."""
+    return G.memo("conj_rows", lambda: _shared_rows(_conj_table(G)))
 
 
 def _centralizer_masks(G: FiniteGroup) -> tuple[int, ...]:
@@ -563,14 +574,14 @@ def coset_reps(H: Subgroup, I: Subgroup) -> list[int]:
     """Representatives of the left cosets xI inside H, smallest first."""
     if not I.is_subset_of(H):
         raise ValueError("I is not contained in H")
-    G = H.parent
+    mul = H.parent.mul
     covered = set()
     reps = []
     for x in H.elems:
         if x in covered:
             continue
         reps.append(x)
-        covered.update(G.mul[x][i] for i in I.elems)
+        covered.update(map(mul[x].__getitem__, I.elems))
     return reps
 
 

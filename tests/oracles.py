@@ -8,6 +8,7 @@ the production algorithms it is checking.
 from __future__ import annotations
 
 import itertools
+import json
 
 from blockfuse.algebra import AlgebraElement, center_basis, multiply, one, zero
 from blockfuse.brauer import (BrauerPair, conjugate_block, is_pair_of_block, maximal_pairs,
@@ -107,6 +108,41 @@ def normalizer_in_scan(H: Subgroup, S: Subgroup) -> Subgroup:
     sset = set(S.elems)
     members = [h for h in H.elems if all(G.conj(h, s) in sset for s in S.elems)]
     return Subgroup(G, members, _checked=True)
+
+
+def conjugate_element_scan(x: int, a: AlgebraElement) -> AlgebraElement:
+    """x a x^-1 one coefficient at a time through `FiniteGroup.conj`; an
+    element of a subgroup view moves to the view of the re-sorted
+    conjugated element set."""
+    g = a.group
+    if g.ambient is None:
+        out = [0] * g.order
+        for i, c in enumerate(a.coeffs):
+            if c:
+                out[g.conj(x, i)] = c
+        return AlgebraElement(g, a.tower, tuple(out))
+    amb = g.ambient
+    moved = {amb.conj(x, g.ambient_elems[i]): c
+             for i, c in enumerate(a.coeffs) if c}
+    target_elems = tuple(sorted(amb.conj(x, e) for e in g.ambient_elems))
+    target = Subgroup(amb, target_elems, _checked=True).as_group()
+    out = [0] * target.order
+    for i, e in enumerate(target_elems):
+        out[i] = moved.get(e, 0)
+    return AlgebraElement(target, a.tower, tuple(out))
+
+
+def is_stable_scan(a: AlgebraElement, S: Subgroup) -> bool:
+    """True iff `conjugate_element_scan` by every element of S fixes a."""
+    amb = a.group.ambient or a.group
+    if S.parent is not amb:
+        raise ValueError("subgroup does not live in the owner's ambient group")
+    return all(conjugate_element_scan(x, a) == a for x in S.elems if x != 0)
+
+
+def render_json_reference(report) -> str:
+    """The report as the standard library's encoder prints it."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def subgroup_lattice_bfs_joins(P: Subgroup) -> list[Subgroup]:

@@ -14,7 +14,8 @@ from blockfuse.groups import (centralizer, class_data, coset_reps, cyclic_subgro
                               full_subgroup, trivial_subgroup)
 from blockfuse.linalg import Echelon
 from conftest import GROUP_NAMES, load_builtin
-from oracles import blocks_by_group_algebra_splitting, brute_force_blocks, convolve
+from oracles import (blocks_by_group_algebra_splitting, brute_force_blocks,
+                     conjugate_element_scan, convolve, is_stable_scan)
 
 
 F2 = make_tower(2, 1, 1)
@@ -355,3 +356,29 @@ def test_central_multiply_matches_multiply(groups, data):
         central_multiply(a, skew)
     with pytest.raises(ValueError):
         central_multiply(skew, a)
+
+
+@given(st.data())
+def test_conjugation_and_stability_match_scans(groups, data):
+    """On k C_G(h) for a builtin group G: conjugate_element and is_stable
+    agree with their per-element scans, for coefficients that are random
+    or constant on the classes of G (then stable under N_G(C_G(h)))."""
+    G = groups[data.draw(st.sampled_from(GROUP_NAMES))]
+    t = data.draw(st.sampled_from((F2, F4, make_tower(3, 1, 2))))
+    element = st.integers(0, G.order - 1)
+    owner = centralizer(G, cyclic_subgroup(G, data.draw(element))).as_group()
+    elems = owner.ambient_elems or range(G.order)
+    cd = class_data(G)
+    if data.draw(st.booleans()):
+        codes = data.draw(st.lists(st.integers(0, t.q - 1), min_size=len(cd.reps),
+                                   max_size=len(cd.reps)))
+        coeffs = [codes[cd.class_of[g]] for g in elems]
+    else:
+        coeffs = data.draw(st.lists(st.integers(0, t.q - 1), min_size=owner.order,
+                                    max_size=owner.order))
+    a = AlgebraElement(owner, t, tuple(coeffs))
+    x = data.draw(element)
+    assert conjugate_element(x, a) == conjugate_element_scan(x, a)
+    S = data.draw(st.sampled_from((cyclic_subgroup(G, data.draw(element)), full_subgroup(G),
+                                   trivial_subgroup(G))))
+    assert is_stable(a, S) == is_stable_scan(a, S)

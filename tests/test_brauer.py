@@ -2,7 +2,7 @@ import pytest
 
 import blockfuse.brauer as brauer
 import blockfuse.cli as cli
-from blockfuse.algebra import (basis_element, conjugate_element, find_block,
+from blockfuse.algebra import (basis_element, conjugate_element, find_block, is_stable,
                                primitive_central_idempotents, principal_block)
 from blockfuse.brauer import (BrauerPair, centralizer_blocks, conjugate_pair,
                               is_pair_of_block, maximal_pairs, normal_leq,
@@ -12,6 +12,7 @@ from blockfuse.groups import (all_subgroups, cyclic_subgroup, sylow_p_subgroup,
                               trivial_subgroup)
 
 from conftest import GROUP_NAMES, load_builtin
+from oracles import conjugate_element_scan, is_stable_scan
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -285,6 +286,33 @@ def test_corpus_builds_pairs_and_tables_once(monkeypatch):
     assert report["ok"]
     assert len(pair_keys) == len(set(pair_keys)) == 106
     assert len(roots) == len(set(roots)) == 104
+
+
+def test_corpus_stability_and_conjugation_match_scans(monkeypatch):
+    """Every stability test of the subpair-table steps of a corpus pass, and
+    every block conjugation, agrees with the per-element scan oracles."""
+    stable, moved, wrong = [], [], []
+
+    def checked_stable(a, S):
+        got = is_stable(a, S)
+        stable.append(got)
+        if got != is_stable_scan(a, S):
+            wrong.append(("is_stable", a, S))
+        return got
+
+    def checked_conjugate(x, a):
+        got = conjugate_element(x, a)
+        moved.append(x)
+        if got != conjugate_element_scan(x, a):
+            wrong.append(("conjugate_element", x, a))
+        return got
+
+    monkeypatch.setattr(brauer, "is_stable", checked_stable)
+    monkeypatch.setattr(brauer, "conjugate_element", checked_conjugate)
+    report = cli.run_corpus(cli.load_corpus(cli.default_corpus_path()),
+                            base=cli.default_corpus_path().parent)
+    assert report["ok"] and not wrong
+    assert True in stable and False in stable and moved
 
 
 def _pairs_summary(mp):

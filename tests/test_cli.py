@@ -5,11 +5,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import blockfuse
 import blockfuse.cli as cli
 from blockfuse.algebra import VerificationError
-from blockfuse.cli import CorpusEntry, main, run_entry
+from blockfuse.cli import CorpusEntry, main, render_json, run_entry
+from blockfuse.gf import make_tower
+from oracles import render_json_reference
+
+BENCH_GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
 
 def _run(capsys, argv):
@@ -242,14 +247,19 @@ def test_verify_under_optimized_mode():
     (["verify", "--corpus", "{tmp}/checks.json"], "unknown check 'blcoks'"),
     (["verify", "--corpus", "{tmp}/string_checks.json"],
      '"checks" must be a list of check names'),
+    (["verify", "--checks", ""], "--checks: no check selected"),
+    (["verify", "--corpus", "{tmp}/empty_checks.json"], "no check selected"),
 ])
 def test_bad_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
     """{tmp}/checks.json is a corpus whose one entry names an unknown check,
-    {tmp}/string_checks.json one whose "checks" is a string."""
+    {tmp}/string_checks.json one whose "checks" is a string and
+    {tmp}/empty_checks.json one whose "checks" is empty."""
     (tmp_path / "checks.json").write_text(json.dumps(
         {"entries": [{"group": "builtin:s3", "p": 2, "checks": ["blcoks"]}]}))
     (tmp_path / "string_checks.json").write_text(json.dumps(
         {"entries": [{"group": "builtin:s3", "p": 2, "checks": "descent"}]}))
+    (tmp_path / "empty_checks.json").write_text(json.dumps(
+        {"entries": [{"group": "builtin:c3", "p": 2, "checks": []}]}))
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -375,3 +385,52 @@ def test_false_descent_verdict_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "descent_report", lambda *args: {"all_ok": False})
     assert main(["descent", "--group", "builtin:s3", "--p", "2"]) == 1
     assert json.loads(capsys.readouterr().out) == {"all_ok": False}
+
+
+_ODD_TEXT = st.sampled_from(["", "plain", "caf\u00e9", "\u20ac5", "\U0001f600", 'say "hi"',
+                             "back\\slash", "line\nbreak\ttab", "\x00\x1f\x7f", "</script>"])
+_JSON_TEXT = st.text(max_size=8) | _ODD_TEXT
+_PLAIN_SCALARS = (st.none() | st.booleans() | _JSON_TEXT
+                  | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+                  | st.sampled_from([0, -1, 2 ** 63, -2 ** 64, 10 ** 40]))
+# flat containers of str, int, bool and None on both sides of the
+# C-encoder threshold
+_FLAT = st.integers(cli._C_ENCODER_MIN - 2, cli._C_ENCODER_MIN + 2).flatmap(
+    lambda n: st.lists(_PLAIN_SCALARS, min_size=n, max_size=n)
+    | st.dictionaries(_JSON_TEXT, _PLAIN_SCALARS, min_size=n, max_size=n))
+_JSON_VALUES = st.recursive(
+    _PLAIN_SCALARS | st.floats() | _FLAT | st.just([]) | st.just({}),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(_JSON_TEXT, children, max_size=5),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+def test_render_json_matches_the_standard_library(value):
+    assert render_json(value) == render_json_reference(value)
+
+
+def test_render_json_defers_other_values_to_the_standard_library():
+    report = {"a": (1, 2.5, [None]), "b": {2: "int key", 1: float("inf")}, "t": ()}
+    assert render_json(report) == render_json_reference(report)
+
+
+def test_render_json_matches_the_standard_library_on_reports(corpus_run):
+    """Every corpus entry, the corpus report and the fusion report of
+    2^3:S4, the largest of the benchmark's reports."""
+    for entry in corpus_run["entries"]:
+        assert render_json(entry) == render_json_reference(entry)
+    corpus = {k: v for k, v in corpus_run.items() if k != "_raw"}
+    assert render_json(corpus) == render_json_reference(corpus)
+    G = cli.load_group_file(str(BENCH_GROUPS / "2e3s4.json"))
+    report = cli.fusion_report(G, make_tower(2, 1, 1))
+    assert render_json(report) == render_json_reference(report)
+
+
+def test_blocks_report_builds_no_conjugation_rows():
+    """A blocks report never needs the conjugation table as tuple rows,
+    which on S6 would be 720 x 720 pointers."""
+    G = cli.load_group_file(str(BENCH_GROUPS / "s6.json"))
+    report = cli.blocks_report(G, make_tower(3, 1, 2))
+    assert "conj_rows" not in G._memo
+    assert render_json(report) == render_json_reference(report)

@@ -119,6 +119,14 @@ def test_modulus_and_primitive_element_match_scan_oracles(p, n):
     assert t._exp == primitive_element_walk(t)
 
 
+def test_field_tables_share_one_int_per_value():
+    """_exp, _log and _frob of F_{2^14}/F_{2^7} hold at most q distinct int
+    objects: each code and each log is one shared int."""
+    t = make_tower(2, 7, 14)
+    tables = itertools.chain(t._exp, t._log, t._frob)
+    assert len({id(x) for x in tables if x is not None}) <= t.q
+
+
 @pytest.mark.parametrize("p,m,n,modulus,generator", [
     (2, 7, 14, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1), 7),
     (2, 8, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1), 6),
