@@ -18,6 +18,8 @@ current summand, its minimal polynomial is factored (over L, or over the
 Frobenius-fixed subfield K for blocks of KG computed inside L), and
 coprime factor powers split the summand through the corresponding Bezout
 idempotents; only the final blocks are expanded to group coordinates.
+The algebra of a p-group is local, so its one block is the identity and
+no splitting runs.
 `central_multiply` multiplies two central elements of the group algebra
 the same way.  All zero tests are exact; no tolerances exist anywhere.
 """
@@ -30,7 +32,7 @@ import numpy as np
 
 from .gf import FieldTower, Poly, factor, factor_over_subfield, _pdivmod, _pinvmod, _pmod, _pmul
 from .groups import (ClassData, FiniteGroup, Subgroup, _conj_table, centralizer, class_data,
-                     conj_rows, conjugacy_classes, coset_reps)
+                     conj_rows, conjugacy_classes, coset_reps, p_part)
 from .linalg import Echelon
 
 
@@ -363,6 +365,15 @@ def primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
 
 def _primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
                                    over_k: bool) -> tuple[BlockIdempotent, ...]:
+    # k[G] of a p-group is local: the identity is its only block
+    if p_part(G.order, tower.p) == G.order:
+        return (BlockIdempotent(one(G, tower), over_k, 0),)
+    return _split_center(G, tower, over_k)
+
+
+def _split_center(G: FiniteGroup, tower: FieldTower,
+                  over_k: bool) -> tuple[BlockIdempotent, ...]:
+    """The center-splitting loop, for any group; a test oracle on p-groups."""
     cd = class_data(G)
     width = len(cd.reps)
     summands = [[1] + [0] * (width - 1)]

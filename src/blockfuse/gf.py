@@ -15,11 +15,12 @@ The modulus search scans monic degree-n candidates in that order, skips
 every candidate with a root in F_p (a linear factor) and runs the full
 irreducibility test only on the rest.  The primitive element g is the
 smallest code whose order is q - 1, found by testing g^((q-1)/r) != 1 for
-each prime r | q - 1; one walk of its powers then fills the discrete-log
-tables, so multiplication, inversion and powering are table lookups and
-tower sizes are bounded (p^n up to 2^16).  Addition is chosen once per
-tower: XOR of codes when p = 2, and otherwise a Zech-logarithm table
-Z[k] = log(1 + g^k), with -1 = g^((q-1)/2).
+each prime r | q - 1.  Multiplying by g is an F_p-linear map on digit
+vectors, so numpy matrix products fill the discrete-log tables a block of
+powers at a time; multiplication, inversion, powering and Frobenius are
+then table lookups, and tower sizes are bounded (p^n up to 2^16).
+Addition is chosen once per tower: XOR of codes when p = 2, and otherwise
+a Zech-logarithm table Z[k] = log(1 + g^k), with -1 = g^((q-1)/2).
 
 Univariate polynomials over L are tuples of codes, least significant
 coefficient first, with no trailing zeros; the zero polynomial is the
@@ -35,6 +36,8 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 _MAX_TOWER = 2 ** 16
 
@@ -145,11 +148,12 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Monic irreducible of degree n over F_p, lexicographically first.
 
     A candidate with a root in F_p has a linear factor, so for n >= 2 it is
-    skipped before the irreducibility test; the scan order is unchanged.
+    skipped before the irreducibility test, and the scan starts past the
+    candidates with constant term 0 (the root 0); the scan order is unchanged.
     """
     if n == 1:
         return (0, 1)
-    for low in itertools.product(range(p), repeat=n):
+    for low in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         f = low + (1,)
         if not _fp_has_root(p, f) and _fp_is_irreducible(p, f):
             return f
@@ -195,8 +199,10 @@ class FieldTower:
             self._half = (self.q - 1) // 2
             self._zech = [self._log[c - c % p + (c + 1) % p] for c in self._exp]
             self.add, self.neg, self.sub = self._add_zech, self._neg_zech, self._sub_zech
-        frob_e = p ** m
-        self._frob: list[int] = [self.pow(a, frob_e) for a in range(self.q)]
+        # frob(g^i) = g^(i p^m), and frob(0) = 0
+        exp, log, frob_e, period = self._exp, self._log, p ** m, self.q - 1
+        self._frob: list[int] = [exp[log[a] * frob_e % period] if a else 0
+                                 for a in range(self.q)]
         self._k_codes: tuple[int, ...] | None = None
 
     # -- construction internals
@@ -242,25 +248,27 @@ class FieldTower:
         g = next(g for g in range(1, q)
                  if all(self._pow_digits(self._code_digits(g), e) != one
                         for e in cofactors))
-        # Walk the powers of g once, on digit vectors.  Codes and logs are
-        # taken from one list of ints, so the tables (and _frob and _zech,
-        # built from them) hold one int object per value.
-        ints = list(range(q))
-        g_digits = self._code_digits(g)
-        weights = [p ** i for i in range(n)]
-        cur = one
-        exp = [1]
-        for _ in range(q - 1):
-            cur = self._mul_digits(g_digits, cur)
-            code = ints[sum(c * w for c, w in zip(cur, weights))]
-            if code == 1:
-                break
-            exp.append(code)
-        if code != 1 or len(exp) != q - 1:
-            raise AssertionError(f"the powers of {g} do not have period q - 1")
+        # x -> g x is F_p-linear: digits(g x) = digits(x) . step.  Doubling
+        # fills g^0 .. g^(B-1), B near sqrt(q); each later block of B powers is
+        # the one before times step^B.  int64: n (p - 1)^2 overflows int32.
+        # np.dot, not @: matmul's integer loops are code nothing else in
+        # blockfuse runs, and loading them cost about 64 KB of peak RSS.
+        # Codes and logs are shared ints, one object per value in every table.
+        step = np.array([self._mul_digits(self._code_digits(g), self._code_digits(p ** j))
+                         for j in range(n)], dtype=np.int64)
+        block, weights = np.array([one], dtype=np.int64), np.array([p ** j for j in range(n)])
+        while len(block) < 1 << (q - 1).bit_length() // 2:
+            block = np.concatenate((block, np.dot(block, step) % p))
+            step = np.dot(step, step) % p
+        ints, exp = list(range(q)), []
+        while len(exp) < q - 1:
+            exp.extend(map(ints.__getitem__, np.dot(block, weights)[:q - 1 - len(exp)]))
+            block = np.dot(block, step) % p
         log: list[int | None] = [None] * q
         for i, c in enumerate(exp):
             log[c] = ints[i]
+        if log.count(None) != 1:  # the q - 1 nonzero codes, each once: period q - 1
+            raise AssertionError(f"the powers of {g} do not have period q - 1")
         self._exp, self._log = exp, log
 
     # -- code arithmetic; add, neg and sub are bound in __init__

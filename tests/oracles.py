@@ -596,6 +596,16 @@ def field_mul_digits(t: FieldTower, a: int, b: int) -> int:
     return _digits_code(t, [c % p for c in prod[:n]])
 
 
+def field_pow_digits(t: FieldTower, a: int, e: int) -> int:
+    """a^e for e >= 1, by square-and-multiply on field_mul_digits."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = field_mul_digits(t, out, out)
+        if bit == "1":
+            out = field_mul_digits(t, out, a)
+    return out
+
+
 def smallest_irreducible_scan(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of degree n over F_p, by
     the irreducibility test on every candidate in scan order."""

@@ -3,15 +3,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from blockfuse.algebra import (AlgebraElement, augmentation, basis_element, brauer_map,
-                               center_basis, central_multiply, conjugate_element, embed,
-                               find_block, from_sparse, galois_apply, is_central,
-                               is_k_rational, is_stable, multiply, one,
-                               primitive_central_idempotents, principal_block, trace_map,
-                               zero)
+from blockfuse.algebra import (AlgebraElement, BlockIdempotent, _split_center, augmentation,
+                               basis_element, brauer_map, center_basis, central_multiply,
+                               conjugate_element, embed, find_block, from_sparse,
+                               galois_apply, is_central, is_k_rational, is_stable, multiply,
+                               one, primitive_central_idempotents, principal_block,
+                               trace_map, zero)
 from blockfuse.gf import make_tower
-from blockfuse.groups import (centralizer, class_data, coset_reps, cyclic_subgroup,
-                              full_subgroup, trivial_subgroup)
+from blockfuse.groups import (all_subgroups, centralizer, class_data, coset_reps,
+                              cyclic_subgroup, full_subgroup, p_part, sylow_p_subgroup,
+                              trivial_subgroup)
 from blockfuse.linalg import Echelon
 from conftest import GROUP_NAMES, load_builtin
 from oracles import (blocks_by_group_algebra_splitting, brute_force_blocks,
@@ -303,6 +304,27 @@ def test_class_sum_blocks_match_group_algebra_oracles(name):
             got = [b.elem.coeffs for b in primitive_central_idempotents(G, tower, over_k)]
             assert got == blocks_by_group_algebra_splitting(G, tower, over_k), (tower.key, over_k)
             assert got == brute_force_blocks(G, tower, over_k), (tower.key, over_k)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_p_group_blocks_match_center_splitting(name):
+    """k[H] is local when H is a p-group: on every p-subgroup Q of a Sylow
+    p-subgroup of a builtin group, and on C_G(Q) when it is a p-group, the
+    identity is the only block over L and over K, as center splitting finds."""
+    G = load_builtin(name)
+    checked = 0
+    for tower in (F4, make_tower(3, 1, 2)):
+        for Q in all_subgroups(sylow_p_subgroup(G, tower.p)):
+            for H in {Q, centralizer(G, Q)}:
+                if p_part(H.order, tower.p) != H.order:
+                    continue
+                owner = H.as_group()
+                for over_k in (False, True):
+                    blocks = primitive_central_idempotents(owner, tower, over_k)
+                    assert blocks == (BlockIdempotent(one(owner, tower), over_k, 0),)
+                    assert blocks == _split_center(owner, tower, over_k)
+                    checked += 1
+    assert checked >= 8
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)

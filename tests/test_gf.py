@@ -1,6 +1,10 @@
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +13,7 @@ from blockfuse import gf
 from blockfuse.gf import (Poly, factor, factor_over_subfield, frobenius_power,
                           make_tower)
 from oracles import (field_add_digits, field_mul_digits, field_neg_digits,
-                     polynomial_roots_brute, primitive_element_walk,
+                     field_pow_digits, polynomial_roots_brute, primitive_element_walk,
                      smallest_irreducible_scan)
 
 
@@ -136,6 +140,67 @@ def test_large_tower_modulus_and_primitive_element_pinned(p, m, n, modulus, gene
     t = make_tower(p, m, n)
     assert gf._smallest_irreducible(p, n) == modulus == t.modulus
     assert t._exp[1] == generator
+
+
+def _check_logexp(t, indices) -> None:
+    """_exp lists each nonzero code once, _log inverts it, and at the given
+    indices each power is the one before it times g, by the digit oracle."""
+    exp, log = t._exp, t._log
+    assert sorted(exp) == list(range(1, t.q))
+    assert log[0] is None and all(log[c] == i for i, c in enumerate(exp))
+    for i in indices:
+        assert exp[(i + 1) % (t.q - 1)] == field_mul_digits(t, exp[i], exp[1])
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 8, 16), (3, 1, 10)])
+def test_largest_tower_tables_follow_the_generator(p, m, n):
+    t = make_tower(p, m, n)
+    _check_logexp(t, random.Random(0).sample(range(t.q - 1), 2000))
+
+
+@pytest.mark.parametrize("p,n,generator", [(65521, 1, 17), (251, 2, 256)])
+def test_large_prime_tower_tables_in_full(p, n, generator):
+    """One digit of up to 16 bits, or two of 8: int64 products at most."""
+    t = make_tower(p, 1, n)
+    assert t._exp[1] == generator
+    _check_logexp(t, range(t.q - 1))
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 2, 8), (2, 5, 10), (3, 3, 6), (5, 1, 4), (31, 1, 2),
+                                   (2, 7, 14), (2, 8, 16), (3, 5, 10)])
+def test_frobenius_table_is_the_p_to_the_m_power(p, m, n):
+    """Every code when q <= 2^10, else 300 seeded ones."""
+    t = make_tower(p, m, n)
+    codes = range(t.q) if t.q <= 2 ** 10 else random.Random(1).sample(range(t.q), 300)
+    for a in codes:
+        assert t._frob[a] == field_pow_digits(t, a, p ** m)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 2)])
+def test_logexp_refuses_a_generator_of_short_period(monkeypatch, p, n):
+    """With no prime factor of q - 1 to test, g = 1 passes the order test;
+    its powers have period 1, and the build must raise."""
+    prime_factors = gf._prime_factors
+    monkeypatch.setattr(gf, "_prime_factors",
+                        lambda x: [] if x == p ** n - 1 else prime_factors(x))
+    with pytest.raises(AssertionError, match="period q - 1"):
+        gf.FieldTower(p, 1, n)
+
+
+def test_logexp_period_check_survives_optimized_mode():
+    """The period check is a raise, not an assert: `python -O` keeps it."""
+    src = str(Path(gf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("from blockfuse import gf\n"
+            "factors = gf._prime_factors\n"
+            "gf._prime_factors = lambda x: [] if x == 15 else factors(x)\n"
+            "try:\n    gf.FieldTower(2, 1, 4)\n"
+            "except AssertionError as exc:\n    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "period q - 1" in proc.stdout
 
 
 def test_modulus_search_skips_candidates_with_roots(monkeypatch):
