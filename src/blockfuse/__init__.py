@@ -5,26 +5,21 @@ at desk scale."""
 __version__ = "0.1.0"
 
 from .gf import (FieldElement, FieldTower, Factorization, Poly, factor,
-                 factor_over_subfield, frobenius_power, make_tower)
+                 factor_over_subfield, make_tower)
 from .groups import (ClassData, FiniteGroup, GroupMap, Subgroup, all_subgroups, build_group,
-                     centralizer, centralizer_in, class_data, conjugacy_classes,
-                     conjugation_map, coset_reps, cyclic_subgroup, full_subgroup,
-                     generated_subgroup, inclusion_map, normalizer, normalizer_in,
-                     sylow_p_subgroup, trivial_subgroup)
+                     centralizer, centralizer_in, class_data, coset_reps, full_subgroup,
+                     generated_subgroup, normalizer, normalizer_in, sylow_p_subgroup,
+                     trivial_subgroup)
 from .algebra import (AlgebraElement, BlockIdempotent, VerificationError, augmentation,
-                      basis_element, brauer_map, center_basis, central_multiply,
-                      conjugate_element, embed, find_block, from_sparse, galois_apply,
-                      is_central, is_k_rational, is_stable, multiply, one,
+                      basis_element, brauer_map, central_multiply, conjugate_element, embed,
+                      find_block, galois_apply, is_k_rational, is_stable, multiply, one,
                       primitive_central_idempotents, principal_block, trace_map, zero)
 from .brauer import (BrauerPair, MaximalPairs, SubpairTable, centralizer_blocks,
-                     conjugate_block, conjugate_pair, is_pair_of_block, maximal_pairs,
-                     normal_leq, pair_stabilizer, subpair, subpair_table)
-from .fusion import (FusionSystem, Nphi, SaturationReport, alperin_check,
-                     assert_fusion_axioms, block_fusion, check_extension_axiom,
-                     check_sylow_axiom, closure, factorization_check, fully_centralized,
-                     fully_normalized, fusion_equal, group_fusion, inner_automorphisms,
-                     is_centric, is_saturated, map_order, n_phi, saturation_report,
-                     sylow_index)
+                     conjugate_block, is_pair_of_block, maximal_pairs, normal_leq,
+                     pair_stabilizer, subpair_table)
+from .fusion import (FusionSystem, SaturationReport, alperin_check, assert_fusion_axioms,
+                     block_fusion, closure, factorization_check, fusion_equal, group_fusion,
+                     inner_automorphisms, map_order, saturation_report, sylow_index)
 from .descent import (Correspondence, GaloisContext, GoursatInvariants, SaturationTransfer,
                       block_correspondence, check_generation, check_local_agreement,
                       check_order_preservation, check_saturation_transfer, descend_pair,

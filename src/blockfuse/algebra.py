@@ -32,7 +32,7 @@ import numpy as np
 
 from .gf import FieldTower, Poly, factor, factor_over_subfield, _pdivmod, _pinvmod, _pmod, _pmul
 from .groups import (ClassData, FiniteGroup, Subgroup, _conj_table, centralizer, class_data,
-                     conj_rows, conjugacy_classes, coset_reps, p_part)
+                     conj_rows, coset_reps, p_part)
 from .linalg import Echelon
 
 
@@ -113,13 +113,6 @@ def one(group: FiniteGroup, tower: FieldTower) -> AlgebraElement:
 def basis_element(group: FiniteGroup, tower: FieldTower, g: int, code: int = 1) -> AlgebraElement:
     coeffs = [0] * group.order
     coeffs[g] = code
-    return AlgebraElement(group, tower, tuple(coeffs))
-
-
-def from_sparse(group: FiniteGroup, tower: FieldTower, sparse) -> AlgebraElement:
-    coeffs = [0] * group.order
-    for key, arr in sparse.items():
-        coeffs[int(key)] = tower.from_coeffs(arr)
     return AlgebraElement(group, tower, tuple(coeffs))
 
 
@@ -276,21 +269,6 @@ def galois_apply(j: int, a: AlgebraElement) -> AlgebraElement:
 
 def is_k_rational(a: AlgebraElement) -> bool:
     return all(a.tower.is_k_rational(c) for c in a.coeffs)
-
-
-def center_basis(G: FiniteGroup, tower: FieldTower) -> list[AlgebraElement]:
-    """Class sums, one per conjugacy class, ordered by smallest member."""
-    out = []
-    for cls in conjugacy_classes(G):
-        coeffs = [0] * G.order
-        for g in cls:
-            coeffs[g] = 1
-        out.append(AlgebraElement(G, tower, tuple(coeffs)))
-    return out
-
-
-def is_central(a: AlgebraElement) -> bool:
-    return _class_coords(a, class_data(a.group)) is not None
 
 
 @dataclass(frozen=True)

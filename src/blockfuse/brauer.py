@@ -68,10 +68,6 @@ def conjugate_block(x: int, block: BlockIdempotent) -> BlockIdempotent:
     return find_block(target_blocks, moved)
 
 
-def conjugate_pair(x: int, pair: BrauerPair) -> BrauerPair:
-    return BrauerPair(pair.subgroup.conjugate(x), conjugate_block(x, pair.block))
-
-
 def normal_leq(sub: BrauerPair, sup: BrauerPair) -> bool:
     """The normal-inclusion relation: sub.P normal in sup.P, sub.e stable
     under sup.P, and Br_{sup.P}(sub.e) sup.e = sup.e."""
@@ -137,13 +133,6 @@ def _subpair_table(root: BrauerPair) -> SubpairTable:
     for Q in all_subgroups(P):
         solve(Q)
     return SubpairTable(root, table)
-
-
-def subpair(root: BrauerPair, Q: Subgroup) -> BlockIdempotent:
-    """The unique block e_Q of k C_G(Q) with (Q, e_Q) below the root."""
-    if not Q.is_subset_of(root.subgroup):
-        raise ValueError("Q is not contained in the root's subgroup")
-    return subpair_table(root)[Q.elems]
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ from .algebra import (VerificationError, augmentation, is_k_rational,
 from .brauer import maximal_pairs
 from .descent import block_correspondence, galois_orbit, run_descent
 from .fusion import (assert_fusion_axioms, block_fusion, fusion_equal, group_fusion,
-                     is_saturated, saturation_report)
+                     saturation_report)
 from .gf import make_tower
-from .groups import build_group
+from .groups import SUBGROUP_BOUND, build_group, p_part
 from . import __version__
 
 
@@ -240,8 +240,13 @@ def _check_names(names) -> tuple[str, ...]:
     return names
 
 
-def _check_block(G, tower, block: str) -> None:
-    """Raise InputError unless block is 'all' or the index of an L-block."""
+def _check_input(G, tower, block: str) -> None:
+    """Raise InputError unless the Sylow p-subgroup is within the subgroup
+    enumeration bound and block is 'all' or the index of an L-block."""
+    sylow = p_part(G.order, tower.p)
+    if sylow > SUBGROUP_BOUND:
+        raise InputError(f"{G.name} has a Sylow {tower.p}-subgroup of order {sylow}, over "
+                         f"the subgroup enumeration bound {SUBGROUP_BOUND}")
     if block == "all":
         return
     if not block.isdecimal():
@@ -252,14 +257,13 @@ def _check_block(G, tower, block: str) -> None:
                          f"blocks over F_{tower.p}^{tower.n}")
 
 
-def run_entry(entry: CorpusEntry, base: Path | None = None,
-              keep_objects: bool = False) -> dict:
+def run_entry(entry: CorpusEntry, base: Path | None = None) -> dict:
     """Run every requested check for one corpus entry; never raises, error
     text is embedded instead, with its kind: "input" (group file, tower,
-    block selector or range), "verification" (a VerificationError) or
-    "internal" (any other exception)."""
+    block selector or range, or a Sylow subgroup over the enumeration
+    bound), "verification" (a VerificationError) or "internal" (any other
+    exception)."""
     label = entry.label or f"{entry.group}@p{entry.p}m{entry.m}n{entry.n}"
-    objects: dict = {}
 
     def error(kind: str, exc: Exception) -> dict:
         return {"label": label, "error": f"{type(exc).__name__}: {exc}", "kind": kind,
@@ -271,7 +275,7 @@ def run_entry(entry: CorpusEntry, base: Path | None = None,
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return error("input", exc)
     try:
-        _check_block(G, tower, entry.block)
+        _check_input(G, tower, entry.block)
         report: dict = {"label": label, "group": G.name, "order": G.order,
                         "tower": _tower_dict(tower)}
         verdicts = []
@@ -294,14 +298,12 @@ def run_entry(entry: CorpusEntry, base: Path | None = None,
             root = mp.pairs[0]
             system = block_fusion(G, tower, pb, root)
             same = fusion_equal(system, group_fusion(root.subgroup, G))
-            sat = is_saturated(system)
+            sat = saturation_report(system).saturated
             report["principal"] = {"block_index": pb.index, "sylow_order": mp.sylow.order,
                                    "matches_group_fusion": same, "saturated": sat}
-            objects["principal"] = system
             verdicts += [same, sat, root.subgroup.order == mp.sylow.order]
         if entry.wants("descent"):
             descents = []
-            contexts = []
             for b in _descent_blocks(G, tower, entry.block):
                 d, ctx = run_descent(G, tower, b)
                 axioms_ok = True
@@ -312,15 +314,9 @@ def run_entry(entry: CorpusEntry, base: Path | None = None,
                     axioms_ok = False
                 d["axioms_ok"] = axioms_ok
                 descents.append(d)
-                contexts.append(ctx)
                 verdicts += [d["all_ok"], axioms_ok]
             report["descent"] = descents
-            objects["contexts"] = contexts
         report["ok"] = all(verdicts)
-        if keep_objects:
-            objects["group"] = G
-            objects["tower"] = tower
-            report["_objects"] = objects
         return report
     except InputError as exc:
         return error("input", exc)
@@ -330,34 +326,25 @@ def run_entry(entry: CorpusEntry, base: Path | None = None,
         return error("internal", exc)
 
 
-def _strip_objects(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "_objects"}
-
-
 def _worker(payload: tuple) -> dict:
     entry_dict, base_str = payload
     base = Path(base_str) if base_str else None
     return run_entry(CorpusEntry.from_dict(entry_dict), base)
 
 
-def run_corpus(entries, base: Path | None = None, jobs: int = 1,
-               keep_objects: bool = False) -> dict:
+def run_corpus(entries, base: Path | None = None, jobs: int = 1) -> dict:
     entries = list(entries)
     # the pool starts all of its workers up front: no more than there are entries
     jobs = min(jobs, len(entries))
-    if jobs > 1 and not keep_objects:
+    if jobs > 1:
         payloads = [(e.__dict__ | {"checks": None if e.checks is None else list(e.checks)},
                      str(base) if base else "") for e in entries]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, payloads))
     else:
-        results = [run_entry(e, base, keep_objects) for e in entries]
-    stripped = [_strip_objects(r) for r in results]
-    report = {"version": __version__, "entries": stripped,
-              "ok": all(r.get("ok", False) for r in stripped)}
-    if keep_objects:
-        report["_raw"] = results
-    return report
+        results = [run_entry(e, base) for e in entries]
+    return {"version": __version__, "entries": results,
+            "ok": all(r.get("ok", False) for r in results)}
 
 
 def load_corpus(path: Path) -> list[CorpusEntry]:
@@ -518,7 +505,7 @@ def main(argv=None) -> int:
 
     # Bad input exits 2, a failed theorem check 3; exit 1 is a false
     # verdict.  Only the --block range waits for the (memoized) L-blocks,
-    # which every report computes first.
+    # which every report computes first; the Sylow bound needs |G| only.
     block = getattr(args, "block", "all")
     try:
         tower = make_tower(args.p, args.m, args.n)
@@ -529,7 +516,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _input_error(f"group {args.group}: {type(exc).__name__}: {exc}")
     try:
-        _check_block(G, tower, block)
+        _check_input(G, tower, block)
         if args.command == "blocks":
             report = blocks_report(G, tower)
         elif args.command == "fusion":

@@ -110,13 +110,15 @@ def block_correspondence(G: FiniteGroup, tower: FieldTower) -> Correspondence:
 class GoursatInvariants:
     """The four projections of the stabilizer of a maximal pair inside
     G x Gamma, with the theorem-backed identities asserted on creation.
-    Galois subgroups are recorded by their orders."""
+    Galois subgroups are recorded by their orders, and the cyclic quotient
+    by g0, the first element of p1 whose coset generates it."""
 
     k1: Subgroup          # N_G(P, e)
     p1: Subgroup          # N_G(P, orbit sum of e)
     k2_order: int         # |Gamma_e|
     p2_order: int         # |Gamma_b|
     index: int            # common cyclic quotient size
+    g0: int               # generator of p1 / k1; 0 when index == 1
 
 
 def _coset_order(G: FiniteGroup, x: int, H: Subgroup) -> int:
@@ -141,27 +143,18 @@ def goursat_invariants(pair: BrauerPair, b: BlockIdempotent) -> GoursatInvariant
     index = p1.order // k1.order
     if index != p2 // k2:
         raise VerificationError("group-side and Galois-side indices differ")
-    G = pair.group
-    if index > 1 and not any(_coset_order(G, x, k1) == index for x in p1.elems):
-        raise VerificationError("stabilizer quotient is not cyclic")
-    return GoursatInvariants(k1, p1, k2, p2, index)
+    g0 = 0
+    if index > 1:
+        g0 = next((x for x in p1.elems if _coset_order(pair.group, x, k1) == index), None)
+        if g0 is None:
+            raise VerificationError("stabilizer quotient is not cyclic")
+    return GoursatInvariants(k1, p1, k2, p2, index, g0)
 
 
-def twist_automorphism(pair: BrauerPair, b: BlockIdempotent,
-                       inv: GoursatInvariants | None = None) -> tuple[int, GroupMap]:
-    """The first element of N_G(P, orbit sum) whose coset generates the
-    cyclic quotient over N_G(P, e), together with its conjugation action
-    on P."""
-    if inv is None:
-        inv = goursat_invariants(pair, b)
-    G = pair.group
-    P = pair.subgroup
-    if inv.index == 1:
-        g0 = 0
-    else:
-        g0 = next(x for x in inv.p1.elems if _coset_order(G, x, inv.k1) == inv.index)
-    images = tuple(G.conj(g0, g) for g in P.elems)
-    return g0, GroupMap(P, P, images, _checked=True)
+def twist_automorphism(pair: BrauerPair, goursat: GoursatInvariants) -> GroupMap:
+    """The twist sigma: conjugation by goursat.g0 on P."""
+    G, P = pair.group, pair.subgroup
+    return GroupMap(P, P, tuple(G.conj(goursat.g0, g) for g in P.elems), _checked=True)
 
 
 @dataclass
@@ -175,7 +168,6 @@ class GaloisContext:
     root: BrauerPair                 # maximal pair of b over L
     k_root: BrauerPair               # (P, orbit sum of e), maximal for the K-block
     goursat: GoursatInvariants
-    g0: int
     sigma: GroupMap
     system_l: FusionSystem = field(repr=False)
     system_k: FusionSystem = field(repr=False)
@@ -194,11 +186,10 @@ def galois_context(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> Gal
     if k_root not in mp_k.pairs:
         raise VerificationError("descended root is not a maximal pair over K")
     inv = goursat_invariants(root, b)
-    g0, sigma = twist_automorphism(root, b, inv)
     system_l = block_fusion(G, tower, b, root)
     system_k = block_fusion(G, tower, k_block, k_root)
-    return GaloisContext(G, tower, b, k_block, root, k_root, inv, g0, sigma,
-                         system_l, system_k)
+    return GaloisContext(G, tower, b, k_block, root, k_root, inv,
+                         twist_automorphism(root, inv), system_l, system_k)
 
 
 def check_generation(ctx: GaloisContext) -> bool:
@@ -296,7 +287,7 @@ def run_descent(G: FiniteGroup, tower: FieldTower,
         "stabilizers": {"pair_l": inv.k1.order, "pair_k": inv.p1.order,
                         "gamma_b": inv.p2_order, "gamma_e": inv.k2_order},
         "index": inv.index,
-        "g0": ctx.g0,
+        "g0": inv.g0,
         "sigma": list(ctx.sigma.images),
         "verdicts": verdicts,
         "saturated": {"l": sat.saturated_l, "k": sat.saturated_k},

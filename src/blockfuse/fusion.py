@@ -97,13 +97,6 @@ class FusionSystem:
         C = ~(masks[:, None, :] & ~masks[None, :, :]).any(axis=2)
         return A @ C.astype(np.int64)
 
-    def hom_counts(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-        """|Hom(Q, R)| for every ordered pair of objects, keyed by element
-        sets: `hom_count_matrix` as a dict."""
-        keys = [S.elems for S in self.subgroups]
-        return {(q, r): k for q, row in zip(keys, self.hom_count_matrix().tolist())
-                for r, k in zip(keys, row)}
-
     def aut_set(self, Q: Subgroup) -> frozenset:
         return self.hom_set(Q, Q)
 
@@ -141,21 +134,6 @@ def _local_table(P: Subgroup) -> dict[tuple[int, ...], tuple[Subgroup, Subgroup]
 
 def _build_local_table(P: Subgroup) -> dict[tuple[int, ...], tuple[Subgroup, Subgroup]]:
     return {Q.elems: (normalizer_in(P, Q), centralizer_in(P, Q)) for Q in all_subgroups(P)}
-
-
-def _object(F: FusionSystem, Q: Subgroup) -> tuple[int, ...]:
-    P = F.p_subgroup
-    if Q.parent is not P.parent or not Q.is_subset_of(P):
-        raise ValueError("subgroup is not an object of this fusion system")
-    return Q.elems
-
-
-@dataclass(frozen=True)
-class Nphi:
-    """The intertwining subgroup of N_P(Q) attached to an isomorphism."""
-
-    phi: GroupMap
-    subgroup: Subgroup
 
 
 def _conjugation_isos(P: Subgroup, xs) -> set[GroupMap]:
@@ -267,19 +245,6 @@ def fusion_equal(F1: FusionSystem, F2: FusionSystem) -> bool:
     return F1.isos == F2.isos
 
 
-def fully_centralized(F: FusionSystem, Q: Subgroup) -> bool:
-    return _object(F, Q) in F.fully_centralized
-
-
-def fully_normalized(F: FusionSystem, Q: Subgroup) -> bool:
-    return _object(F, Q) in F.fully_normalized
-
-
-def is_centric(F: FusionSystem, Q: Subgroup) -> bool:
-    """True iff every isomorphic copy R has C_P(R) = Z(R)."""
-    return _object(F, Q) in F.centric
-
-
 def _normalizer_cosets(P: Subgroup, Q: Subgroup) -> list[tuple[int, ...]]:
     """The left cosets of Q C_P(Q) in N_P(Q), each led by its smallest
     element."""
@@ -304,20 +269,6 @@ def _intertwiners(phi: GroupMap, cosets, aut_r: set[tuple[int, ...]]) -> list[tu
             if tuple(map(fwd, map(rows[coset[0]].__getitem__, pre))) in aut_r]
 
 
-def n_phi(P: Subgroup, phi: GroupMap) -> Nphi:
-    """N_phi = {y in N_P(Q) : phi c_y phi^-1 in Aut_P(R)}, R = phi(Q).
-
-    Aut_P(R) is built as a set of image tuples, so each coset of
-    Q C_P(Q) costs one lookup of a |Q|-tuple.  Definitions as in
-    Aschbacher-Kessar-Oliver, Fusion Systems in Algebra and Topology, I.2."""
-    Q = phi.domain
-    if len(set(phi.images)) != Q.order or not Q.is_subset_of(P):
-        raise ValueError("phi must be an isomorphism from a subgroup of P onto its image")
-    aut_r = {m.images for m in inner_automorphisms(P, phi.image_subgroup())}
-    cosets = _intertwiners(phi, _normalizer_cosets(P, Q), aut_r)
-    return Nphi(phi, Subgroup(P.parent, [y for coset in cosets for y in coset]))
-
-
 def inner_automorphisms(P: Subgroup, Q: Subgroup) -> frozenset:
     """Aut_P(Q): conjugations of Q by normalizer elements in P."""
     rows = conj_rows(P.parent)
@@ -334,19 +285,16 @@ def sylow_index(F: FusionSystem) -> int:
     return len(aut_f) // len(aut_p)
 
 
-def check_sylow_axiom(F: FusionSystem) -> bool:
-    """Aut_P(P) has p-prime index in Aut_F(P)."""
-    return F.prime is None or sylow_index(F) % F.prime != 0
-
-
 def _extension_counterexample(F: FusionSystem):
     """First morphism phi: Q -> P with fully normalized image that does not
     extend to N_phi, or None.
 
     Q runs in `F.subgroups` order and phi over the isos out of Q by image
-    tuple, so the witness (with codomain P) is canonical.  N_phi comes from
-    Aut_P(R) lookups per coset of Q C_P(Q) as in `n_phi`; phi extends iff
-    its images are among the restrictions to Q of the isos out of N_phi.
+    tuple, so the witness (with codomain P) is canonical.  N_phi = {y in
+    N_P(Q) : phi c_y phi^-1 in Aut_P(R)}, R = phi(Q) (Aschbacher-Kessar-
+    Oliver, Fusion Systems in Algebra and Topology, I.2), comes from one
+    Aut_P(R) lookup per coset of Q C_P(Q); phi extends iff its images are
+    among the restrictions to Q of the isos out of N_phi.
     The automizers of the system's fully normalized subgroups and the
     restriction sets are tables local to this call; N_phi is keyed by Q
     and the leaders of its cosets, and built only on a miss.
@@ -373,16 +321,6 @@ def _extension_counterexample(F: FusionSystem):
             if phi.images not in extended:
                 return phi.with_codomain(P)
     return None
-
-
-def check_extension_axiom(F: FusionSystem) -> bool:
-    """Every morphism into P with fully normalized image extends to its
-    intertwining subgroup."""
-    return _extension_counterexample(F) is None
-
-
-def is_saturated(F: FusionSystem) -> bool:
-    return check_sylow_axiom(F) and check_extension_axiom(F)
 
 
 def alperin_check(F: FusionSystem) -> bool:
@@ -444,8 +382,11 @@ class SaturationReport:
 def saturation_report(F: FusionSystem) -> SaturationReport:
     """Both saturation axioms with their witness: the Sylow index and the
     extension check run once each."""
-    idx = sylow_index(F)
-    sylow_ok = F.prime is None or idx % F.prime != 0
+    if F.prime is None:  # P = 1: Aut_F(P) = Aut_P(P) = 1
+        idx, sylow_ok = 1, True
+    else:
+        idx = sylow_index(F)
+        sylow_ok = idx % F.prime != 0
     counter = _extension_counterexample(F)
     witness = None
     if not sylow_ok:

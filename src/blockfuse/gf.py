@@ -62,7 +62,7 @@ def _is_prime(x: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# prime-field polynomial helpers, used only to find the tower modulus
+# prime-field polynomial helpers: the tower modulus and its primitive element
 # ---------------------------------------------------------------------------
 
 def _fp_norm(cs: list[int]) -> tuple[int, ...]:
@@ -203,7 +203,6 @@ class FieldTower:
         exp, log, frob_e, period = self._exp, self._log, p ** m, self.q - 1
         self._frob: list[int] = [exp[log[a] * frob_e % period] if a else 0
                                  for a in range(self.q)]
-        self._k_codes: tuple[int, ...] | None = None
 
     # -- construction internals
 
@@ -214,49 +213,23 @@ class FieldTower:
             out.append(digit)
         return tuple(out)
 
-    def _mul_digits(self, da, db) -> list[int]:
-        """Digits of the product of two digit vectors, reduced by the modulus."""
-        p, n = self.p, self.n
-        prod = [0] * (2 * n - 1)
-        for j, c in enumerate(da):
-            if c:
-                for i, d in enumerate(db):
-                    prod[i + j] += c * d
-        for i in range(2 * n - 2, n - 1, -1):
-            lead = prod[i] % p
-            if lead:
-                for k, f in enumerate(self.modulus, i - n):
-                    prod[k] -= lead * f
-        return [c % p for c in prod[:n]]
-
-    def _pow_digits(self, digits, e: int) -> list[int]:
-        """Digits of the e-th power of a digit vector, by square-and-multiply."""
-        result = [1] + [0] * (self.n - 1)
-        while e:
-            if e & 1:
-                result = self._mul_digits(result, digits)
-            digits = self._mul_digits(digits, digits)
-            e >>= 1
-        return result
-
     def _build_logexp(self) -> None:
         # g has order q - 1 exactly when g^((q-1)/r) != 1 for every prime
         # r | q - 1; g = 1 passes only for q = 2, where it is primitive.
-        p, n, q = self.p, self.n, self.q
-        one = [1] + [0] * (n - 1)
+        p, n, q, f = self.p, self.n, self.q, self.modulus
         cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
         g = next(g for g in range(1, q)
-                 if all(self._pow_digits(self._code_digits(g), e) != one
-                        for e in cofactors))
+                 if all(_fp_powmod(p, self._code_digits(g), e, f) != (1,) for e in cofactors))
         # x -> g x is F_p-linear: digits(g x) = digits(x) . step.  Doubling
         # fills g^0 .. g^(B-1), B near sqrt(q); each later block of B powers is
         # the one before times step^B.  int64: n (p - 1)^2 overflows int32.
         # np.dot, not @: matmul's integer loops are code nothing else in
         # blockfuse runs, and loading them cost about 64 KB of peak RSS.
         # Codes and logs are shared ints, one object per value in every table.
-        step = np.array([self._mul_digits(self._code_digits(g), self._code_digits(p ** j))
-                         for j in range(n)], dtype=np.int64)
-        block, weights = np.array([one], dtype=np.int64), np.array([p ** j for j in range(n)])
+        rows = [_fp_mod(p, (0,) * j + self._code_digits(g), f) for j in range(n)]  # g x^j
+        step = np.array([r + (0,) * (n - len(r)) for r in rows], dtype=np.int64)
+        block = np.array([[1] + [0] * (n - 1)], dtype=np.int64)
+        weights = np.array([p ** j for j in range(n)])
         while len(block) < 1 << (q - 1).bit_length() // 2:
             block = np.concatenate((block, np.dot(block, step) % p))
             step = np.dot(step, step) % p
@@ -332,11 +305,6 @@ class FieldTower:
     def is_k_rational(self, a: int) -> bool:
         return self._frob[a] == a
 
-    def k_codes(self) -> tuple[int, ...]:
-        if self._k_codes is None:
-            self._k_codes = tuple(a for a in range(self.q) if self._frob[a] == a)
-        return self._k_codes
-
     def from_coeffs(self, coeffs) -> int:
         code = 0
         pw = 1
@@ -349,9 +317,6 @@ class FieldTower:
 
     def coeffs(self, code: int) -> tuple[int, ...]:
         return self._code_digits(code)
-
-    def element(self, code: int) -> FieldElement:
-        return FieldElement(self, code)
 
     @property
     def key(self) -> tuple[int, int, int]:
@@ -383,11 +348,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"GF({self.tower.p}^{self.tower.n}):{list(self.coeffs)}"
-
-
-def frobenius_power(a: FieldElement, j: int) -> FieldElement:
-    """Apply the j-th power of the Galois generator x -> x^(p^m)."""
-    return FieldElement(a.tower, a.tower.frob_power(a.code, j))
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +504,6 @@ class Poly:
     @staticmethod
     def make(tower: FieldTower, codes) -> "Poly":
         return Poly(tower, _pnorm([int(c) for c in codes]))
-
-    @staticmethod
-    def from_elements(elements) -> "Poly":
-        elements = list(elements)
-        if not elements:
-            raise ValueError("use Poly.make for the zero polynomial")
-        t = elements[0].tower
-        return Poly.make(t, [e.code for e in elements])
 
     @property
     def degree(self) -> int:

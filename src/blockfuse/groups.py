@@ -47,8 +47,8 @@ from operator import lt
 
 import numpy as np
 
-DEFAULT_MAX_ORDER = 2000
-DEFAULT_SUBGROUP_BOUND = 256
+MAX_ORDER = 2000
+SUBGROUP_BOUND = 256
 
 
 def _index_dtype(n: int):
@@ -79,9 +79,6 @@ class FiniteGroup:
         self.ambient: FiniteGroup | None = ambient
         self.ambient_elems: tuple[int, ...] | None = (
             tuple(ambient_elems) if ambient_elems is not None else None)
-        self._ambient_pos = (
-            {g: i for i, g in enumerate(self.ambient_elems)}
-            if self.ambient_elems is not None else None)
         # the only cache; values are deterministic, so concurrent
         # population is harmless
         self._memo: dict = {}
@@ -108,13 +105,6 @@ class FiniteGroup:
         for _ in range(k):
             acc = self.mul[acc][g]
         return acc
-
-    def element_order(self, g: int) -> int:
-        k, cur = 1, g
-        while cur != 0:
-            cur = self.mul[cur][g]
-            k += 1
-        return k
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -169,10 +159,10 @@ def _validate_group_table(arr: np.ndarray, inv: np.ndarray) -> None:
         raise ValueError(f"inverse table wrong at {wrong[0]}")
 
 
-def _table_from_spec(spec, max_order):
+def _table_from_spec(spec):
     table = spec["table"]
-    if len(table) > max_order:
-        raise ValueError(f"group order {len(table)} exceeds bound {max_order}")
+    if len(table) > MAX_ORDER:
+        raise ValueError(f"group order {len(table)} exceeds bound {MAX_ORDER}")
     inv = []
     for a, row in enumerate(table):
         try:
@@ -182,7 +172,7 @@ def _table_from_spec(spec, max_order):
     return table, inv
 
 
-def _bfs_from_generators(degree, generators, max_order):
+def _bfs_from_generators(degree, generators):
     """Table and inverses of the group generated by the permutations.
 
     Elements are numbered in breadth-first order from the identity, trying
@@ -205,8 +195,8 @@ def _bfs_from_generators(degree, generators, max_order):
             nxt = tuple(map(cur.__getitem__, gen))
             k = index.get(nxt)
             if k is None:
-                if len(elems) >= max_order:
-                    raise ValueError(f"group order exceeds bound {max_order}")
+                if len(elems) >= MAX_ORDER:
+                    raise ValueError(f"group order exceeds bound {MAX_ORDER}")
                 k = index[nxt] = len(elems)
                 elems.append(nxt)
                 first.append((i, j))
@@ -225,7 +215,7 @@ def _bfs_from_generators(degree, generators, max_order):
     return mul, mul.argmin(axis=1)
 
 
-def build_group(spec, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def build_group(spec) -> FiniteGroup:
     """Build a validated group from a description mapping.
 
     Accepted kinds: {"kind": "table", "name": ..., "table": [[...]]} with a
@@ -236,10 +226,10 @@ def build_group(spec, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     kind = spec.get("kind")
     name = spec.get("name", "G")
     if kind == "table":
-        table, inv = _table_from_spec(spec, max_order)
+        table, inv = _table_from_spec(spec)
         return FiniteGroup(name, table, inv)
     if kind == "perm":
-        mul, inv = _bfs_from_generators(int(spec["degree"]), spec["generators"], max_order)
+        mul, inv = _bfs_from_generators(int(spec["degree"]), spec["generators"])
         # BFS tables are groups by construction; skip the cubic associativity scan
         g = FiniteGroup(name, mul, inv, _validate=False)
         _validate_light(g)
@@ -401,10 +391,6 @@ def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup._of(G, tuple(sorted(elems)), mask)
 
 
-def cyclic_subgroup(G: FiniteGroup, g: int) -> Subgroup:
-    return generated_subgroup(G, (g,))
-
-
 def centralizer_in(H: Subgroup, S: Subgroup) -> Subgroup:
     """C_H(S): H's mask ANDed with the centralizer mask of each s in S."""
     cmask = _centralizer_masks(H.parent)
@@ -472,15 +458,15 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     return H
 
 
-def all_subgroups(P: Subgroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> list[Subgroup]:
+def all_subgroups(P: Subgroup) -> list[Subgroup]:
     """Every subgroup of P, sorted by (order, element set).
 
     The lattice is enumerated once per element set of P and memoized on
     the parent group; each call returns a fresh list.  Intended for
     p-groups of modest order.
     """
-    if P.order > max_order:
-        raise ValueError(f"subgroup enumeration bound exceeded ({P.order} > {max_order})")
+    if P.order > SUBGROUP_BOUND:
+        raise ValueError(f"subgroup enumeration bound exceeded ({P.order} > {SUBGROUP_BOUND})")
     return list(P.parent.memo(("subgroups", P.elems), lambda: _subgroup_lattice(P)))
 
 
@@ -563,11 +549,6 @@ class ClassData:
 def class_data(G: FiniteGroup) -> ClassData:
     """The group's ClassData, memoized."""
     return G.memo("class_data", lambda: ClassData(G))
-
-
-def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Classes as sorted tuples, ordered by smallest member; memoized."""
-    return class_data(G).classes
 
 
 def coset_reps(H: Subgroup, I: Subgroup) -> list[int]:
@@ -671,17 +652,3 @@ class GroupMap:
 
     def __repr__(self) -> str:
         return f"GroupMap({list(self.domain.elems)} -> {list(self.images)})"
-
-
-def inclusion_map(Q: Subgroup, R: Subgroup) -> GroupMap:
-    if not Q.is_subset_of(R):
-        raise ValueError("not an inclusion")
-    return GroupMap(Q, R, Q.elems, _checked=True)
-
-
-def conjugation_map(G: FiniteGroup, x: int, Q: Subgroup, R: Subgroup) -> GroupMap | None:
-    """The map u -> x u x^-1 as a GroupMap Q -> R, if the image fits in R."""
-    images = tuple(G.conj(x, g) for g in Q.elems)
-    if not set(images) <= set(R.elems):
-        return None
-    return GroupMap(Q, R, images, _checked=True)

@@ -19,10 +19,6 @@ class Echelon:
         self._rows: list[tuple[int, list[int], list[int]]] = []
         self._inserted = 0
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
     def _reduce(self, vec) -> tuple[list[int], list[int]]:
         t = self.tower
         work = list(vec)

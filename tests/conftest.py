@@ -6,7 +6,8 @@ import pytest
 from hypothesis import settings
 
 import blockfuse.cli as cli
-from blockfuse import build_group
+from blockfuse import (block_fusion, build_group, make_tower, maximal_pairs,
+                       primitive_central_idempotents, principal_block, run_descent)
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
@@ -37,7 +38,29 @@ def corpus_entries():
 
 @pytest.fixture(scope="session")
 def corpus_run(corpus_entries):
-    """One full object-level run of the shipped corpus, shared by the
-    acceptance sweeps and the CLI-level checks."""
-    return cli.run_corpus(corpus_entries, base=cli.default_corpus_path().parent,
-                          keep_objects=True)
+    """One run of the shipped corpus report, shared by the CLI-level checks."""
+    return cli.run_corpus(corpus_entries, base=cli.default_corpus_path().parent)
+
+
+@pytest.fixture(scope="session")
+def corpus_objects(corpus_entries):
+    """Per shipped corpus entry, the objects its checks read: the label,
+    group and tower, the principal block fusion system (None unless the
+    entry runs the principal check) and the GaloisContext of every
+    descent it runs, built as `cli.run_entry` builds them."""
+    base = cli.default_corpus_path().parent
+    out = []
+    for entry in corpus_entries:
+        G = cli.load_group_file(entry.group, base)
+        tower = make_tower(entry.p, entry.m, entry.n)
+        principal = None
+        if entry.wants("principal"):
+            pb = principal_block(primitive_central_idempotents(G, tower))
+            principal = block_fusion(G, tower, pb, maximal_pairs(G, tower, pb).pairs[0])
+        contexts = []
+        if entry.wants("descent"):
+            contexts = [run_descent(G, tower, b)[1]
+                        for b in cli._descent_blocks(G, tower, entry.block)]
+        out.append({"label": entry.label, "group": G, "tower": tower,
+                    "principal": principal, "contexts": contexts})
+    return out

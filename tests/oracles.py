@@ -2,7 +2,9 @@
 
 Everything here recomputes from first principles (pair scans, subset
 enumeration, exhaustive idempotent search, dense kernels) and never calls
-the production algorithms it is checking.
+the production algorithms it is checking.  The last section holds small
+conveniences that only tests use (class sums, cyclic subgroups), built on
+the library's class data and subgroup generation.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import itertools
 import json
 
-from blockfuse.algebra import AlgebraElement, center_basis, multiply, one, zero
+from blockfuse.algebra import AlgebraElement, multiply, one, zero
 from blockfuse.brauer import (BrauerPair, conjugate_block, is_pair_of_block, maximal_pairs,
                               subpair_table)
 from blockfuse.fusion import FusionSystem
 from blockfuse.gf import (FieldTower, Poly, _fp_is_irreducible, _pdivmod, _pinvmod, _pmod,
                           _pmul, factor, factor_over_subfield)
-from blockfuse.groups import FiniteGroup, GroupMap, Subgroup, all_subgroups
+from blockfuse.groups import (MAX_ORDER, FiniteGroup, GroupMap, Subgroup, all_subgroups,
+                              class_data, generated_subgroup)
 from blockfuse.linalg import Echelon
 
 
@@ -47,7 +50,7 @@ def all_subgroups_brute(P: Subgroup) -> set[tuple[int, ...]]:
     return out
 
 
-def perm_table_bfs(degree: int, generators, max_order: int = 2000):
+def perm_table_bfs(degree: int, generators):
     """Multiplication table and inverses of a permutation group: elements
     by breadth-first closure in generator order, then every ordered pair
     composed as tuples and looked up; (f*g)(x) = f(g(x))."""
@@ -64,8 +67,8 @@ def perm_table_bfs(degree: int, generators, max_order: int = 2000):
         for gen in gens:
             nxt = compose(cur, gen)
             if nxt not in index:
-                if len(elems) >= max_order:
-                    raise ValueError(f"group order exceeds bound {max_order}")
+                if len(elems) >= MAX_ORDER:
+                    raise ValueError(f"group order exceeds bound {MAX_ORDER}")
                 index[nxt] = len(elems)
                 elems.append(nxt)
                 queue.append(nxt)
@@ -470,7 +473,7 @@ def brute_force_blocks(G: FiniteGroup, t: FieldTower, over_k: bool = False,
     forces e^p = e; K-blocks are its idempotents with K-rational codes.
     """
     oracle = CenterOracle(G, t)
-    codes = t.k_codes() if over_k else tuple(range(t.q))
+    codes = tuple(a for a in range(t.q) if not over_k or t.is_k_rational(a))
     if len(codes) ** oracle.dim <= full_limit:
         candidates = itertools.product(codes, repeat=oracle.dim)
     else:
@@ -632,3 +635,33 @@ def primitive_element_walk(t: FieldTower) -> list[int]:
         if len(exp) == t.q - 1:
             return exp
     raise AssertionError("no primitive element found")
+
+
+# ---------------------------------------------------------------------------
+# test conveniences on top of the library
+# ---------------------------------------------------------------------------
+
+def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Classes as sorted tuples, ordered by smallest member."""
+    return class_data(G).classes
+
+
+def cyclic_subgroup(G: FiniteGroup, g: int) -> Subgroup:
+    return generated_subgroup(G, (g,))
+
+
+def center_basis(G: FiniteGroup, tower: FieldTower) -> list[AlgebraElement]:
+    """Class sums, one per conjugacy class, ordered by smallest member."""
+    out = []
+    for cls in conjugacy_classes(G):
+        coeffs = [0] * G.order
+        for g in cls:
+            coeffs[g] = 1
+        out.append(AlgebraElement(G, tower, tuple(coeffs)))
+    return out
+
+
+def is_central(a: AlgebraElement) -> bool:
+    """a is constant on every conjugacy class."""
+    return all(a.coeffs[g] == a.coeffs[cls[0]]
+               for cls in conjugacy_classes(a.group) for g in cls)

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The corpus sweeps share one object-level run of the shipped corpus (the
-session fixture), so the whole module stays well inside its time budget.
+The corpus sweeps share the descent contexts of the shipped corpus (the
+`corpus_objects` session fixture), so the whole module stays well inside
+its time budget.
 """
 
 import random
@@ -14,25 +15,23 @@ from blockfuse.algebra import (AlgebraElement, basis_element, brauer_map,
 from blockfuse.brauer import maximal_pairs
 from blockfuse.descent import (check_local_agreement, check_saturation_transfer,
                                galois_context, goursat_invariants)
-from blockfuse.fusion import (alperin_check, assert_fusion_axioms, block_fusion,
-                              check_extension_axiom, closure, factorization_check,
-                              fusion_equal, group_fusion, inner_automorphisms,
-                              is_saturated, saturation_report)
+from blockfuse.fusion import (alperin_check, assert_fusion_axioms, block_fusion, closure,
+                              factorization_check, fusion_equal, group_fusion,
+                              inner_automorphisms, saturation_report)
 from blockfuse.gf import make_tower
-from blockfuse.groups import (conjugacy_classes, coset_reps, cyclic_subgroup,
-                              full_subgroup, sylow_p_subgroup)
+from blockfuse.groups import coset_reps, full_subgroup, sylow_p_subgroup
 from conftest import load_builtin, GROUP_NAMES
-from oracles import brute_force_blocks
+from oracles import brute_force_blocks, conjugacy_classes, cyclic_subgroup
 
 
 def _verdict(num: int, name: str, ok: bool) -> None:
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'}")
 
 
-def _contexts(corpus_run):
-    for entry in corpus_run["_raw"]:
-        for ctx in entry.get("_objects", {}).get("contexts", ()):
-            yield entry["label"], ctx
+def _contexts(corpus_objects):
+    for objects in corpus_objects:
+        for ctx in objects["contexts"]:
+            yield objects["label"], ctx
 
 
 def test_criterion_01_example_reproduction(d24):
@@ -78,9 +77,9 @@ def test_criterion_02_generation_flagship(d24):
     assert ok, f"equal={equal} factors={factors} elapsed={elapsed:.2f}s"
 
 
-def test_criterion_03_saturation_transfer_sweep(corpus_run):
+def test_criterion_03_saturation_transfer_sweep(corpus_objects):
     failures = []
-    for label, ctx in _contexts(corpus_run):
+    for label, ctx in _contexts(corpus_objects):
         st = check_saturation_transfer(ctx)
         if not st.holds or not (st.index_group == st.index_galois == st.index_field):
             failures.append((label, ctx.block.index))
@@ -88,20 +87,20 @@ def test_criterion_03_saturation_transfer_sweep(corpus_run):
     assert not failures, failures
 
 
-def test_criterion_04_extension_axiom_sweep(corpus_run):
+def test_criterion_04_extension_axiom_sweep(corpus_objects):
     failures = []
-    for label, ctx in _contexts(corpus_run):
-        if not check_extension_axiom(ctx.system_l):
+    for label, ctx in _contexts(corpus_objects):
+        if not saturation_report(ctx.system_l).extension_ok:
             failures.append((label, ctx.block.index, "L"))
-        if not check_extension_axiom(ctx.system_k):
+        if not saturation_report(ctx.system_k).extension_ok:
             failures.append((label, ctx.block.index, "K"))
     _verdict(4, "extension-axiom-sweep", not failures)
     assert not failures, failures
 
 
-def test_criterion_05_alperin_sweep(corpus_run):
+def test_criterion_05_alperin_sweep(corpus_objects):
     failures = []
-    for label, ctx in _contexts(corpus_run):
+    for label, ctx in _contexts(corpus_objects):
         if not alperin_check(ctx.system_l):
             failures.append((label, ctx.block.index, "L"))
         if not alperin_check(ctx.system_k):
@@ -122,9 +121,9 @@ def test_criterion_06_block_correspondence_sweep(corpus_run):
     assert not failures, failures
 
 
-def test_criterion_07_goursat_sweep(corpus_run):
+def test_criterion_07_goursat_sweep(corpus_objects):
     failures = []
-    for label, ctx in _contexts(corpus_run):
+    for label, ctx in _contexts(corpus_objects):
         try:
             inv = goursat_invariants(ctx.root, ctx.block)
         except Exception as exc:
@@ -136,9 +135,9 @@ def test_criterion_07_goursat_sweep(corpus_run):
     assert not failures, failures
 
 
-def test_criterion_08_local_agreement_sweep(corpus_run):
+def test_criterion_08_local_agreement_sweep(corpus_objects):
     failures = []
-    for label, ctx in _contexts(corpus_run):
+    for label, ctx in _contexts(corpus_objects):
         if not check_local_agreement(ctx):
             failures.append((label, ctx.block.index))
     _verdict(8, "local-agreement-sweep", not failures)
@@ -183,18 +182,18 @@ def test_criterion_10_principal_block_sanity():
             F = block_fusion(G, tower, pb, root)
             ok = (root.subgroup.order == S.order
                   and fusion_equal(F, group_fusion(root.subgroup, G))
-                  and is_saturated(F))
+                  and saturation_report(F).saturated)
             if not ok:
                 failures.append((name, p))
     _verdict(10, "principal-block-sanity", not failures)
     assert not failures, failures
 
 
-def test_criterion_11_structural_axioms(corpus_run, d24):
+def test_criterion_11_structural_axioms(corpus_objects, d24):
     started = time.monotonic()
     failures = []
     n_systems = 0
-    for label, ctx in _contexts(corpus_run):
+    for label, ctx in _contexts(corpus_objects):
         for system in (ctx.system_l, ctx.system_k):
             n_systems += 1
             try:

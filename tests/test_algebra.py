@@ -4,19 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blockfuse.algebra import (AlgebraElement, BlockIdempotent, _split_center, augmentation,
-                               basis_element, brauer_map, center_basis, central_multiply,
-                               conjugate_element, embed, find_block, from_sparse,
-                               galois_apply, is_central, is_k_rational, is_stable, multiply,
-                               one, primitive_central_idempotents, principal_block,
-                               trace_map, zero)
+                               basis_element, brauer_map, central_multiply,
+                               conjugate_element, embed, find_block, galois_apply,
+                               is_k_rational, is_stable, multiply, one,
+                               primitive_central_idempotents, principal_block, trace_map, zero)
 from blockfuse.gf import make_tower
 from blockfuse.groups import (all_subgroups, centralizer, class_data, coset_reps,
-                              cyclic_subgroup, full_subgroup, p_part, sylow_p_subgroup,
-                              trivial_subgroup)
+                              full_subgroup, p_part, sylow_p_subgroup, trivial_subgroup)
 from blockfuse.linalg import Echelon
 from conftest import GROUP_NAMES, load_builtin
-from oracles import (blocks_by_group_algebra_splitting, brute_force_blocks,
-                     conjugate_element_scan, convolve, is_stable_scan)
+from oracles import (blocks_by_group_algebra_splitting, brute_force_blocks, center_basis,
+                     conjugate_element_scan, convolve, cyclic_subgroup, is_central,
+                     is_stable_scan)
 
 
 F2 = make_tower(2, 1, 1)
@@ -121,8 +120,9 @@ def test_brauer_map_rejects_unstable(d24):
 
 def test_is_stable_cases(d24):
     s_gen = cyclic_subgroup(d24, 2)
-    e1 = from_sparse(d24, F4, {"0": [1], str(d24.power(1, 4)): [0, 1],
-                               str(d24.power(1, 8)): [1, 1]})
+    # 1 + w g + w^2 g^2, g of order 3 and w = 2 a cube root of unity in F4
+    e1 = (one(d24, F4) + basis_element(d24, F4, d24.power(1, 4), 2)
+          + basis_element(d24, F4, d24.power(1, 8), 3))
     assert not is_stable(e1, s_gen)  # the reflection swaps the two cube roots
     assert is_stable(one(d24, F4), s_gen)
     for z in center_basis(d24, F4):
@@ -285,10 +285,16 @@ def test_augmentation_identifies_principal(groups, d24):
 
 
 def test_sparse_roundtrip(d24):
+    """to_sparse keys the support by element index and spells each code
+    as its coefficient list, which from_coeffs reads back."""
     blocks = primitive_central_idempotents(d24, F4)
     for b in blocks:
         sparse = b.elem.to_sparse()
-        assert from_sparse(d24, F4, sparse) == b.elem
+        coeffs = [0] * d24.order
+        for key, arr in sparse.items():
+            coeffs[int(key)] = F4.from_coeffs(arr)
+        assert list(sparse) == [str(g) for g in b.elem.support()]
+        assert tuple(coeffs) == b.elem.coeffs
 
 
 CORPUS_TOWERS = ((2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2))

@@ -4,15 +4,14 @@ import blockfuse.brauer as brauer
 import blockfuse.cli as cli
 from blockfuse.algebra import (basis_element, conjugate_element, find_block, is_stable,
                                primitive_central_idempotents, principal_block)
-from blockfuse.brauer import (BrauerPair, centralizer_blocks, conjugate_pair,
+from blockfuse.brauer import (BrauerPair, centralizer_blocks, conjugate_block,
                               is_pair_of_block, maximal_pairs, normal_leq,
-                              pair_stabilizer, subpair, subpair_table)
+                              pair_stabilizer, subpair_table)
 from blockfuse.gf import make_tower
-from blockfuse.groups import (all_subgroups, cyclic_subgroup, sylow_p_subgroup,
-                              trivial_subgroup)
+from blockfuse.groups import all_subgroups, sylow_p_subgroup, trivial_subgroup
 
 from conftest import GROUP_NAMES, load_builtin
-from oracles import conjugate_element_scan, is_stable_scan
+from oracles import conjugate_element_scan, cyclic_subgroup, is_stable_scan
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -26,6 +25,10 @@ def _d24_block_b(d24, tower=F2):
 
 def _c4(d24):
     return cyclic_subgroup(d24, d24.power(1, 3))
+
+
+def conjugate_pair(x: int, pair: BrauerPair) -> BrauerPair:
+    return BrauerPair(pair.subgroup.conjugate(x), conjugate_block(x, pair.block))
 
 
 def test_trivial_pair_of_any_block(d24):
@@ -88,11 +91,12 @@ def test_subpair_cases(d24):
     P = _c4(d24)
     e = find_block(centralizer_blocks(d24, F2, P, over_k=False), brauer_map_of(d24, b, P))
     root = BrauerPair(P, e)
-    assert subpair(root, P) == e
-    triv = subpair(root, trivial_subgroup(d24))
+    table = subpair_table(root)
+    assert table[P] == e
+    triv = table[trivial_subgroup(d24)]
     assert triv.elem.coeffs == b.elem.coeffs
     C2 = cyclic_subgroup(d24, d24.power(1, 6))
-    f = subpair(root, C2)
+    f = table[C2]
     assert normal_leq(BrauerPair(C2, f), root)
 
 
@@ -237,7 +241,6 @@ def test_subpair_conjugation_equivariance(d24):
         xtable = subpair_table(xroot)
         for elems, e_q in table.items():
             conj_elems = tuple(sorted(d24.conj(x, g) for g in elems))
-            from blockfuse.brauer import conjugate_block
             assert xtable[conj_elems] == conjugate_block(x, e_q)
 
 

@@ -213,12 +213,12 @@ def test_checks_filter(tmp_path, capsys):
     assert "blocks" in report["entries"][0]
 
 
-def test_run_entry_keep_objects():
+def test_run_entry_report_is_plain_json():
+    """A corpus entry's report holds JSON data only, descents included."""
     entry = CorpusEntry(group="builtin:d24", p=2, m=1, n=2, label="flag")
-    report = run_entry(entry, keep_objects=True)
-    assert report["ok"]
-    assert "_objects" in report
-    assert report["_objects"]["contexts"]
+    report = run_entry(entry)
+    assert report["ok"] and report["descent"]
+    assert json.loads(render_json(report)) == report
 
 
 def test_verify_under_optimized_mode():
@@ -249,11 +249,17 @@ def test_verify_under_optimized_mode():
      '"checks" must be a list of check names'),
     (["verify", "--checks", ""], "--checks: no check selected"),
     (["verify", "--corpus", "{tmp}/empty_checks.json"], "no check selected"),
+    *[([command, "--group", "{tmp}/c2e9.json", "--p", "2"],
+        "Sylow 2-subgroup of order 512, over the subgroup enumeration bound 256")
+      for command in ("blocks", "fusion", "descent")],
 ])
 def test_bad_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
     """{tmp}/checks.json is a corpus whose one entry names an unknown check,
     {tmp}/string_checks.json one whose "checks" is a string and
-    {tmp}/empty_checks.json one whose "checks" is empty."""
+    {tmp}/empty_checks.json one whose "checks" is empty.  {tmp}/c2e9.json
+    is C2^9, of order 512, under the group bound, but its Sylow 2-subgroup
+    is over the subgroup enumeration bound."""
+    (tmp_path / "c2e9.json").write_text(json.dumps(C2E9))
     (tmp_path / "checks.json").write_text(json.dumps(
         {"entries": [{"group": "builtin:s3", "p": 2, "checks": ["blcoks"]}]}))
     (tmp_path / "string_checks.json").write_text(json.dumps(
@@ -284,10 +290,26 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
         assert err.startswith("blockfuse: error: corpus ") and err.count("\n") == 1
 
 
+# C2^9 on 18 points: the transpositions (2i 2i+1)
+C2E9 = {"kind": "perm", "name": "C2^9", "degree": 18,
+        "generators": [[j ^ 1 if j // 2 == i else j for j in range(18)] for i in range(9)]}
+
+
 def _write_corpus(tmp_path, entries) -> str:
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps({"entries": entries}))
     return str(path)
+
+
+def test_verify_sylow_over_subgroup_bound_is_input_error(tmp_path, capsys):
+    (tmp_path / "c2e9.json").write_text(json.dumps(C2E9))
+    path = _write_corpus(tmp_path, [{"group": "c2e9.json", "p": 2, "label": "c2e9"}])
+    code, out = _run(capsys, ["verify", "--corpus", path])
+    assert code == 2
+    (entry,) = json.loads(out)["entries"]
+    assert entry == {"label": "c2e9", "kind": "input", "ok": False,
+                     "error": "InputError: C2^9 has a Sylow 2-subgroup of order 512, "
+                              "over the subgroup enumeration bound 256"}
 
 
 def test_verify_bad_prime_is_input_error(tmp_path, capsys):
@@ -420,8 +442,7 @@ def test_render_json_matches_the_standard_library_on_reports(corpus_run):
     2^3:S4, the largest of the benchmark's reports."""
     for entry in corpus_run["entries"]:
         assert render_json(entry) == render_json_reference(entry)
-    corpus = {k: v for k, v in corpus_run.items() if k != "_raw"}
-    assert render_json(corpus) == render_json_reference(corpus)
+    assert render_json(corpus_run) == render_json_reference(corpus_run)
     G = cli.load_group_file(str(BENCH_GROUPS / "2e3s4.json"))
     report = cli.fusion_report(G, make_tower(2, 1, 1))
     assert render_json(report) == render_json_reference(report)

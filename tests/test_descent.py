@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import blockfuse.cli as cli
 from blockfuse.algebra import (AlgebraElement, basis_element, find_block,
                                is_k_rational, primitive_central_idempotents,
                                principal_block)
@@ -16,6 +17,7 @@ from blockfuse.descent import (block_correspondence, check_generation,
                                twist_automorphism)
 from blockfuse.fusion import fusion_equal
 from blockfuse.gf import make_tower
+from blockfuse.groups import build_group
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -139,16 +141,17 @@ def test_twist_automorphism_trivial(groups):
     s4 = groups["s4"]
     pb = principal_block(primitive_central_idempotents(s4, F4))
     root = maximal_pairs(s4, F4, pb).pairs[0]
-    g0, sigma = twist_automorphism(root, pb)
-    assert g0 == 0
-    assert sigma.images == root.subgroup.elems
+    inv = goursat_invariants(root, pb)
+    assert inv.g0 == 0
+    assert twist_automorphism(root, inv).images == root.subgroup.elems
 
 
 def test_twist_automorphism_d24(d24):
     b4 = _d24_block_b(d24, F4)
     root = maximal_pairs(d24, F4, b4).pairs[0]
-    g0, sigma = twist_automorphism(root, b4)
-    assert g0 == 2  # the first reflection in enumeration order
+    inv = goursat_invariants(root, b4)
+    assert inv.g0 == 2  # the first reflection in enumeration order
+    sigma = twist_automorphism(root, inv)
     for g in root.subgroup.elems:
         assert sigma.apply(g) == d24.inv[g]  # inversion on C4
     # sigma to the quotient order lands inside the smaller fusion system
@@ -222,6 +225,43 @@ def test_sigma_in_k_system(d24, groups):
         for b in primitive_central_idempotents(G, tower):
             ctx = galois_context(G, tower, b)
             assert ctx.sigma in ctx.system_k.aut_set(ctx.root.subgroup)
+
+
+def _nonsplit_group(q, pa, u, v):
+    """G(q, p^a, u, v) = (C_q x C_{p^a}) : C_{p^b} on q + p^a points: a
+    cycles the first q points, b the other p^a, and t multiplies them by
+    u mod q and by v mod p^a."""
+    a = [(i + 1) % q for i in range(q)] + [q + j for j in range(pa)]
+    b = list(range(q)) + [q + (j + 1) % pa for j in range(pa)]
+    t = [u * i % q for i in range(q)] + [q + v * j % pa for j in range(pa)]
+    return build_group({"kind": "perm", "name": f"G({q},{pa},{u},{v})", "degree": q + pa,
+                        "generators": [a, b, t]})
+
+
+@pytest.mark.parametrize("group,tower,expected", [
+    ((5, 8, 4, 5), (2, 1, 4), [(2, True, False, 8), (1, True, True, 16)]),
+    ((5, 8, 4, 5), (2, 2, 2), [(1, False, False, 8)] * 2 + [(1, True, True, 16)]),
+    ((7, 9, 2, 4), (3, 2, 6), [(3, True, False, 9)] * 2 + [(1, True, True, 27)]),
+    ((7, 9, 2, 4), (3, 2, 2), [(1, False, False, 9)] * 2 + [(1, True, True, 27)]),
+])
+def test_nonsplit_descents(group, tower, expected):
+    """(C5xC8):C2 and (C7xC9):C3, where t acts on the q-th roots of unity
+    as a power of Frobenius: over F16/F2 and F_{3^6}/F_{3^2} an L-saturated
+    system descends, with index 2 or 3 = p, to a K-system that is not
+    saturated; over F4 and F9 the same blocks are unsaturated on both
+    sides, with index 1.  Each descent, one per Galois orbit, has
+    (index, saturated_l, saturated_k, defect_order) pinned, all verdicts
+    true, and |Aut_{F_K}(P)| = index |Aut_{F_L}(P)|."""
+    G, t = _nonsplit_group(*group), make_tower(*tower)
+    got = []
+    for b in cli._descent_blocks(G, t, "all"):
+        report, ctx = run_descent(G, t, b)
+        assert report["all_ok"]
+        P = ctx.root.subgroup
+        assert len(ctx.system_k.aut_set(P)) == report["index"] * len(ctx.system_l.aut_set(P))
+        got.append((report["index"], report["saturated"]["l"], report["saturated"]["k"],
+                    report["defect_order"]))
+    assert got == expected
 
 
 def test_run_descent_report_shape(d24):

@@ -10,18 +10,16 @@ import blockfuse.groups as groups_mod
 from blockfuse.algebra import (augmentation, basis_element, find_block,
                                primitive_central_idempotents, principal_block)
 from blockfuse.brauer import maximal_pairs
+from blockfuse.brauer import BrauerPair, subpair_table
 from blockfuse.fusion import (FusionSystem, _extension_counterexample, alperin_check,
-                              assert_fusion_axioms, block_fusion, check_extension_axiom,
-                              check_sylow_axiom, closure, factorization_check,
-                              fully_centralized, fully_normalized, fusion_equal,
-                              group_fusion, inner_automorphisms, is_centric, is_saturated,
-                              map_order, n_phi, saturation_report, sylow_index)
+                              assert_fusion_axioms, block_fusion, closure,
+                              factorization_check, fusion_equal, group_fusion,
+                              inner_automorphisms, map_order, saturation_report, sylow_index)
 from blockfuse.gf import make_tower
 from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
-                              centralizer_in, conjugation_map, cyclic_subgroup, full_subgroup,
-                              generated_subgroup, normalizer_in, sylow_p_subgroup,
-                              trivial_subgroup)
-from oracles import (block_fusion_scan, extension_counterexample_scan,
+                              centralizer_in, full_subgroup, generated_subgroup,
+                              normalizer_in, sylow_p_subgroup, trivial_subgroup)
+from oracles import (block_fusion_scan, cyclic_subgroup, extension_counterexample_scan,
                      factorization_check_scan, fully_centralized_scan, fully_normalized_scan,
                      fusion_equal_scan, is_centric_scan, n_phi_scan)
 
@@ -75,11 +73,9 @@ def test_block_fusion_d24_f2(d24):
     assert len(inner_automorphisms(P, P)) == 1  # P abelian
     assert len(F.aut_set(P)) == 2
     assert sylow_index(F) == 2
-    assert not check_sylow_axiom(F)
-    assert check_extension_axiom(F)
-    assert not is_saturated(F)
     rep = saturation_report(F)
-    assert not rep.saturated and rep.witness == {"kind": "sylow_index", "index": 2}
+    assert not rep.sylow_ok and rep.extension_ok and not rep.saturated
+    assert rep.aut_index == 2 and rep.witness == {"kind": "sylow_index", "index": 2}
     assert_fusion_axioms(F)
 
 
@@ -88,17 +84,16 @@ def test_block_fusion_d24_f4(d24):
     root = maximal_pairs(d24, F4, b).pairs[0]
     F = block_fusion(d24, F4, b, root)
     assert len(F.aut_set(root.subgroup)) == 1
-    assert check_sylow_axiom(F)
-    assert is_saturated(F)
+    rep = saturation_report(F)
+    assert rep.sylow_ok and rep.saturated and rep.witness is None
     assert_fusion_axioms(F)
 
 
 def test_block_fusion_requires_maximal_root(d24):
-    from blockfuse.brauer import BrauerPair, subpair
     b = _d24_block_b(d24)
     root = maximal_pairs(d24, F2, b).pairs[0]
     C2 = cyclic_subgroup(d24, d24.power(1, 6))
-    small = BrauerPair(C2, subpair(root, C2))
+    small = BrauerPair(C2, subpair_table(root)[C2])
     with pytest.raises(ValueError):
         block_fusion(d24, F2, b, small)
 
@@ -114,19 +109,18 @@ def test_principal_block_fusion_is_group_fusion(groups, d24):
         assert root.subgroup.order == S.order
         F = block_fusion(G, tower, pb, root)
         assert fusion_equal(F, group_fusion(root.subgroup, G))
-        assert is_saturated(F)
+        assert saturation_report(F).saturated
 
 
-def test_block_fusion_matches_scan_oracle_on_corpus(corpus_run):
+def test_block_fusion_matches_scan_oracle_on_corpus(corpus_objects):
     cases = []
-    for entry in corpus_run["_raw"]:
-        objects = entry.get("_objects", {})
-        if "principal" in objects:
+    for objects in corpus_objects:
+        if objects["principal"] is not None:
             G, tower = objects["group"], objects["tower"]
             pb = principal_block(primitive_central_idempotents(G, tower))
             cases.append((objects["principal"], G, tower, pb,
                           maximal_pairs(G, tower, pb).pairs[0]))
-        for ctx in objects.get("contexts", ()):
+        for ctx in objects["contexts"]:
             cases.append((ctx.system_l, ctx.group, ctx.tower, ctx.block, ctx.root))
             cases.append((ctx.system_k, ctx.group, ctx.tower, ctx.k_block, ctx.k_root))
     assert cases
@@ -190,11 +184,11 @@ def test_fully_centralized_normalized(d24):
     root = maximal_pairs(d24, F2, b).pairs[0]
     F = block_fusion(d24, F2, b, root)
     P = root.subgroup
-    assert fully_centralized(F, P) and fully_normalized(F, P)
+    assert P.elems in F.fully_centralized and P.elems in F.fully_normalized
     triv = trivial_subgroup(d24)
-    assert fully_centralized(F, triv) and fully_normalized(F, triv)
+    assert triv.elems in F.fully_centralized and triv.elems in F.fully_normalized
     for Q in F.subgroups:
-        assert fully_normalized(F, Q)  # P abelian: every normalizer is P
+        assert Q.elems in F.fully_normalized  # P abelian: every normalizer is P
 
 
 def test_is_centric_cases(d24, groups):
@@ -202,43 +196,37 @@ def test_is_centric_cases(d24, groups):
     root = maximal_pairs(d24, F2, b).pairs[0]
     F = block_fusion(d24, F2, b, root)
     P = root.subgroup
-    assert is_centric(F, P)
+    assert P.elems in F.centric
     C2 = cyclic_subgroup(d24, d24.power(1, 6))
-    assert not is_centric(F, C2)  # C_P(C2) = P strictly contains C2
-    assert not is_centric(F, trivial_subgroup(d24))
+    assert C2.elems not in F.centric  # C_P(C2) = P strictly contains C2
+    assert trivial_subgroup(d24).elems not in F.centric
 
 
 def test_local_predicates_reject_non_objects(d24):
+    """The three sets hold objects of the system only: subgroups of G
+    that are not inside P are in none of them."""
     b = _d24_block_b(d24)
     root = maximal_pairs(d24, F2, b).pairs[0]
     F = block_fusion(d24, F2, b, root)
+    objects = {Q.elems for Q in F.subgroups}
     outside = cyclic_subgroup(d24, 1)  # order 12, not inside P
-    for predicate in (fully_centralized, fully_normalized, is_centric):
-        with pytest.raises(ValueError):
-            predicate(F, outside)
-        with pytest.raises(ValueError):
-            predicate(F, full_subgroup(d24))
+    for facts in (F.fully_centralized, F.fully_normalized, F.centric):
+        assert facts and facts <= objects
+        assert outside.elems not in facts and full_subgroup(d24).elems not in facts
 
 
 def _assert_local_facts_match_scans(F):
-    """The system's three sets, and the predicates reading them, equal the
-    per-subgroup class scans."""
-    for facts, predicate, scan in (
-            (F.fully_centralized, fully_centralized, fully_centralized_scan),
-            (F.fully_normalized, fully_normalized, fully_normalized_scan),
-            (F.centric, is_centric, is_centric_scan)):
-        expected = [Q.elems for Q in F.subgroups if scan(F, Q)]
-        assert facts == frozenset(expected)
-        assert [Q.elems for Q in F.subgroups if predicate(F, Q)] == expected
+    """The system's three sets equal the per-subgroup class scans."""
+    for facts, scan in ((F.fully_centralized, fully_centralized_scan),
+                        (F.fully_normalized, fully_normalized_scan),
+                        (F.centric, is_centric_scan)):
+        assert facts == frozenset(Q.elems for Q in F.subgroups if scan(F, Q))
 
 
-def test_local_facts_match_scan_oracles_on_corpus(corpus_run):
+def test_local_facts_match_scan_oracles_on_corpus(corpus_objects):
     """The principal systems and the L- and K-systems of all 52 descents."""
-    principal, contexts = [], []
-    for entry in corpus_run["_raw"]:
-        objects = entry.get("_objects", {})
-        principal += [objects["principal"]] if "principal" in objects else []
-        contexts += objects.get("contexts", [])
+    principal = [o["principal"] for o in corpus_objects if o["principal"] is not None]
+    contexts = [ctx for o in corpus_objects for ctx in o["contexts"]]
     assert principal and len(contexts) == 52
     for F in principal + [F for ctx in contexts for F in (ctx.system_l, ctx.system_k)]:
         _assert_local_facts_match_scans(F)
@@ -253,7 +241,7 @@ def test_centric_is_an_inclusion_not_an_order_bound():
     R = generated_subgroup(G, [1, 2])
     assert R.order == 8 and centralizer_in(P, R).order == 4
     F = closure(P, [])
-    assert not is_centric(F, R) and is_centric(F, P)
+    assert R.elems not in F.centric and P.elems in F.centric
     _assert_local_facts_match_scans(F)
 
 
@@ -298,20 +286,21 @@ def test_corpus_decides_saturation_once_per_system(monkeypatch):
 
 
 def test_n_phi_cases(groups, d24):
+    """The N_phi oracle that the extension check is compared with."""
     d8 = groups["d8"]
     P8 = full_subgroup(d8)
     C4 = cyclic_subgroup(d8, 1)
     ident = GroupMap(C4, C4, C4.elems)
-    assert n_phi(P8, ident).subgroup == normalizer_in(P8, C4)
+    assert n_phi_scan(P8, ident) == normalizer_in(P8, C4)
     inv_map = GroupMap(C4, C4, tuple(d8.inv[g] for g in C4.elems))
-    got = n_phi(P8, inv_map).subgroup
+    got = n_phi_scan(P8, inv_map)
     # sanity bounds; here inversion intertwines with every conjugation
     assert C4.is_subset_of(got) and got.is_subset_of(normalizer_in(P8, C4))
     assert got == P8
     # abelian P: the twist subgroup is all of P for every isomorphism
     P4 = _c4(d24)
     inv4 = GroupMap(P4, P4, tuple(d24.inv[g] for g in P4.elems))
-    assert n_phi(P4, inv4).subgroup == P4
+    assert n_phi_scan(P4, inv4) == P4
 
 
 def test_closure_empty_seeds_and_idempotence(groups, d24):
@@ -402,8 +391,8 @@ def test_extension_axiom_group_fusion_sylow(groups, d24):
     for G, p in ((groups["s4"], 2), (groups["a4"], 2), (d24, 2), (groups["s3"], 3)):
         S = sylow_p_subgroup(G, p)
         F = group_fusion(S, G)
-        assert check_extension_axiom(F)
-        assert is_saturated(F)
+        rep = saturation_report(F)
+        assert rep.extension_ok and rep.saturated
 
 
 def test_hom_sets_closed_under_inner_twists(groups, d24):
@@ -436,20 +425,17 @@ def test_hom_sets_closed_under_inner_twists(groups, d24):
 
 
 def _assert_matches_scan_oracles(F):
-    P = F.p_subgroup
+    """The extension witness against the scan that builds every N_phi by
+    `n_phi_scan`, and the hom-count matrix against the hom sets."""
     assert _extension_counterexample(F) == extension_counterexample_scan(F)
-    assert F.hom_counts() == {(Q.elems, R.elems): len(F.hom_set(Q, R))
-                              for Q in F.subgroups for R in F.subgroups}
-    for Q in F.subgroups:
-        for phi in F.hom_set(Q, P):
-            assert n_phi(P, phi).subgroup == n_phi_scan(P, phi)
+    counts = F.hom_count_matrix().tolist()
+    assert [[len(F.hom_set(Q, R)) for R in F.subgroups] for Q in F.subgroups] == counts
 
 
-def test_equality_and_factorization_match_scan_oracles_on_corpus(corpus_run):
+def test_equality_and_factorization_match_scan_oracles_on_corpus(corpus_objects):
     """Both verdicts of every descent: L = K and closure(L + sigma) = K,
     and the twist factorization of K over L."""
-    contexts = [ctx for entry in corpus_run["_raw"]
-                for ctx in entry.get("_objects", {}).get("contexts", ())]
+    contexts = [ctx for o in corpus_objects for ctx in o["contexts"]]
     assert len(contexts) == 52
     for ctx in contexts:
         generated = closure(ctx.root.subgroup, ctx.system_l.isos | {ctx.sigma})
@@ -459,9 +445,8 @@ def test_equality_and_factorization_match_scan_oracles_on_corpus(corpus_run):
                 == factorization_check_scan(ctx.system_l, ctx.system_k, ctx.sigma))
 
 
-def test_extension_check_matches_scan_oracle_on_corpus(corpus_run):
-    systems = [F for entry in corpus_run["_raw"]
-               for ctx in entry.get("_objects", {}).get("contexts", ())
+def test_extension_check_matches_scan_oracle_on_corpus(corpus_objects):
+    systems = [F for o in corpus_objects for ctx in o["contexts"]
                for F in (ctx.system_l, ctx.system_k)]
     assert systems
     for F in systems:

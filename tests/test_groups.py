@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import blockfuse.cli as cli
+import blockfuse.groups as groups_mod
 from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
-                              centralizer, centralizer_in, conjugacy_classes,
-                              conjugation_map, coset_reps, cyclic_subgroup, full_subgroup,
-                              generated_subgroup, inclusion_map, normalizer,
+                              centralizer, centralizer_in, conj_rows, coset_reps,
+                              full_subgroup, generated_subgroup, normalizer,
                               normalizer_in, p_part, sylow_p_subgroup, trivial_subgroup)
 from conftest import GROUP_NAMES
 from oracles import (all_subgroups_brute, all_subgroups_by_element_joins,
-                     centralizer_in_scan, commuting_with, conjugacy_classes_brute,
-                     generated_subgroup_bfs, normalizer_in_scan, perm_table_bfs,
-                     subgroup_lattice_bfs_joins)
+                     centralizer_in_scan, commuting_with, conjugacy_classes,
+                     conjugacy_classes_brute, cyclic_subgroup, generated_subgroup_bfs,
+                     normalizer_in_scan, perm_table_bfs, subgroup_lattice_bfs_joins)
 
 BENCH_GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
@@ -42,8 +42,8 @@ def test_build_trivial_table():
 def test_build_d24_from_generators(d24):
     assert d24.order == 24
     r, s = 1, 2  # breadth-first indices of the two generators
-    assert d24.element_order(r) == 12
-    assert d24.element_order(s) == 2
+    assert [k for k in range(1, 25) if d24.power(r, k) == 0][0] == 12
+    assert [k for k in range(1, 25) if d24.power(s, k) == 0][0] == 2
     # s r s = r^-1
     assert d24.mul[d24.mul[s][r]][s] == d24.inv[r]
 
@@ -92,10 +92,14 @@ def test_build_rejects_bad_generators():
         build_group({"kind": "perm", "name": "x", "degree": 3, "generators": [[0, 0, 1]]})
 
 
-def test_build_rejects_oversize():
-    with pytest.raises(ValueError):
+def test_build_rejects_oversize(monkeypatch):
+    monkeypatch.setattr(groups_mod, "MAX_ORDER", 4)
+    with pytest.raises(ValueError, match="exceeds bound 4"):
         build_group({"kind": "perm", "name": "c5", "degree": 5,
-                     "generators": [[1, 2, 3, 4, 0]]}, max_order=4)
+                     "generators": [[1, 2, 3, 4, 0]]})
+    with pytest.raises(ValueError, match="exceeds bound 4"):
+        build_group({"kind": "table", "name": "c5",
+                     "table": [[(a + b) % 5 for b in range(5)] for a in range(5)]})
 
 
 def test_centralizer_trivial_and_full(groups):
@@ -159,33 +163,24 @@ def test_all_subgroups_counts(groups, d24):
         H.order, H.elems) for H in subs] == sorted((H.order, H.elems) for H in subs)
 
 
-def test_all_subgroups_bound(d24):
-    with pytest.raises(ValueError):
-        all_subgroups(full_subgroup(d24), max_order=8)
+def test_all_subgroups_bound(d24, monkeypatch):
+    monkeypatch.setattr(groups_mod, "SUBGROUP_BOUND", 8)
+    with pytest.raises(ValueError, match="bound exceeded"):
+        all_subgroups(full_subgroup(d24))
 
 
-def test_conjugation_map_cases(d24):
+def test_conjugation_rows_give_group_maps(d24):
+    """Each row of conj_rows, read on C4, is an injective homomorphism
+    (GroupMap checks both); the identity's row is the inclusion and a
+    reflection's row inverts C4."""
     r, s = 1, 2
     C4 = cyclic_subgroup(d24, d24.power(r, 3))
-    C2 = cyclic_subgroup(d24, d24.power(r, 6))
-    incl = conjugation_map(d24, 0, C2, C4)
-    assert incl == inclusion_map(C2, C4)
-    inv_map = conjugation_map(d24, s, C4, C4)
-    assert inv_map is not None
-    for g in C4.elems:
-        assert inv_map.apply(g) == d24.inv[g]
-    assert conjugation_map(d24, 0, C4, C2) is None  # order obstruction
-
-
-def test_conjugation_map_multiplicative(d24):
-    C4 = cyclic_subgroup(d24, d24.power(1, 3))
+    rows = conj_rows(d24)
+    assert all(rows[x][g] == d24.conj(x, g) for x in range(d24.order) for g in range(24))
     for x in range(d24.order):
-        m = conjugation_map(d24, x, C4, full_subgroup(d24))
-        assert m is not None
-        for a in C4.elems:
-            for b in C4.elems:
-                assert m.apply(d24.mul[a][b]) == d24.mul[m.apply(a)][m.apply(b)]
-        assert len(set(m.images)) == C4.order
+        GroupMap(C4, full_subgroup(d24), [rows[x][g] for g in C4.elems])
+    assert [rows[0][g] for g in C4.elems] == list(C4.elems)
+    assert [rows[s][g] for g in C4.elems] == [d24.inv[g] for g in C4.elems]
 
 
 def test_centralizer_subset_normalizer(groups):
