@@ -65,9 +65,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_owner(self, other)
         t = self.tower
@@ -82,10 +79,6 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
-
-    def scale(self, code: int) -> "AlgebraElement":
-        t = self.tower
-        return AlgebraElement(self.group, t, tuple(t.mul(code, c) for c in self.coeffs))
 
     def to_sparse(self) -> dict[str, list[int]]:
         """Serialization form: {element index: coefficient array} on the support."""

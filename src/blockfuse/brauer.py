@@ -6,6 +6,9 @@ The order is computed only in the form "which block f makes (Q, f) lie
 under the root?": each normal step Q normal in R requires f to be
 R-stable with Br_R(f) e_R = e_R, and chains of normal steps through the
 normalizer tower Q, N_P(Q), N_P(N_P(Q)), ..., P settle every comparison.
+For each Q <= P exactly one block of k C_G(Q) lies under the root
+(Alperin-Broue), so when k C_G(Q) has a single block that block is e_Q
+and no normal step is solved.  The rule holds over L and over K alike.
 """
 
 from __future__ import annotations
@@ -87,10 +90,12 @@ def normal_leq(sub: BrauerPair, sup: BrauerPair) -> bool:
 @dataclass(frozen=True)
 class SubpairTable:
     """The assignment Q -> e_Q of every subgroup of the root's defect
-    group to the unique block lying under the root."""
+    group to the unique block lying under the root; `forced` holds the
+    element sets of the Q whose k C_G(Q) has one block, so e_Q = 1."""
 
     root: BrauerPair
     assignment: dict
+    forced: frozenset
 
     def __getitem__(self, key) -> BlockIdempotent:
         if isinstance(key, Subgroup):
@@ -102,9 +107,9 @@ class SubpairTable:
 
 
 def subpair_table(root: BrauerPair) -> SubpairTable:
-    """For every Q <= P the unique block e_Q with (Q, e_Q) under the root,
-    solved along the normalizer tower of each Q; memoized on the group per
-    root."""
+    """For every Q <= P the unique block e_Q with (Q, e_Q) under the root:
+    the only block of k C_G(Q) when there is one, else solved along the
+    normalizer tower of Q; memoized on the group per root."""
     return root.group.memo(("subpairs", root), lambda: _subpair_table(root))
 
 
@@ -113,26 +118,28 @@ def _subpair_table(root: BrauerPair) -> SubpairTable:
     tower = root.block.elem.tower
     over_k = root.block.over_k
     P = root.subgroup
-    table: dict[tuple[int, ...], BlockIdempotent] = {P.elems: root.block}
+    subs = all_subgroups(P)
+    blocks = {Q.elems: centralizer_blocks(G, tower, Q, over_k) for Q in subs}
+    forced = frozenset(q for q, cands in blocks.items() if len(cands) == 1)
+    table: dict[tuple[int, ...], BlockIdempotent] = {q: blocks[q][0] for q in forced}
+    table[P.elems] = root.block
 
     def solve(Q: Subgroup) -> BlockIdempotent:
         got = table.get(Q.elems)
         if got is not None:
             return got
         N = normalizer_in(P, Q)
-        e_n = solve(N)
-        sup = BrauerPair(N, e_n)
-        hits = [f for f in centralizer_blocks(G, tower, Q, over_k)
-                if normal_leq(BrauerPair(Q, f), sup)]
+        sup = BrauerPair(N, solve(N))
+        hits = [f for f in blocks[Q.elems] if normal_leq(BrauerPair(Q, f), sup)]
         if len(hits) != 1:
             raise VerificationError(
                 f"normal step expects a unique block, found {len(hits)}")
         table[Q.elems] = hits[0]
         return hits[0]
 
-    for Q in all_subgroups(P):
+    for Q in subs:
         solve(Q)
-    return SubpairTable(root, table)
+    return SubpairTable(root, table, forced)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -257,12 +256,13 @@ def _check_input(G, tower, block: str) -> None:
                          f"blocks over F_{tower.p}^{tower.n}")
 
 
-def run_entry(entry: CorpusEntry, base: Path | None = None) -> dict:
-    """Run every requested check for one corpus entry; never raises, error
-    text is embedded instead, with its kind: "input" (group file, tower,
-    block selector or range, or a Sylow subgroup over the enumeration
-    bound), "verification" (a VerificationError) or "internal" (any other
-    exception)."""
+def run_entry(entry: CorpusEntry, base: Path | None = None, group=None) -> dict:
+    """Run every requested check for one corpus entry, on group when given
+    (the group its file describes) and else on the group loaded from the
+    file; never raises, error text is embedded instead, with its kind:
+    "input" (group file, tower, block selector or range, or a Sylow
+    subgroup over the enumeration bound), "verification" (a
+    VerificationError) or "internal" (any other exception)."""
     label = entry.label or f"{entry.group}@p{entry.p}m{entry.m}n{entry.n}"
 
     def error(kind: str, exc: Exception) -> dict:
@@ -270,7 +270,7 @@ def run_entry(entry: CorpusEntry, base: Path | None = None) -> dict:
                 "ok": False}
 
     try:
-        G = load_group_file(entry.group, base)
+        G = load_group_file(entry.group, base) if group is None else group
         tower = make_tower(entry.p, entry.m, entry.n)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return error("input", exc)
@@ -309,7 +309,8 @@ def run_entry(entry: CorpusEntry, base: Path | None = None) -> dict:
                 axioms_ok = True
                 try:
                     assert_fusion_axioms(ctx.system_l)
-                    assert_fusion_axioms(ctx.system_k)
+                    if ctx.system_k is not ctx.system_l:
+                        assert_fusion_axioms(ctx.system_k)
                 except VerificationError:
                     axioms_ok = False
                 d["axioms_ok"] = axioms_ok
@@ -333,16 +334,32 @@ def _worker(payload: tuple) -> dict:
 
 
 def run_corpus(entries, base: Path | None = None, jobs: int = 1) -> dict:
+    """Run every entry.  Serially, each group file is loaded once and its
+    group is kept until the last entry that names it; a file that fails
+    to load is left to run_entry, which reports the error on each entry."""
     entries = list(entries)
     # the pool starts all of its workers up front: no more than there are entries
     jobs = min(jobs, len(entries))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # most runs start no pool
         payloads = [(e.__dict__ | {"checks": None if e.checks is None else list(e.checks)},
                      str(base) if base else "") for e in entries]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, payloads))
     else:
-        results = [run_entry(e, base) for e in entries]
+        last = {e.group: i for i, e in enumerate(entries)}
+        groups: dict = {}
+        results = []
+        for i, e in enumerate(entries):
+            G = groups.get(e.group)
+            if G is None:
+                try:
+                    G = groups[e.group] = load_group_file(e.group, base)
+                except (OSError, ValueError, KeyError, TypeError):
+                    pass
+            results.append(run_entry(e, base, G))
+            if last[e.group] == i:
+                groups.pop(e.group, None)
     return {"version": __version__, "entries": results,
             "ok": all(r.get("ok", False) for r in results)}
 

@@ -159,7 +159,9 @@ def twist_automorphism(pair: BrauerPair, goursat: GoursatInvariants) -> GroupMap
 
 @dataclass
 class GaloisContext:
-    """Everything the descent verifiers need for one L-block."""
+    """Everything the descent verifiers need for one L-block.  When the
+    two systems have the same isos, system_k is the system_l object, so
+    each check that reads one system runs once."""
 
     group: FiniteGroup
     tower: FieldTower
@@ -188,6 +190,8 @@ def galois_context(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> Gal
     inv = goursat_invariants(root, b)
     system_l = block_fusion(G, tower, b, root)
     system_k = block_fusion(G, tower, k_block, k_root)
+    if system_k.isos == system_l.isos:  # F_K = F_L: one object, decided once
+        system_k = system_l
     return GaloisContext(G, tower, b, k_block, root, k_root, inv,
                          twist_automorphism(root, inv), system_l, system_k)
 
@@ -231,7 +235,7 @@ def check_saturation_transfer(ctx: GaloisContext) -> SaturationTransfer:
     if not index_group == index_galois == index_field:
         raise VerificationError("descent index expressions disagree")
     rep_l = saturation_report(ctx.system_l)
-    rep_k = saturation_report(ctx.system_k)
+    rep_k = rep_l if ctx.system_k is ctx.system_l else saturation_report(ctx.system_k)
     holds = rep_k.saturated == (rep_l.saturated and index_galois % ctx.tower.p != 0)
     return SaturationTransfer(holds, rep_l, rep_k, index_group, index_galois, index_field)
 
@@ -264,13 +268,14 @@ def run_descent(G: FiniteGroup, tower: FieldTower,
     inv = ctx.goursat
     P = ctx.root.subgroup
     orbit_size = len(galois_orbit(b))
+    alperin_l = alperin_check(ctx.system_l)
     verdicts = {
         "generation": check_generation(ctx),
         "saturation_transfer": sat.holds,
         "extension_axiom_l": sat.report_l.extension_ok,
         "extension_axiom_k": sat.report_k.extension_ok,
-        "alperin_l": alperin_check(ctx.system_l),
-        "alperin_k": alperin_check(ctx.system_k),
+        "alperin_l": alperin_l,
+        "alperin_k": alperin_l if ctx.system_k is ctx.system_l else alperin_check(ctx.system_k),
         "local_agreement": check_local_agreement(ctx),
         "order_preserved": check_order_preservation(ctx),
         "sigma_in_k_system": ctx.sigma in ctx.system_k.aut_set(P),

@@ -171,7 +171,9 @@ def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> Fusi
 
     Both c_x on Q and x e_Q depend only on the left coset x C_G(Q), the
     latter because e_Q is central in k C_G(Q).  So x runs over one
-    transporter per coset, and each distinct map is tested once."""
+    transporter per coset, and each distinct map is tested once.  When
+    k C_G(Q) has one block, so has its conjugate k C_G(xQ), and x e_Q =
+    1 = e_{xQ} holds without transporting the block."""
     if not is_pair_of_block(root, b):
         raise ValueError("root is not a pair of the given block")
     mp = maximal_pairs(G, tower, b)
@@ -185,12 +187,13 @@ def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> Fusi
     isos = set()
     for Q in all_subgroups(P):
         e_q = table[Q.elems]
+        forced = Q.elems in table.forced
         for x in coset_reps(everything, centralizer_in(everything, Q)):
             images = tuple(map(rows[x].__getitem__, Q.elems))
             if not pset.issuperset(images):
                 continue
             target_elems = tuple(sorted(images))
-            if conjugate_block(x, e_q) != table[target_elems]:
+            if not forced and conjugate_block(x, e_q) != table[target_elems]:
                 continue
             target = Subgroup(G, target_elems, _checked=True)
             isos.add(GroupMap(Q, target, images, _checked=True))

@@ -282,9 +282,6 @@ class FieldTower:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -304,16 +301,6 @@ class FieldTower:
 
     def is_k_rational(self, a: int) -> bool:
         return self._frob[a] == a
-
-    def from_coeffs(self, coeffs) -> int:
-        code = 0
-        pw = 1
-        for i, c in enumerate(coeffs):
-            if i >= self.n:
-                raise ValueError("too many coefficients")
-            code += (int(c) % self.p) * pw
-            pw *= self.p
-        return code
 
     def coeffs(self, code: int) -> tuple[int, ...]:
         return self._code_digits(code)
@@ -501,14 +488,6 @@ class Poly:
     tower: FieldTower
     codes: tuple[int, ...]
 
-    @staticmethod
-    def make(tower: FieldTower, codes) -> "Poly":
-        return Poly(tower, _pnorm([int(c) for c in codes]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.codes) - 1
-
     @property
     def is_zero(self) -> bool:
         return not self.codes
@@ -530,14 +509,6 @@ class Poly:
 class Factorization:
     unit: FieldElement
     factors: tuple[tuple[Poly, int], ...]
-
-    def expand(self) -> Poly:
-        t = self.unit.tower
-        acc: tuple[int, ...] = (self.unit.code,)
-        for poly, mult in self.factors:
-            for _ in range(mult):
-                acc = _pmul(t, acc, poly.codes)
-        return Poly(t, acc)
 
 
 def _edf(t: FieldTower, f, d: int, rng: random.Random) -> list[tuple[int, ...]]:

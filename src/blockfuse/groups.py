@@ -22,8 +22,8 @@ the centralizer bitmasks cmask[g] (bit h set iff gh = hg), G as a
 subgroup of itself, subgroup views, subgroup lattices and class data
 here, and the blocks, maximal pairs, subpair tables and N_P(Q)/C_P(Q)
 tables of the algebra, brauer and fusion layers.  The memo lives as long
-as the group, which the command line builds once per report or corpus
-entry.
+as the group, which the command line builds once per report, and a serial
+corpus run once per group file, dropped after the last entry naming it.
 
 A `Subgroup` is a sorted index set inside a parent group together with the
 same set as an int bitmask (bit g set iff g is a member).  Membership and
@@ -307,10 +307,6 @@ class Subgroup:
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return not self.mask & ~other.mask
-
-    def conjugate(self, x: int) -> "Subgroup":
-        conj = self.parent.conj
-        return Subgroup(self.parent, (conj(x, g) for g in self.elems), _checked=True)
 
     def as_group(self) -> FiniteGroup:
         """Standalone multiplication-table copy, re-map kept on the view.

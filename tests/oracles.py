@@ -3,8 +3,9 @@
 Everything here recomputes from first principles (pair scans, subset
 enumeration, exhaustive idempotent search, dense kernels) and never calls
 the production algorithms it is checking.  The last section holds small
-conveniences that only tests use (class sums, cyclic subgroups), built on
-the library's class data and subgroup generation.
+conveniences that only tests use (class sums, cyclic subgroups, supports,
+scalar multiples, conjugate subgroups, polynomials from codes and expanded
+factorizations), built on the library's data structures.
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ from __future__ import annotations
 import itertools
 import json
 
-from blockfuse.algebra import AlgebraElement, multiply, one, zero
-from blockfuse.brauer import (BrauerPair, conjugate_block, is_pair_of_block, maximal_pairs,
-                              subpair_table)
+from blockfuse.algebra import AlgebraElement, VerificationError, multiply, one, zero
+from blockfuse.brauer import (BrauerPair, SubpairTable, centralizer_blocks, conjugate_block,
+                              is_pair_of_block, maximal_pairs, normal_leq, subpair_table)
 from blockfuse.fusion import FusionSystem
-from blockfuse.gf import (FieldTower, Poly, _fp_is_irreducible, _pdivmod, _pinvmod, _pmod,
-                          _pmul, factor, factor_over_subfield)
+from blockfuse.gf import (Factorization, FieldTower, Poly, _fp_is_irreducible, _pdivmod,
+                          _pinvmod, _pmod, _pmul, _pnorm, factor, factor_over_subfield)
 from blockfuse.groups import (MAX_ORDER, FiniteGroup, GroupMap, Subgroup, all_subgroups,
-                              class_data, generated_subgroup)
+                              centralizer_in, class_data, coset_reps, full_subgroup,
+                              generated_subgroup, normalizer_in)
 from blockfuse.linalg import Echelon
 
 
@@ -343,6 +345,60 @@ def block_fusion_scan(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) ->
     return FusionSystem(P, isos)
 
 
+def subpair_table_normal_steps(root: BrauerPair) -> SubpairTable:
+    """The subpair table with every e_Q solved by a normal step along the
+    normalizer tower of Q, a single-block centralizer included: the
+    unique f among the blocks of k C_G(Q) with (Q, f) normal in
+    (N_P(Q), e_{N_P(Q)})."""
+    G = root.group
+    tower = root.block.elem.tower
+    over_k = root.block.over_k
+    P = root.subgroup
+    table = {P.elems: root.block}
+
+    def solve(Q: Subgroup):
+        got = table.get(Q.elems)
+        if got is not None:
+            return got
+        N = normalizer_in(P, Q)
+        sup = BrauerPair(N, solve(N))
+        hits = [f for f in centralizer_blocks(G, tower, Q, over_k)
+                if normal_leq(BrauerPair(Q, f), sup)]
+        if len(hits) != 1:
+            raise VerificationError(f"normal step expects a unique block, found {len(hits)}")
+        table[Q.elems] = hits[0]
+        return hits[0]
+
+    for Q in all_subgroups(P):
+        solve(Q)
+    return SubpairTable(root, table, frozenset())
+
+
+def block_fusion_cosets(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> FusionSystem:
+    """The block fusion system with one transporter per coset x C_G(Q) and
+    the block transported for every one of them, read against the
+    normal-step subpair table."""
+    if not is_pair_of_block(root, b):
+        raise ValueError("root is not a pair of the given block")
+    P = root.subgroup
+    pset = set(P.elems)
+    table = subpair_table_normal_steps(root)
+    everything = full_subgroup(G)
+    isos = set()
+    for Q in all_subgroups(P):
+        e_q = table[Q.elems]
+        for x in coset_reps(everything, centralizer_in(everything, Q)):
+            images = tuple(G.conj(x, g) for g in Q.elems)
+            if not pset.issuperset(images):
+                continue
+            target_elems = tuple(sorted(images))
+            if conjugate_block(x, e_q) != table[target_elems]:
+                continue
+            target = Subgroup(G, target_elems, _checked=True)
+            isos.add(GroupMap(Q, target, images, _checked=True))
+    return FusionSystem(P, isos)
+
+
 def commuting_with(G: FiniteGroup, elems) -> tuple[int, ...]:
     return tuple(g for g in range(G.order)
                  if all(G.mul[g][s] == G.mul[s][g] for s in elems))
@@ -459,7 +515,7 @@ def _frobenius_fixed_points(oracle: CenterOracle):
     kernel = nullspace(fp, mat, width)
     for coords in itertools.product(range(t.p), repeat=len(kernel)):
         flat = [sum(c * vec[r] for c, vec in zip(coords, kernel)) % t.p for r in range(width)]
-        yield tuple(t.from_coeffs(flat[i * t.n:(i + 1) * t.n]) for i in range(oracle.dim))
+        yield tuple(digits_code(t, flat[i * t.n:(i + 1) * t.n]) for i in range(oracle.dim))
 
 
 def brute_force_blocks(G: FiniteGroup, t: FieldTower, over_k: bool = False,
@@ -518,7 +574,7 @@ def _bezout_idempotents_kg(t: FieldTower, mu, factors, vectors) -> list[AlgebraE
         acc = zero(vectors[0].group, t)
         for k, coef in enumerate(s):
             if coef:
-                acc = acc + vectors[k].scale(coef)
+                acc = acc + scale(vectors[k], coef)
         parts.append(acc)
     return parts
 
@@ -569,19 +625,20 @@ def _code_digits(t: FieldTower, code: int) -> list[int]:
     return out
 
 
-def _digits_code(t: FieldTower, digits) -> int:
+def digits_code(t: FieldTower, digits) -> int:
+    """The code whose base-p digits, least significant first, are digits."""
     return sum(d * t.p ** i for i, d in enumerate(digits))
 
 
 def field_add_digits(t: FieldTower, a: int, b: int) -> int:
     """a + b by adding the code digits mod p, one coefficient at a time."""
-    return _digits_code(t, [(x + y) % t.p
+    return digits_code(t, [(x + y) % t.p
                             for x, y in zip(_code_digits(t, a), _code_digits(t, b))])
 
 
 def field_neg_digits(t: FieldTower, a: int) -> int:
     """-a by negating the code digits mod p."""
-    return _digits_code(t, [-x % t.p for x in _code_digits(t, a)])
+    return digits_code(t, [-x % t.p for x in _code_digits(t, a)])
 
 
 def field_mul_digits(t: FieldTower, a: int, b: int) -> int:
@@ -596,7 +653,7 @@ def field_mul_digits(t: FieldTower, a: int, b: int) -> int:
         lead = prod[i] % p
         for k in range(n):
             prod[i - n + k] -= lead * t.modulus[k]
-    return _digits_code(t, [c % p for c in prod[:n]])
+    return digits_code(t, [c % p for c in prod[:n]])
 
 
 def field_pow_digits(t: FieldTower, a: int, e: int) -> int:
@@ -665,3 +722,35 @@ def is_central(a: AlgebraElement) -> bool:
     """a is constant on every conjugacy class."""
     return all(a.coeffs[g] == a.coeffs[cls[0]]
                for cls in conjugacy_classes(a.group) for g in cls)
+
+
+def support(a: AlgebraElement) -> tuple[int, ...]:
+    """The group elements with a nonzero coefficient in a."""
+    return tuple(i for i, c in enumerate(a.coeffs) if c)
+
+
+def scale(a: AlgebraElement, code: int) -> AlgebraElement:
+    """code * a."""
+    t = a.tower
+    return AlgebraElement(a.group, t, tuple(t.mul(code, c) for c in a.coeffs))
+
+
+def conjugate_subgroup(S: Subgroup, x: int) -> Subgroup:
+    """x S x^-1."""
+    return Subgroup(S.parent, (S.parent.conj(x, g) for g in S.elems), _checked=True)
+
+
+def make_poly(t: FieldTower, codes) -> Poly:
+    """The polynomial with the given codes, low degree first, trailing
+    zeros dropped."""
+    return Poly(t, _pnorm([int(c) for c in codes]))
+
+
+def expand(fac: Factorization) -> Poly:
+    """The product of the unit and the factor powers."""
+    t = fac.unit.tower
+    acc: tuple[int, ...] = (fac.unit.code,)
+    for poly, mult in fac.factors:
+        for _ in range(mult):
+            acc = _pmul(t, acc, poly.codes)
+    return Poly(t, acc)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 import blockfuse.brauer as brauer
@@ -7,11 +9,15 @@ from blockfuse.algebra import (basis_element, conjugate_element, find_block, is_
 from blockfuse.brauer import (BrauerPair, centralizer_blocks, conjugate_block,
                               is_pair_of_block, maximal_pairs, normal_leq,
                               pair_stabilizer, subpair_table)
+from blockfuse.fusion import block_fusion
 from blockfuse.gf import make_tower
-from blockfuse.groups import all_subgroups, sylow_p_subgroup, trivial_subgroup
+from blockfuse.groups import Subgroup, all_subgroups, sylow_p_subgroup, trivial_subgroup
 
 from conftest import GROUP_NAMES, load_builtin
-from oracles import conjugate_element_scan, cyclic_subgroup, is_stable_scan
+from oracles import (block_fusion_cosets, conjugate_element_scan, conjugate_subgroup,
+                     cyclic_subgroup, is_stable_scan, subpair_table_normal_steps, support)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -28,7 +34,7 @@ def _c4(d24):
 
 
 def conjugate_pair(x: int, pair: BrauerPair) -> BrauerPair:
-    return BrauerPair(pair.subgroup.conjugate(x), conjugate_block(x, pair.block))
+    return BrauerPair(conjugate_subgroup(pair.subgroup, x), conjugate_block(x, pair.block))
 
 
 def test_trivial_pair_of_any_block(d24):
@@ -160,7 +166,7 @@ def test_maximal_pairs_d24_f2(d24):
     assert len(mp.pairs) == 1
     assert mp.pairs[0].subgroup == _c4(d24)
     # the pair block is b itself seen inside k C_G(C4) = k C12
-    assert set(mp.pairs[0].block.elem.support()) == {
+    assert set(support(mp.pairs[0].block.elem)) == {
         mp.pairs[0].block.owner.ambient_elems.index(d24.power(1, 4)),
         mp.pairs[0].block.owner.ambient_elems.index(d24.power(1, 8))}
 
@@ -197,7 +203,7 @@ def test_maximal_pairs_single_orbit(groups, d24):
         S = sylow_p_subgroup(G, p)
         all_p_subs = {}
         for x in range(G.order):
-            for Q in all_subgroups(S.conjugate(x)):
+            for Q in all_subgroups(conjugate_subgroup(S, x)):
                 all_p_subs[Q.elems] = Q
         for b in primitive_central_idempotents(G, tower):
             mp = maximal_pairs(G, tower, b)
@@ -347,3 +353,40 @@ def test_memoized_pairs_match_a_fresh_group(name):
                     table = {q: _block_summary(e) for q, e in subpair_table(root).items()}
                     assert table == {q: _block_summary(e)
                                      for q, e in subpair_table(froot).items()}
+
+
+def _forced_rule_cases():
+    """(group file, tower) for every distinct corpus entry, plus 2^3:S4
+    at p = 2, D24 over F4/F2 and the two non-split builtins over the
+    towers where their descents have index p."""
+    entries = cli.load_corpus(cli.default_corpus_path())
+    cases = {(e.group, (e.p, e.m, e.n)) for e in entries}
+    cases |= {("perfbench/groups/2e3s4.json", (2, 1, 1)), ("builtin:d24", (2, 1, 2)),
+              ("builtin:c5c8s2", (2, 1, 4)), ("builtin:c7c9s3", (3, 2, 6))}
+    return [pytest.param(source, tower, id=f"{source}@p{tower[0]}m{tower[1]}n{tower[2]}")
+            for source, tower in sorted(cases)]
+
+
+@pytest.mark.parametrize("source,tower", _forced_rule_cases())
+def test_forced_subpairs_and_fusion_match_normal_step_oracles(source, tower):
+    """For every L- and K-block and every maximal pair, the subpair table
+    that takes the only block of a single-block k C_G(Q) equals the one
+    solved by normal steps throughout, and block fusion, which transports
+    no block into a single-block centralizer, equals the oracle that
+    transports one into every coset.  On the non-split groups some
+    k C_G(Q) has several blocks over L and over K, so both paths run."""
+    G = cli.load_group_file(source, ROOT)
+    t = make_tower(*tower)
+    for over_k in (False, True):
+        unforced = 0
+        for b in primitive_central_idempotents(G, t, over_k):
+            for root in maximal_pairs(G, t, b).pairs:
+                table = subpair_table(root)
+                assert table.assignment == subpair_table_normal_steps(root).assignment
+                assert table.forced == {q for q in table.assignment
+                                        if len(centralizer_blocks(
+                                            G, t, Subgroup(G, q, _checked=True), over_k)) == 1}
+                unforced += len(table.assignment) - len(table.forced)
+                assert block_fusion(G, t, b, root).isos == block_fusion_cosets(G, t, b, root).isos
+        if source in ("builtin:c5c8s2", "builtin:c7c9s3"):
+            assert unforced

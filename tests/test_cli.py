@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -179,7 +180,7 @@ def test_verify_pool_is_capped_at_entry_count(tmp_path, capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     path = _write_corpus(tmp_path, [{"group": "builtin:c3", "p": 2, "label": "a"},
                                     {"group": "builtin:s3", "p": 3, "label": "b"}])
     code, out = _run(capsys, ["verify", "--corpus", path, "--jobs", "64"])

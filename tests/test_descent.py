@@ -1,10 +1,13 @@
 import ast
+import dataclasses
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import blockfuse.cli as cli
+import blockfuse.descent as descent
 from blockfuse.algebra import (AlgebraElement, basis_element, find_block,
                                is_k_rational, primitive_central_idempotents,
                                principal_block)
@@ -15,9 +18,10 @@ from blockfuse.descent import (block_correspondence, check_generation,
                                frobenius_stabilizer_order, galois_context, galois_orbit,
                                goursat_invariants, orbit_sum, run_descent,
                                twist_automorphism)
-from blockfuse.fusion import fusion_equal
+from blockfuse.fusion import block_fusion, fusion_equal
 from blockfuse.gf import make_tower
-from blockfuse.groups import build_group
+
+from oracles import support
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -106,7 +110,7 @@ def test_descend_pair_d24(d24):
     own = k_pair.block.owner
     g_loc = own.ambient_elems.index(d24.power(1, 4))
     g2_loc = own.ambient_elems.index(d24.power(1, 8))
-    assert k_pair.block.elem.support() == tuple(sorted((g_loc, g2_loc)))
+    assert support(k_pair.block.elem) == tuple(sorted((g_loc, g2_loc)))
 
 
 def test_goursat_d24_flagship(d24):
@@ -227,15 +231,22 @@ def test_sigma_in_k_system(d24, groups):
             assert ctx.sigma in ctx.system_k.aut_set(ctx.root.subgroup)
 
 
-def _nonsplit_group(q, pa, u, v):
-    """G(q, p^a, u, v) = (C_q x C_{p^a}) : C_{p^b} on q + p^a points: a
-    cycles the first q points, b the other p^a, and t multiplies them by
-    u mod q and by v mod p^a."""
+def _nonsplit_generators(q, pa, u, v):
+    """The generators of G(q, p^a, u, v) = (C_q x C_{p^a}) : C_{p^b} on
+    q + p^a points: a cycles the first q points, b the other p^a, and t
+    multiplies them by u mod q and by v mod p^a."""
     a = [(i + 1) % q for i in range(q)] + [q + j for j in range(pa)]
     b = list(range(q)) + [q + (j + 1) % pa for j in range(pa)]
     t = [u * i % q for i in range(q)] + [q + v * j % pa for j in range(pa)]
-    return build_group({"kind": "perm", "name": f"G({q},{pa},{u},{v})", "degree": q + pa,
-                        "generators": [a, b, t]})
+    return [a, b, t]
+
+
+def _nonsplit_builtin(params):
+    """The shipped G(q, p^a, u, v), checked against the generators above."""
+    name = {(5, 8, 4, 5): "c5c8s2", (7, 9, 2, 4): "c7c9s3"}[params]
+    spec = json.loads(cli._builtin_path(name).read_text(encoding="utf-8"))
+    assert spec["generators"] == _nonsplit_generators(*params)
+    return cli.load_group_file(f"builtin:{name}")
 
 
 @pytest.mark.parametrize("group,tower,expected", [
@@ -251,8 +262,9 @@ def test_nonsplit_descents(group, tower, expected):
     saturated; over F4 and F9 the same blocks are unsaturated on both
     sides, with index 1.  Each descent, one per Galois orbit, has
     (index, saturated_l, saturated_k, defect_order) pinned, all verdicts
-    true, and |Aut_{F_K}(P)| = index |Aut_{F_L}(P)|."""
-    G, t = _nonsplit_group(*group), make_tower(*tower)
+    true, and |Aut_{F_K}(P)| = index |Aut_{F_L}(P)|.  The groups are the
+    shipped builtin:c5c8s2 and builtin:c7c9s3."""
+    G, t = _nonsplit_builtin(group), make_tower(*tower)
     got = []
     for b in cli._descent_blocks(G, t, "all"):
         report, ctx = run_descent(G, t, b)
@@ -284,3 +296,38 @@ def test_readme_worked_example_runs(capsys):
     exec(compile(snippet, "README.md", "exec"), {})
     verdicts = ast.literal_eval(capsys.readouterr().out)
     assert len(verdicts) == 9 and all(v is True for v in verdicts.values())
+
+
+def test_k_system_is_the_l_system_exactly_when_the_isos_agree(corpus_objects):
+    """Of the 52 corpus descents, those whose K-side block fusion system
+    has the L-side isos keep one object for both sides, and only those."""
+    shared = 0
+    for objects in corpus_objects:
+        for ctx in objects["contexts"]:
+            fresh = block_fusion(ctx.group, ctx.tower, ctx.k_block, ctx.k_root)
+            assert fresh is not ctx.system_l
+            assert (ctx.system_k is ctx.system_l) == (fresh.isos == ctx.system_l.isos)
+            assert fresh.isos == ctx.system_k.isos
+            shared += ctx.system_k is ctx.system_l
+    assert shared == 50
+
+
+def test_shared_system_leaves_reports_unchanged(monkeypatch, corpus_run):
+    """With a separately built K-side system in every GaloisContext, the
+    corpus report and the index-p non-split descent reports are byte for
+    byte those of the shared object, all_ok included."""
+    nonsplit = [(cli.load_group_file(f"builtin:{name}"), make_tower(*tower))
+                for name, tower in (("c5c8s2", (2, 1, 4)), ("c7c9s3", (3, 2, 6)))]
+    shared = [cli.render_json(cli.descent_report(G, t)) for G, t in nonsplit]
+    context = descent.galois_context
+
+    def separate_k_system(G, tower, b):
+        ctx = context(G, tower, b)
+        return dataclasses.replace(ctx, system_k=block_fusion(G, tower, ctx.k_block, ctx.k_root))
+
+    monkeypatch.setattr(descent, "galois_context", separate_k_system)
+    separate = [cli.render_json(cli.descent_report(G, t)) for G, t in nonsplit]
+    assert separate == shared
+    report = cli.run_corpus(cli.load_corpus(cli.default_corpus_path()),
+                            base=cli.default_corpus_path().parent)
+    assert report["ok"] and cli.render_json(report) == cli.render_json(corpus_run)

@@ -10,7 +10,7 @@ import blockfuse.groups as groups_mod
 from blockfuse.algebra import (augmentation, basis_element, find_block,
                                primitive_central_idempotents, principal_block)
 from blockfuse.brauer import maximal_pairs
-from blockfuse.brauer import BrauerPair, subpair_table
+from blockfuse.brauer import BrauerPair, centralizer_blocks, subpair_table
 from blockfuse.fusion import (FusionSystem, _extension_counterexample, alperin_check,
                               assert_fusion_axioms, block_fusion, closure,
                               factorization_check, fusion_equal, group_fusion,
@@ -144,10 +144,13 @@ def test_block_fusion_matches_scan_oracle_on_builtin_groups(groups, p):
 
 
 def test_fusion_report_shares_lattices_and_transports_by_cosets(monkeypatch):
-    """On the s4 fusion report at p = 2 each subgroup lattice is enumerated
-    once, conjugate_block runs once per distinct map c_x: Q -> P (that is,
-    per coset x C_G(Q)), and the cached lattice is not handed out."""
-    G = cli.load_group_file("builtin:s4")
+    """On the fusion reports of S4 and D24 at p = 2 each subgroup lattice is
+    enumerated once, conjugate_block runs at most once per distinct map
+    c_x: Q -> P (that is, per coset x C_G(Q)) and only for the Q whose
+    k C_G(Q) has several blocks, and the cached lattice is not handed out.
+    Every centralizer of a 2-subgroup of S4 has one block, so S4
+    transports nothing; D24 transports the blocks of C_G(Q) = C12 for
+    Q >= C4."""
     enumerated = []
     transported = []
     lattice, conjugate = groups_mod._subgroup_lattice, fusion.conjugate_block
@@ -162,17 +165,25 @@ def test_fusion_report_shares_lattices_and_transports_by_cosets(monkeypatch):
 
     monkeypatch.setattr(groups_mod, "_subgroup_lattice", counted_lattice)
     monkeypatch.setattr(fusion, "conjugate_block", counted_conjugate)
-    (system,) = cli.fusion_report(G, F2)["systems"]
-    assert enumerated and len(enumerated) == len(set(enumerated))
-    P = Subgroup(G, system["root"]["P"])
-    pset = set(P.elems)
-    maps = set()
-    for Q in all_subgroups(P):
-        for x in range(G.order):
-            images = tuple(G.conj(x, g) for g in Q.elems)
-            if pset.issuperset(images):
-                maps.add((Q.elems, images))
-    assert 0 < len(transported) <= len(maps)
+    for name in ("s4", "d24"):
+        G = cli.load_group_file(f"builtin:{name}")
+        enumerated.clear()
+        transported.clear()
+        systems = cli.fusion_report(G, F2)["systems"]
+        assert enumerated and len(enumerated) == len(set(enumerated))
+        maps = set()
+        for i, system in enumerate(systems):
+            P = Subgroup(G, system["root"]["P"])
+            pset = set(P.elems)
+            for Q in all_subgroups(P):
+                if len(centralizer_blocks(G, F2, Q, False)) == 1:
+                    continue
+                for x in range(G.order):
+                    images = tuple(G.conj(x, g) for g in Q.elems)
+                    if pset.issuperset(images):
+                        maps.add((i, Q.elems, images))
+        assert len(transported) <= len(maps)
+        assert (len(transported) > 0) == (name == "d24")
     subs = all_subgroups(P)
     expected = [S.elems for S in subs]
     subs.clear()
@@ -246,10 +257,13 @@ def test_centric_is_an_inclusion_not_an_order_bound():
 
 
 def test_corpus_decides_saturation_once_per_system(monkeypatch):
-    """One corpus pass runs the extension check once on each block fusion
-    system (135 in all), builds the N_P/C_P table and the inner isos of P
-    once per (group, P), and derives at most 326 hom sets (the automizers
-    read by the Sylow index and the Alperin seeds)."""
+    """One corpus pass builds 135 block fusion systems.  A descent whose
+    K-side system has the L-side isos keeps the L-side object for both, so
+    the extension check runs once on each of the other 85, and on no
+    system twice.  The pass builds the N_P/C_P table and the inner isos of
+    P once per (group, P), 21 of each since each group file is loaded
+    once, and derives at most 198 hom sets (the automizers read by the
+    Sylow index and the Alperin seeds)."""
     built, checked, tables, inner, homs = [], [], [], [], []
 
     def recording(build):
@@ -277,12 +291,17 @@ def test_corpus_decides_saturation_once_per_system(monkeypatch):
     report = cli.run_corpus(cli.load_corpus(cli.default_corpus_path()),
                             base=cli.default_corpus_path().parent)
     assert report["ok"]
-    assert len(checked) == len({id(F) for F in checked}) == 135
-    assert {id(F) for F in checked} == {id(F) for F in built}
+    assert len(built) == 135
+    assert len(checked) == len({id(F) for F in checked}) == 85
+    kept = {id(F) for F in checked}
+    assert kept <= {id(F) for F in built}
+    shared = [F for F in built if id(F) not in kept]
+    assert len(shared) == 50
+    assert all(any(F.isos == K.isos for K in checked) for F in shared)
     keys = [(id(P.parent), P.elems) for P in tables]
-    assert len(keys) == len(set(keys)) == 41
-    assert len(inner) == len(set(inner)) == 41
-    assert 0 < len(homs) <= 326
+    assert len(keys) == len(set(keys)) == 21
+    assert len(inner) == len(set(inner)) == 21
+    assert 0 < len(homs) <= 198
 
 
 def test_n_phi_cases(groups, d24):
