@@ -18,10 +18,23 @@ current summand, its minimal polynomial is factored (over L, or over the
 Frobenius-fixed subfield K for blocks of KG computed inside L), and
 coprime factor powers split the summand through the corresponding Bezout
 idempotents; only the final blocks are expanded to group coordinates.
-The algebra of a p-group is local, so its one block is the identity and
-no splitting runs.
 `central_multiply` multiplies two central elements of the group algebra
 the same way.  All zero tests are exact; no tolerances exist anywhere.
+
+Each algebra is split at most once per field, on the smallest algebra
+that determines its blocks:
+- the algebra of a p-group is local, so its one block is the identity
+  and no splitting runs;
+- for Z = O_p(Z(H)) != 1 the blocks of kH correspond to those of k[H/Z],
+  and a block is supported on p-regular elements (Osima).  A coset hZ
+  holds at most one p-regular element, none when the p-part of h is not
+  in Z, so each block of kH is the block of k[H/Z] read at the p-regular
+  element of each coset, and must vanish on the cosets that have none;
+- L/K is Galois, so the K-blocks of a centralizer view are the Galois
+  orbit sums of its L-blocks.  A root group is still split over K, which
+  keeps the block correspondence check an independent computation;
+- when K = L a K-side request is an L-side request and returns the
+  L-blocks themselves.
 """
 
 from __future__ import annotations
@@ -31,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldTower, Poly, factor, factor_over_subfield, _pdivmod, _pinvmod, _pmod, _pmul
-from .groups import (ClassData, FiniteGroup, Subgroup, _conj_table, centralizer, class_data,
-                     conj_rows, coset_reps, p_part)
+from .groups import (ClassData, FiniteGroup, Subgroup, _conj_table, _index_dtype, centralizer,
+                     class_data, conj_rows, coset_reps, p_part)
 from .linalg import Echelon
 
 
@@ -267,8 +280,8 @@ def is_k_rational(a: AlgebraElement) -> bool:
 @dataclass(frozen=True)
 class BlockIdempotent:
     """Primitive central idempotent of the owner's group algebra over L,
-    or over the distinguished subfield K when over_k is set (still stored
-    with L-coefficients, necessarily Frobenius fixed)."""
+    or over the distinguished subfield K != L when over_k is set (still
+    stored with L-coefficients, necessarily Frobenius fixed)."""
 
     elem: AlgebraElement
     over_k: bool
@@ -325,11 +338,12 @@ def primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
                                   over_k: bool = False) -> tuple[BlockIdempotent, ...]:
     """The complete set of blocks of L[G], or of K[G] when over_k.
 
-    Splitting runs on class-sum coordinates, per class sum in class order,
-    leftmost summand first; the output is sorted by group coefficient
-    sequence, so block indices are reproducible.  The blocks are memoized
-    on the group per tower and field.
+    When K = L a K-side request returns the L-blocks themselves, so every
+    memo keyed by a block serves both sides.  The output is sorted by
+    group coefficient sequence, so block indices are reproducible.  The
+    blocks are memoized on the group per tower and field.
     """
+    over_k = over_k and tower.gamma_order > 1
     return G.memo(("blocks", tower.key, over_k),
                   lambda: _primitive_central_idempotents(G, tower, over_k))
 
@@ -339,12 +353,89 @@ def _primitive_central_idempotents(G: FiniteGroup, tower: FieldTower,
     # k[G] of a p-group is local: the identity is its only block
     if p_part(G.order, tower.p) == G.order:
         return (BlockIdempotent(one(G, tower), over_k, 0),)
-    return _split_center(G, tower, over_k)
+    # L/K is Galois: the K-blocks of a centralizer view are the orbit sums
+    # of its L-blocks; a root group is split over K, for the correspondence
+    if over_k and G.ambient is not None:
+        return _indexed({_galois_orbit_sum(b.elem)
+                         for b in primitive_central_idempotents(G, tower)}, over_k)
+    H, lift = _central_p_quotient(G, tower.p)
+    if H is G:
+        return _split_center(G, tower, over_k)
+    return _indexed([_lift_block(G, lift, b.elem)
+                     for b in primitive_central_idempotents(H, tower, over_k)], over_k)
+
+
+def _indexed(elems, over_k: bool) -> tuple[BlockIdempotent, ...]:
+    """Blocks numbered in the order of their group coefficient sequences."""
+    return tuple(BlockIdempotent(elem, over_k, i)
+                 for i, elem in enumerate(sorted(elems, key=lambda a: a.coeffs)))
+
+
+def _galois_orbit_sum(a: AlgebraElement) -> AlgebraElement:
+    """Sum of the distinct Galois conjugates of a."""
+    total, cur = a, galois_apply(1, a)
+    while cur != a:
+        total, cur = total + cur, galois_apply(1, cur)
+    return total
+
+
+def _central_p_quotient(G: FiniteGroup, p: int) -> tuple[FiniteGroup, tuple[int, ...] | None]:
+    """(G/Z, lift) for Z = O_p(Z(G)), the central p-elements.
+
+    G/Z is a table group on the cosets gZ, numbered by their smallest
+    members.  lift[g] is the index of gZ when g is p-regular and -1
+    otherwise.  For h = h_p h_p' and z in Z, (hz)_p = h_p z, so hz is
+    p-regular iff z = h_p^-1: a coset holds at most one p-regular element,
+    and none when h_p is not in Z.  When Z = 1 the quotient is G itself
+    and lift is None.
+
+    Not memoized, and built with plain loops over the int rows: the
+    callers keep only the blocks lifted from the quotient, and a kept
+    quotient, centralizer masks of a view or numpy's set and search
+    kernels each cost more peak memory than these loops cost time.
+    """
+    mul = G.mul
+    central = list(G.elements())
+    for h in G.elements():  # Z(G) is the intersection of the C_G(h)
+        if len(central) == 1:  # the identity alone
+            break
+        central = [z for z in central if mul[z][h] == mul[h][z]]
+    pp = p_part(G.order, p)
+    zs = [z for z in central if G.power(z, pp) == 0]
+    if len(zs) == 1:
+        return G, None
+    lead = [min(map(row.__getitem__, zs)) for row in mul]  # row g of mul holds gZ
+    leads = sorted(set(lead))
+    number = dict(zip(leads, range(len(leads))))
+    coset = [number[g] for g in lead]
+    pos, idx = np.array(coset, dtype=_index_dtype(len(leads))), np.array(leads)
+    H = FiniteGroup(f"{G.name}/O{p}Z", pos[G._table[np.ix_(idx, idx)]],
+                    pos[np.asarray(G.inv)[idx]], _validate=False)
+    regular = G.order // pp
+    return H, tuple(c if G.power(g, regular) == 0 else -1 for g, c in enumerate(coset))
+
+
+def _lift_block(G: FiniteGroup, lift, a: AlgebraElement) -> AlgebraElement:
+    """The block of kG over the block a of k[G/Z], Z = O_p(Z(G)), given
+    lift from `_central_p_quotient`: blocks are supported on p-regular
+    elements (Osima), so each p-regular g takes a's coefficient at gZ and
+    every other element 0.  Raises VerificationError if a coset holds two
+    p-regular elements or a is nonzero on a coset that holds none."""
+    hits = [0] * a.group.order
+    for c in lift:
+        if c >= 0:
+            hits[c] += 1
+    if max(hits) > 1:
+        raise VerificationError("a coset of O_p(Z(G)) holds two p-regular elements")
+    if any(code for code, n in zip(a.coeffs, hits) if not n):
+        raise VerificationError("block is nonzero on a coset with no p-regular element")
+    return AlgebraElement(G, a.tower, tuple(a.coeffs[c] if c >= 0 else 0 for c in lift))
 
 
 def _split_center(G: FiniteGroup, tower: FieldTower,
                   over_k: bool) -> tuple[BlockIdempotent, ...]:
-    """The center-splitting loop, for any group; a test oracle on p-groups."""
+    """The center-splitting loop on G itself, for any group; the test
+    oracle of the p-group, central p-quotient and orbit-sum paths."""
     cd = class_data(G)
     width = len(cd.reps)
     summands = [[1] + [0] * (width - 1)]
@@ -374,9 +465,8 @@ def _split_center(G: FiniteGroup, tower: FieldTower,
                 raise VerificationError("idempotent splitting does not sum back")
             refined.extend(parts)
         summands = refined
-    elems = sorted((AlgebraElement(G, tower, tuple(c[k] for k in cd.class_of))
-                    for c in summands), key=lambda a: a.coeffs)
-    return tuple(BlockIdempotent(elem, over_k, i) for i, elem in enumerate(elems))
+    return _indexed((AlgebraElement(G, tower, tuple(c[k] for k in cd.class_of))
+                     for c in summands), over_k)
 
 
 def find_block(blocks, elem: AlgebraElement) -> BlockIdempotent:

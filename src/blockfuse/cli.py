@@ -279,6 +279,10 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, group=None) -> dict:
         report: dict = {"label": label, "group": G.name, "order": G.order,
                         "tower": _tower_dict(tower)}
         verdicts = []
+        pb = None
+        if entry.wants("principal"):
+            pb = principal_block(primitive_central_idempotents(G, tower, over_k=False))
+        principal = None  # pb's fusion system and saturation, read off its descent
         if entry.wants("blocks"):
             report["blocks"] = blocks_report(G, tower)
         if entry.wants("correspondence"):
@@ -291,17 +295,6 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, group=None) -> dict:
                 "defects_match": corr.defects_match,
             }
             verdicts += [corr.bijective, corr.defects_match]
-        if entry.wants("principal"):
-            l_blocks = primitive_central_idempotents(G, tower, over_k=False)
-            pb = principal_block(l_blocks)
-            mp = maximal_pairs(G, tower, pb)
-            root = mp.pairs[0]
-            system = block_fusion(G, tower, pb, root)
-            same = fusion_equal(system, group_fusion(root.subgroup, G))
-            sat = saturation_report(system).saturated
-            report["principal"] = {"block_index": pb.index, "sylow_order": mp.sylow.order,
-                                   "matches_group_fusion": same, "saturated": sat}
-            verdicts += [same, sat, root.subgroup.order == mp.sylow.order]
         if entry.wants("descent"):
             descents = []
             for b in _descent_blocks(G, tower, entry.block):
@@ -316,7 +309,20 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, group=None) -> dict:
                 d["axioms_ok"] = axioms_ok
                 descents.append(d)
                 verdicts += [d["all_ok"], axioms_ok]
+                if b == pb:  # the descent built pb's system at its first maximal pair
+                    principal = ctx.system_l, d["saturated"]["l"]
             report["descent"] = descents
+        if pb is not None:
+            mp = maximal_pairs(G, tower, pb)
+            root = mp.pairs[0]
+            if principal is None:
+                system = block_fusion(G, tower, pb, root)
+                principal = system, saturation_report(system).saturated
+            system, sat = principal
+            same = fusion_equal(system, group_fusion(root.subgroup, G))
+            report["principal"] = {"block_index": pb.index, "sylow_order": mp.sylow.order,
+                                   "matches_group_fusion": same, "saturated": sat}
+            verdicts += [same, sat, root.subgroup.order == mp.sylow.order]
         report["ok"] = all(verdicts)
         return report
     except InputError as exc:

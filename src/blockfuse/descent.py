@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (BlockIdempotent, VerificationError, central_multiply, find_block,
-                      galois_apply, is_k_rational, primitive_central_idempotents)
+from .algebra import (BlockIdempotent, VerificationError, _galois_orbit_sum, central_multiply,
+                      find_block, galois_apply, is_k_rational, primitive_central_idempotents)
 from .brauer import BrauerPair, maximal_pairs, pair_stabilizer, subpair_table
 from .fusion import (FusionSystem, SaturationReport, alperin_check, block_fusion, closure,
                      factorization_check, fusion_equal, saturation_report)
@@ -49,11 +49,7 @@ def orbit_sum(b: BlockIdempotent) -> BlockIdempotent:
     K-block of the same algebra lying over it."""
     if b.over_k:
         raise ValueError("orbit_sum applies to blocks over the top field")
-    total = b.elem
-    cur = galois_apply(1, b.elem)
-    while cur != b.elem:
-        total = total + cur
-        cur = galois_apply(1, cur)
+    total = _galois_orbit_sum(b.elem)
     if not is_k_rational(total):
         raise VerificationError("orbit sum is not Frobenius fixed")
     k_blocks = primitive_central_idempotents(b.owner, b.elem.tower, over_k=True)
@@ -189,8 +185,9 @@ def galois_context(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> Gal
         raise VerificationError("descended root is not a maximal pair over K")
     inv = goursat_invariants(root, b)
     system_l = block_fusion(G, tower, b, root)
-    system_k = block_fusion(G, tower, k_block, k_root)
-    if system_k.isos == system_l.isos:  # F_K = F_L: one object, decided once
+    # K = L gives k_root == root; F_K = F_L: one object, decided once
+    system_k = system_l if k_root == root else block_fusion(G, tower, k_block, k_root)
+    if system_k.isos == system_l.isos:
         system_k = system_l
     return GaloisContext(G, tower, b, k_block, root, k_root, inv,
                          twist_automorphism(root, inv), system_l, system_k)

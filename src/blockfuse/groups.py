@@ -99,11 +99,15 @@ class FiniteGroup:
         return self.mul[self.mul[x][g]][self.inv[x]]
 
     def power(self, g: int, k: int) -> int:
+        """g^k, by square-and-multiply."""
         if k < 0:
             return self.power(self.inv[g], -k)
         acc = 0
-        for _ in range(k):
-            acc = self.mul[acc][g]
+        while k:
+            if k & 1:
+                acc = self.mul[acc][g]
+            g = self.mul[g][g]
+            k >>= 1
         return acc
 
     def __repr__(self) -> str:

@@ -3,11 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from blockfuse.algebra import (AlgebraElement, BlockIdempotent, _split_center, augmentation,
-                               basis_element, brauer_map, central_multiply,
-                               conjugate_element, embed, find_block, galois_apply,
-                               is_k_rational, is_stable, multiply, one,
-                               primitive_central_idempotents, principal_block, trace_map, zero)
+import blockfuse.algebra as algebra
+import blockfuse.cli as cli
+from blockfuse.algebra import (AlgebraElement, BlockIdempotent, VerificationError,
+                               _central_p_quotient, _lift_block, _split_center, augmentation,
+                               basis_element, brauer_map, central_multiply, conjugate_element,
+                               embed, find_block, galois_apply, is_k_rational, is_stable,
+                               multiply, one, primitive_central_idempotents, principal_block,
+                               trace_map, zero)
 from blockfuse.gf import make_tower
 from blockfuse.groups import (all_subgroups, centralizer, class_data, coset_reps,
                               full_subgroup, p_part, sylow_p_subgroup, trivial_subgroup)
@@ -310,6 +313,99 @@ def test_class_sum_blocks_match_group_algebra_oracles(name):
             got = [b.elem.coeffs for b in primitive_central_idempotents(G, tower, over_k)]
             assert got == blocks_by_group_algebra_splitting(G, tower, over_k), (tower.key, over_k)
             assert got == brute_force_blocks(G, tower, over_k), (tower.key, over_k)
+
+
+# the corpus groups over the corpus towers, and the non-split groups over
+# towers where Frobenius moves centralizer blocks
+ORACLE_CASES = ([(name, CORPUS_TOWERS) for name in GROUP_NAMES]
+                + [("c5c8s2", ((2, 1, 4),)), ("c7c9s3", ((3, 2, 6),))])
+
+
+def _sylow_centralizers(G, p):
+    """The algebras k C_G(Q) for Q <= a Sylow p-subgroup, each once; C_G(1)
+    is G itself."""
+    views = {}
+    for Q in all_subgroups(sylow_p_subgroup(G, p)):
+        C = centralizer(G, Q)
+        views.setdefault(C.elems, C.as_group())
+    return list(views.values())
+
+
+def _coeffs(blocks):
+    return [b.elem.coeffs for b in blocks]
+
+
+@pytest.mark.parametrize("name, towers", ORACLE_CASES, ids=[n for n, _ in ORACLE_CASES])
+def test_view_k_blocks_are_orbit_sums_of_l_blocks(name, towers):
+    """On every C_G(Q), Q <= Sylow, the K-blocks (orbit sums of the
+    L-blocks on a view) equal the split of the center over K."""
+    G = load_builtin(name)
+    merged = 0
+    for tower in (make_tower(*key) for key in towers):
+        for owner in _sylow_centralizers(G, tower.p):
+            got = primitive_central_idempotents(owner, tower, over_k=True)
+            assert _coeffs(got) == _coeffs(_split_center(owner, tower, True))
+            merged += len(got) < len(primitive_central_idempotents(owner, tower))
+    if name in ("c5c8s2", "c7c9s3"):
+        assert merged  # some orbit has two or more members
+
+
+@pytest.mark.parametrize("name, towers", ORACLE_CASES, ids=[n for n, _ in ORACLE_CASES])
+def test_blocks_through_central_p_quotient_match_direct_split(name, towers):
+    """On every C_G(Q), Q <= Sylow, the L-blocks lifted from the quotient by
+    Z = O_p(Z(H)), and the K-blocks of G, equal the split of H itself."""
+    G = load_builtin(name)
+    quotients = 0
+    for tower in (make_tower(*key) for key in towers):
+        for owner in _sylow_centralizers(G, tower.p):
+            for over_k in (False, True) if owner is G else (False,):
+                got = primitive_central_idempotents(owner, tower, over_k)
+                assert _coeffs(got) == _coeffs(_split_center(owner, tower, over_k))
+            quotients += _central_p_quotient(owner, tower.p)[0] is not owner
+    assert quotients
+
+
+def _order(G, g):
+    k, cur = 1, g
+    while cur:
+        cur, k = G.mul[cur][g], k + 1
+    return k
+
+
+def test_p_regular_lift_is_at_most_one_per_coset(d24):
+    """D24 at p = 2: Z = O_2(Z(D24)) has order 2; lift marks exactly the
+    p-regular elements, each inside its own coset, and the cosets of the
+    reflections hold none, where a block must vanish."""
+    H, lift = _central_p_quotient(d24, 2)
+    assert H.order == 12
+    for g in d24.elements():
+        assert (lift[g] >= 0) == (_order(d24, g) % 2 != 0)
+    hits = [lift.count(c) for c in range(H.order)]
+    assert max(hits) == 1 and 0 in hits
+    assert _lift_block(d24, lift, one(H, F2)) == one(d24, F2)
+    empty = hits.index(0)
+    with pytest.raises(VerificationError):
+        _lift_block(d24, lift, basis_element(H, F2, empty))
+    s3 = load_builtin("s3")  # Z(S3) = 1: the quotient is the group itself
+    assert _central_p_quotient(s3, 3) == (s3, None)
+
+
+def test_corpus_splits_over_k_only_root_groups_with_gamma_above_one(monkeypatch):
+    """A corpus pass splits each algebra at most once per field, and over K
+    only on root groups (or their central p-quotients) with K != L: the
+    K-blocks of a view are orbit sums, and with K = L they are the
+    L-blocks."""
+    calls = []
+    split = algebra._split_center
+    monkeypatch.setattr(algebra, "_split_center",
+                        lambda G, t, over_k: calls.append((G, t, over_k)) or split(G, t, over_k))
+    report = cli.run_corpus(cli.load_corpus(cli.default_corpus_path()),
+                            base=cli.default_corpus_path().parent)
+    assert report["ok"]
+    keys = [(id(G), t.key, over_k) for G, t, over_k in calls]
+    assert len(keys) == len(set(keys))
+    over_k = [(G, t) for G, t, k in calls if k]
+    assert over_k and all(G.ambient is None and t.gamma_order > 1 for G, t in over_k)
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)

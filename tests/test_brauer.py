@@ -293,8 +293,8 @@ def test_corpus_builds_pairs_and_tables_once(monkeypatch):
     report = cli.run_corpus(cli.load_corpus(cli.default_corpus_path()),
                             base=cli.default_corpus_path().parent)
     assert report["ok"]
-    assert len(pair_keys) == len(set(pair_keys)) == 106
-    assert len(roots) == len(set(roots)) == 104
+    assert len(pair_keys) == len(set(pair_keys)) == 81
+    assert len(roots) == len(set(roots)) == 79
 
 
 def test_corpus_stability_and_conjugation_match_scans(monkeypatch):

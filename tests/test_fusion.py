@@ -257,13 +257,14 @@ def test_centric_is_an_inclusion_not_an_order_bound():
 
 
 def test_corpus_decides_saturation_once_per_system(monkeypatch):
-    """One corpus pass builds 135 block fusion systems.  A descent whose
-    K-side system has the L-side isos keeps the L-side object for both, so
-    the extension check runs once on each of the other 85, and on no
-    system twice.  The pass builds the N_P/C_P table and the inner isos of
-    P once per (group, P), 21 of each since each group file is loaded
-    once, and derives at most 198 hom sets (the automizers read by the
-    Sylow index and the Alperin seeds)."""
+    """One corpus pass builds 79 block fusion systems: a descent with K = L
+    builds one, and the principal check reads the system of the principal
+    block's descent.  A descent whose K-side system has the L-side isos
+    keeps the L-side object for both, so the extension check runs once on
+    each of the other 54, and on no system twice.  The pass builds the
+    N_P/C_P table and the inner isos of P once per (group, P), 21 of each
+    since each group file is loaded once, and derives at most 198 hom sets
+    (the automizers read by the Sylow index and the Alperin seeds)."""
     built, checked, tables, inner, homs = [], [], [], [], []
 
     def recording(build):
@@ -291,12 +292,12 @@ def test_corpus_decides_saturation_once_per_system(monkeypatch):
     report = cli.run_corpus(cli.load_corpus(cli.default_corpus_path()),
                             base=cli.default_corpus_path().parent)
     assert report["ok"]
-    assert len(built) == 135
-    assert len(checked) == len({id(F) for F in checked}) == 85
+    assert len(built) == 79
+    assert len(checked) == len({id(F) for F in checked}) == 54
     kept = {id(F) for F in checked}
     assert kept <= {id(F) for F in built}
     shared = [F for F in built if id(F) not in kept]
-    assert len(shared) == 50
+    assert len(shared) == 25
     assert all(any(F.isos == K.isos for K in checked) for F in shared)
     keys = [(id(P.parent), P.elems) for P in tables]
     assert len(keys) == len(set(keys)) == 21
