@@ -94,9 +94,10 @@ class AlgebraElement:
         return multiply(self, other)
 
     def to_sparse(self) -> dict[str, list[int]]:
-        """Serialization form: {element index: coefficient array} on the support."""
-        return {str(i): list(self.tower.coeffs(c))
-                for i, c in enumerate(self.coeffs) if c}
+        """Serialization form: {element index: coefficient array} on the
+        support, each distinct code converted to digits once."""
+        digits = {c: self.tower.coeffs(c) for c in set(self.coeffs) if c}
+        return {str(i): list(digits[c]) for i, c in enumerate(self.coeffs) if c}
 
     def __repr__(self) -> str:
         parts = [f"{self.tower.coeffs(c)}*g{i}" for i, c in enumerate(self.coeffs) if c]

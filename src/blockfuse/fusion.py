@@ -15,7 +15,7 @@ N_P(Q), C_P(Q) and the inner isos once per (group, P), memoized on the group.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +24,8 @@ from .algebra import VerificationError
 from .brauer import (BrauerPair, conjugate_block, is_pair_of_block, maximal_pairs,
                      subpair_table)
 from .gf import FieldTower
-from .groups import (FiniteGroup, GroupMap, Subgroup, all_subgroups, centralizer_in,
-                     conj_rows, coset_reps, full_subgroup, normalizer_in)
+from .groups import (FiniteGroup, GroupMap, Subgroup, _least_prime_factor, all_subgroups,
+                     centralizer_in, conj_rows, coset_reps, full_subgroup, normalizer_in)
 
 
 class FusionSystem:
@@ -34,10 +34,16 @@ class FusionSystem:
     Each iso goes from an object onto its image, which is its codomain;
     the constructor raises ValueError for any other map.
 
-    `fully_normalized`, `fully_centralized` and `centric` hold the element
-    sets of the objects with that property, decided on construction per
-    F-isomorphism class; a class is centric iff C_P(R) <= R for every R
-    in it."""
+    `classes` holds the F-isomorphism classes, each a tuple of objects in
+    `subgroups` order.  `fully_normalized`, `fully_centralized` and
+    `centric` hold the element sets of the objects with that property,
+    decided on construction per class; a class is centric iff C_P(R) <= R
+    for every R in it.
+
+    The class-level shortcuts (`hom_count_matrix`, the saturation check)
+    assume the isos form a fusion system: closed under inverses,
+    composition and restriction, with the inner isos present.  Every
+    system built here is one, and `assert_fusion_axioms` checks it."""
 
     def __init__(self, P: Subgroup, isos):
         self.p_subgroup = P
@@ -51,8 +57,9 @@ class FusionSystem:
                 raise ValueError(f"{m!r} is not an iso between subgroups of P onto its image")
             self._by_domain.setdefault(m.domain.elems, []).append(m)
         local = _local_table(P)
+        self.classes = _f_classes(self.subgroups, self.isos)
         normalized, centralized, centric = set(), set(), set()
-        for cls in _f_classes(self.subgroups, self.isos):
+        for cls in self.classes:
             top_n = max(local[R.elems][0].order for R in cls)
             top_c = max(local[R.elems][1].order for R in cls)
             normalized.update(R.elems for R in cls if local[R.elems][0].order == top_n)
@@ -66,12 +73,7 @@ class FusionSystem:
     @property
     def prime(self) -> int | None:
         n = self.p_subgroup.order
-        if n == 1:
-            return None
-        p = 2
-        while n % p:
-            p += 1
-        return p
+        return None if n == 1 else _least_prime_factor(n)
 
     def hom_set(self, Q: Subgroup, R: Subgroup) -> frozenset:
         """All morphisms Q -> R: isos out of Q whose image lies inside R,
@@ -81,21 +83,27 @@ class FusionSystem:
                          for m in self._by_domain.get(Q.elems, ()) if rset.issuperset(m.images))
 
     def hom_count_matrix(self) -> np.ndarray:
-        """|Hom(Q, R)| for Q, R over `subgroups`, as the product A @ C: A
-        counts the isos per (domain, image) and C[i, j] is 1 iff
-        subgroups[i] <= subgroups[j], read from the masks.  The product is
-        taken in int64, which is exact and runs without BLAS, whose first
-        call starts a thread pool and keeps megabytes of buffers."""
+        """|Hom(Q, R)| for Q, R over `subgroups`: |Aut_F(Q)| times the
+        number of members of Q's F-class inside R, since a morphism
+        Q -> R is an iso onto some R' <= R and the isos from Q onto one
+        member form a coset of Aut_F(Q).  Inclusions are read from the
+        masks."""
         index = {S.elems: i for i, S in enumerate(self.subgroups)}
         n = len(self.subgroups)
-        A = np.zeros((n, n), dtype=np.int64)
-        for (dom, img), k in Counter((m.domain.elems, m.image_elems) for m in self.isos).items():
-            A[index[dom], index[img]] = k
         width = (self.p_subgroup.parent.order + 7) // 8
         masks = np.frombuffer(b"".join(S.mask.to_bytes(width, "little") for S in self.subgroups),
                               np.uint8).reshape(n, width)
-        C = ~(masks[:, None, :] & ~masks[None, :, :]).any(axis=2)
-        return A @ C.astype(np.int64)
+        counts = np.empty((n, n), dtype=np.int64)
+        for cls in self.classes:
+            rows = [index[S.elems] for S in cls]
+            inside = ~(masks[rows, None, :] & ~masks[None, :, :]).any(axis=2)
+            counts[rows] = self._aut_order(cls[0]) * inside.sum(axis=0)
+        return counts
+
+    def _aut_order(self, Q: Subgroup) -> int:
+        """|Aut_F(Q)|, counted without building the maps."""
+        qset = set(Q.elems)
+        return sum(map(qset.issuperset, (m.images for m in self._by_domain.get(Q.elems, ()))))
 
     def aut_set(self, Q: Subgroup) -> frozenset:
         return self.hom_set(Q, Q)
@@ -105,9 +113,9 @@ class FusionSystem:
                 f"objects={len(self.subgroups)}, isos={len(self.isos)})")
 
 
-def _f_classes(subgroups, isos) -> list[list[Subgroup]]:
+def _f_classes(subgroups, isos) -> tuple[tuple[Subgroup, ...], ...]:
     """The F-isomorphism classes of the objects, by union-find over the
-    isos' (domain, image) pairs."""
+    isos' (domain, codomain) pairs, each in `subgroups` order."""
     parent = {S.elems: S.elems for S in subgroups}
 
     def find(e):
@@ -117,13 +125,13 @@ def _f_classes(subgroups, isos) -> list[list[Subgroup]]:
         return e
 
     for m in isos:
-        a, b = find(m.domain.elems), find(m.image_elems)
+        a, b = find(m.domain.elems), find(m.codomain.elems)
         if a != b:
             parent[a] = b
     classes: dict[tuple[int, ...], list[Subgroup]] = {}
     for S in subgroups:
         classes.setdefault(find(S.elems), []).append(S)
-    return list(classes.values())
+    return tuple(map(tuple, classes.values()))
 
 
 def _local_table(P: Subgroup) -> dict[tuple[int, ...], tuple[Subgroup, Subgroup]]:
@@ -184,18 +192,18 @@ def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> Fusi
     table = subpair_table(root)
     everything = full_subgroup(G)
     rows = conj_rows(G)
+    subgroups = {S.elems: S for S in all_subgroups(P)}
     isos = set()
-    for Q in all_subgroups(P):
+    for Q in subgroups.values():
         e_q = table[Q.elems]
         forced = Q.elems in table.forced
         for x in coset_reps(everything, centralizer_in(everything, Q)):
             images = tuple(map(rows[x].__getitem__, Q.elems))
             if not pset.issuperset(images):
                 continue
-            target_elems = tuple(sorted(images))
-            if not forced and conjugate_block(x, e_q) != table[target_elems]:
+            target = subgroups[tuple(sorted(images))]
+            if not forced and conjugate_block(x, e_q) != table[target.elems]:
                 continue
-            target = Subgroup(G, target_elems, _checked=True)
             isos.add(GroupMap(Q, target, images, _checked=True))
     return FusionSystem(P, isos)
 
@@ -288,40 +296,97 @@ def sylow_index(F: FusionSystem) -> int:
     return len(aut_f) // len(aut_p)
 
 
+def _extension_test(F: FusionSystem):
+    """extends(phi, cosets, aut_r): whether phi: Q -> R extends to N_phi,
+    given the left cosets of Q C_P(Q) in N_P(Q) and Aut_P(R) as image
+    tuples over R.elems.
+
+    N_phi = {y in N_P(Q) : phi c_y phi^-1 in Aut_P(R)} (Aschbacher-
+    Kessar-Oliver, Fusion Systems in Algebra and Topology, I.2) comes
+    from one Aut_P(R) lookup per coset, and phi extends iff its images
+    are among the restrictions to Q of the isos out of N_phi.  The
+    restriction sets are keyed by Q and the leaders of N_phi's cosets,
+    kept for the life of the returned function and built only on a miss.
+    """
+    restrictions: dict[tuple[tuple[int, ...], tuple[int, ...]], set[tuple[int, ...]]] = {}
+
+    def extends(phi: GroupMap, cosets, aut_r: set[tuple[int, ...]]) -> bool:
+        passing = _intertwiners(phi, cosets, aut_r)
+        key = (phi.domain.elems, tuple(coset[0] for coset in passing))
+        extended = restrictions.get(key)
+        if extended is None:
+            N = tuple(sorted(y for coset in passing for y in coset))
+            at = list(map({g: i for i, g in enumerate(N)}.__getitem__, phi.domain.elems))
+            extended = restrictions[key] = {tuple(map(psi.images.__getitem__, at))
+                                            for psi in F._by_domain.get(N, ())}
+        return phi.images in extended
+
+    return extends
+
+
+def _automizer(P: Subgroup, R: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Aut_P(R) as image tuples over R."""
+    rows = conj_rows(P.parent)
+    return {tuple(map(rows[u].__getitem__, R)) for u in _local_table(P)[R][0].elems}
+
+
 def _extension_counterexample(F: FusionSystem):
     """First morphism phi: Q -> P with fully normalized image that does not
     extend to N_phi, or None.
 
-    Q runs in `F.subgroups` order and phi over the isos out of Q by image
-    tuple, so the witness (with codomain P) is canonical.  N_phi = {y in
-    N_P(Q) : phi c_y phi^-1 in Aut_P(R)}, R = phi(Q) (Aschbacher-Kessar-
-    Oliver, Fusion Systems in Algebra and Topology, I.2), comes from one
-    Aut_P(R) lookup per coset of Q C_P(Q); phi extends iff its images are
-    among the restrictions to Q of the isos out of N_phi.
-    The automizers of the system's fully normalized subgroups and the
-    restriction sets are tables local to this call; N_phi is keyed by Q
-    and the leaders of its cosets, and built only on a miss.
-    """
-    P = F.p_subgroup
+    F is saturated iff each F-class has a member that is fully automized
+    and receptive (Aschbacher-Kessar-Oliver, Definition I.2.2), and then
+    every fully normalized subgroup is both.  So when `_classes_saturated`
+    finds that for every class, no such phi exists; otherwise the full
+    scan `_first_non_extendable` decides, sharing its restriction sets."""
+    extends = _extension_test(F)
+    if _classes_saturated(F, extends):
+        return None
+    return _first_non_extendable(F, extends)
+
+
+def _classes_saturated(F: FusionSystem, extends) -> bool:
+    """Whether every F-class has its first fully normalized member R, in
+    `F.subgroups` order, fully automized (|Aut_F(R)| / |Aut_P(R)| prime
+    to p) and receptive (every iso Q -> R extends to N_phi).
+
+    For y in N_P(R), N_{c_y phi} = N_phi and c_y phi extends iff phi does,
+    so one iso per Aut_P(R)-orbit of the isos Q -> R is tested."""
+    P, p = F.p_subgroup, F.prime
+    if p is None:  # P = 1: one object, one morphism
+        return True
     local, rows = _local_table(P), conj_rows(P.parent)
-    automizers = {S: {tuple(map(rows[u].__getitem__, S)) for u in local[S][0].elems}
-                  for S in F.fully_normalized}  # Aut_P(S) as image tuples
-    restrictions: dict[tuple[tuple[int, ...], tuple[int, ...]], set[tuple[int, ...]]] = {}
+    for cls in F.classes:
+        R = next(S for S in cls if S.elems in F.fully_normalized)
+        aut_r = _automizer(P, R.elems)
+        if F._aut_order(R) // len(aut_r) % p == 0:
+            return False
+        rset = set(R.elems)
+        twists = [rows[y] for y in coset_reps(*local[R.elems])]
+        for Q in cls:
+            cosets = _normalizer_cosets(P, Q)
+            seen: set[tuple[int, ...]] = set()
+            for phi in F._by_domain.get(Q.elems, ()):
+                if phi.images in seen or not rset.issuperset(phi.images):
+                    continue
+                if not extends(phi, cosets, aut_r):
+                    return False
+                seen.update(tuple(map(row.__getitem__, phi.images)) for row in twists)
+    return True
+
+
+def _first_non_extendable(F: FusionSystem, extends):
+    """The full scan: Q runs in `F.subgroups` order and phi over the isos
+    out of Q by image tuple, so the witness (with codomain P) is
+    canonical.  The automizers of the fully normalized subgroups are
+    built once per call."""
+    P = F.p_subgroup
+    automizers = {S: _automizer(P, S) for S in F.fully_normalized}
     for Q in F.subgroups:
         cosets = _normalizer_cosets(P, Q)
         for phi in F._by_domain.get(Q.elems, ()):
-            aut_r = automizers.get(phi.image_elems)
-            if aut_r is None:
-                continue
-            passing = _intertwiners(phi, cosets, aut_r)
-            key = (Q.elems, tuple(coset[0] for coset in passing))
-            extended = restrictions.get(key)
-            if extended is None:
-                N = tuple(sorted(y for coset in passing for y in coset))
-                at = list(map({g: i for i, g in enumerate(N)}.__getitem__, Q.elems))
-                extended = restrictions[key] = {tuple(map(psi.images.__getitem__, at))
-                                                for psi in F._by_domain.get(N, ())}
-            if phi.images not in extended:
+            aut_r = automizers.get(phi.codomain.elems)
+            if aut_r is not None and not extends(phi, cosets, aut_r):
                 return phi.with_codomain(P)
     return None
 

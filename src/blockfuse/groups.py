@@ -28,10 +28,10 @@ corpus run once per group file, dropped after the last entry naming it.
 A `Subgroup` is a sorted index set inside a parent group together with the
 same set as an int bitmask (bit g set iff g is a member).  Membership and
 inclusion are integer tests, C_H(S) is H's mask ANDed with cmask[s] for s
-in S, and N_H(S) is one gather from K.  Subgroups are generated, and the
-subgroup lattice is joined, by Dimino's coset enumeration: <H, x> is the
-union of right cosets Hy, and only coset representatives times generators
-are tested for membership.
+in S, and N_H(S) is one gather from K.  Subgroups are generated by
+Dimino's coset enumeration: <H, x> is the union of right cosets Hy, and
+only coset representatives times generators are tested for membership.
+The subgroup lattice, of p-groups only, is built by index-p steps.
 
 `as_group()` re-labels a subgroup as a standalone multiplication table
 group (needed to treat centralizer algebras as group algebras in their own
@@ -265,10 +265,11 @@ def _mask_elems(mask: int) -> tuple[int, ...]:
 class Subgroup:
     """Sorted element-index set, closed under the parent multiplication.
 
-    `mask` holds the same set as an int bitmask, made on first use.
+    `mask` holds the same set as an int bitmask, and the hash is kept,
+    both made on first use.
     """
 
-    __slots__ = ("parent", "elems", "_mask")
+    __slots__ = ("parent", "elems", "_mask", "_hash")
 
     def __init__(self, parent: FiniteGroup, elems, *, _checked=False):
         self.parent = parent
@@ -276,7 +277,7 @@ class Subgroup:
             self.elems = elems
         else:
             self.elems = tuple(sorted(set(map(int, elems))))
-        self._mask = None
+        self._mask = self._hash = None
         if not _checked:
             if not self.elems or self.elems[0] != 0:
                 raise ValueError("subgroup must contain the identity")
@@ -293,7 +294,7 @@ class Subgroup:
     def _of(cls, parent: FiniteGroup, elems: tuple[int, ...], mask: int | None = None):
         """A subgroup from a sorted element tuple known to be closed."""
         S = cls.__new__(cls)
-        S.parent, S.elems, S._mask = parent, elems, mask
+        S.parent, S.elems, S._mask, S._hash = parent, elems, mask, None
         return S
 
     @property
@@ -337,7 +338,9 @@ class Subgroup:
                 and other.elems == self.elems)
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.elems))
+        if self._hash is None:
+            self._hash = hash((id(self.parent), self.elems))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, elems={list(self.elems)})"
@@ -459,48 +462,67 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 
 
 def all_subgroups(P: Subgroup) -> list[Subgroup]:
-    """Every subgroup of P, sorted by (order, element set).
+    """Every subgroup of the p-group P, sorted by (order, element set).
 
     The lattice is enumerated once per element set of P and memoized on
-    the parent group; each call returns a fresh list.  Intended for
-    p-groups of modest order.
+    the parent group; each call returns a fresh list.  P of order above
+    SUBGROUP_BOUND, or whose order is not a prime power, is a ValueError.
     """
     if P.order > SUBGROUP_BOUND:
         raise ValueError(f"subgroup enumeration bound exceeded ({P.order} > {SUBGROUP_BOUND})")
+    if p_part(P.order, _least_prime_factor(P.order)) != P.order:
+        raise ValueError(f"subgroup enumeration needs a p-group, not one of order {P.order}")
     return list(P.parent.memo(("subgroups", P.elems), lambda: _subgroup_lattice(P)))
 
 
+def _least_prime_factor(n: int) -> int:
+    """The least prime dividing n, and 2 for n = 1."""
+    p = 2
+    while p < n and n % p:
+        p += 1
+    return p
+
+
 def _subgroup_lattice(P: Subgroup) -> tuple[Subgroup, ...]:
-    """Closure of the cyclic subgroups under joining with one generator per
-    cyclic subgroup; every subgroup is such an iterated join.  Each found
-    subgroup keeps the generator tuple it was reached by, and each join
-    <H, x> is one Dimino enumeration from H.  <H, x> = <H, hx> for h in H,
-    so once x is joined its whole right coset Hx is skipped.
+    """The lattice of the p-group P, one order at a time.
+
+    A subgroup K > 1 has a maximal subgroup H, normal of index p, so K =
+    H u Hx u ... u Hx^(p-1) for any x in K - H: x normalizes H and x^p is
+    in H.  So each layer comes from the one below by taking, for every H,
+    the x outside H that conjugate H's generators into H and have x^p in
+    H; every x of the K so found gives K again and is skipped.  Each
+    found subgroup keeps the generator tuple it was reached by.
     """
     G = P.parent
-    mul = G.mul
-    found: dict[int, list[int]] = {1: [0]}
-    cyclic_gens = []
-    queue = []
-    for g in P.elems[1:]:
-        elems, mask = _join(mul, [0], 1, (), g)
-        if mask not in found:
-            found[mask] = elems
-            cyclic_gens.append(g)
-            queue.append((elems, mask, (g,)))
-    while queue:
-        H, hmask, gens = queue.pop()
-        covered = hmask
-        for x in cyclic_gens:
-            if covered >> x & 1:
-                continue
-            covered |= _mask_of([mul[h][x] for h in H])
-            elems, mask = _join(mul, H, hmask, gens, x)
-            if mask not in found:
-                found[mask] = elems
-                queue.append((elems, mask, gens + (x,)))
-    subs = (Subgroup._of(G, tuple(sorted(elems)), mask) for mask, elems in found.items())
-    return tuple(sorted(subs, key=lambda s: (s.order, s.elems)))
+    mul, inv = G.mul, G.inv
+    p = _least_prime_factor(P.order)
+    layer = [([0], 1, ())]
+    lattice = [trivial_subgroup(G)]
+    while len(layer[0][0]) < P.order:
+        found: dict[int, tuple[list[int], int, tuple[int, ...]]] = {}
+        for H, hmask, gens in layer:
+            covered = hmask
+            for x in P.elems:
+                if covered >> x & 1:
+                    continue
+                xp = x
+                for _ in range(p - 1):
+                    xp = mul[xp][x]
+                row, xi = mul[x], inv[x]
+                if not hmask >> xp & 1 or not all(hmask >> mul[row[g]][xi] & 1 for g in gens):
+                    continue
+                elems, y = list(H), x
+                for _ in range(p - 1):
+                    elems += [mul[h][y] for h in H]
+                    y = mul[y][x]
+                kmask = _mask_of(elems)
+                covered |= kmask
+                if kmask not in found:
+                    found[kmask] = (elems, kmask, gens + (x,))
+        layer = list(found.values())
+        lattice += sorted((Subgroup._of(G, tuple(sorted(elems)), mask)
+                           for elems, mask, _ in layer), key=lambda S: S.elems)
+    return tuple(lattice)
 
 
 class ClassData:
@@ -567,15 +589,16 @@ def coset_reps(H: Subgroup, I: Subgroup) -> list[int]:
 
 
 class GroupMap:
-    """Injective homomorphism between subgroups of one parent group."""
+    """Injective homomorphism between subgroups of one parent group; the
+    hash is kept once made."""
 
-    __slots__ = ("domain", "codomain", "images", "_pos")
+    __slots__ = ("domain", "codomain", "images", "_pos", "_hash")
 
     def __init__(self, domain: Subgroup, codomain: Subgroup, images, *, _checked=False):
         self.domain = domain
         self.codomain = codomain
-        self.images = tuple(map(int, images))
-        self._pos = None
+        self.images = images if _checked and type(images) is tuple else tuple(map(int, images))
+        self._pos = self._hash = None
         if not _checked:
             if domain.parent is not codomain.parent:
                 raise ValueError("domain and codomain live in different groups")
@@ -647,8 +670,10 @@ class GroupMap:
                 and self.images == other.images)
 
     def __hash__(self) -> int:
-        return hash((id(self.domain.parent), self.domain.elems,
-                     self.codomain.elems, self.images))
+        if self._hash is None:
+            self._hash = hash((id(self.domain.parent), self.domain.elems,
+                               self.codomain.elems, self.images))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GroupMap({list(self.domain.elems)} -> {list(self.images)})"

@@ -13,15 +13,18 @@ from __future__ import annotations
 import itertools
 import json
 
+import numpy as np
+
 from blockfuse.algebra import AlgebraElement, VerificationError, multiply, one, zero
 from blockfuse.brauer import (BrauerPair, SubpairTable, centralizer_blocks, conjugate_block,
                               is_pair_of_block, maximal_pairs, normal_leq, subpair_table)
-from blockfuse.fusion import FusionSystem
+from blockfuse.fusion import (FusionSystem, SaturationReport, _extension_test,
+                             _first_non_extendable, sylow_index)
 from blockfuse.gf import (Factorization, FieldTower, Poly, _fp_is_irreducible, _pdivmod,
                           _pinvmod, _pmod, _pmul, _pnorm, factor, factor_over_subfield)
-from blockfuse.groups import (MAX_ORDER, FiniteGroup, GroupMap, Subgroup, all_subgroups,
-                              centralizer_in, class_data, coset_reps, full_subgroup,
-                              generated_subgroup, normalizer_in)
+from blockfuse.groups import (MAX_ORDER, FiniteGroup, GroupMap, Subgroup, _join,
+                              all_subgroups, centralizer_in, class_data, coset_reps,
+                              full_subgroup, generated_subgroup, normalizer_in)
 from blockfuse.linalg import Echelon
 
 
@@ -176,6 +179,38 @@ def subgroup_lattice_bfs_joins(P: Subgroup) -> list[Subgroup]:
     return sorted(found.values(), key=lambda s: (s.order, s.elems))
 
 
+def subgroup_lattice_dimino(P: Subgroup) -> list[Subgroup]:
+    """Every subgroup of any group P (a p-group or not), sorted by (order,
+    element set): the cyclic subgroups closed under joining with one
+    generator per cyclic subgroup, each join <H, x> one Dimino enumeration
+    from H.  <H, x> = <H, hx> for h in H, so once x is joined its whole
+    right coset Hx is skipped."""
+    G = P.parent
+    mul = G.mul
+    found: dict[int, list[int]] = {1: [0]}
+    cyclic_gens = []
+    queue = []
+    for g in P.elems[1:]:
+        elems, mask = _join(mul, [0], 1, (), g)
+        if mask not in found:
+            found[mask] = elems
+            cyclic_gens.append(g)
+            queue.append((elems, mask, (g,)))
+    while queue:
+        H, hmask, gens = queue.pop()
+        covered = hmask
+        for x in cyclic_gens:
+            if covered >> x & 1:
+                continue
+            covered |= sum(1 << mul[h][x] for h in H)
+            elems, mask = _join(mul, H, hmask, gens, x)
+            if mask not in found:
+                found[mask] = elems
+                queue.append((elems, mask, gens + (x,)))
+    subs = (Subgroup(G, tuple(sorted(elems)), _checked=True) for elems in found.values())
+    return sorted(subs, key=lambda s: (s.order, s.elems))
+
+
 def all_subgroups_by_element_joins(P: Subgroup) -> list[Subgroup]:
     """Every subgroup of P, sorted by (order, element set): cyclic
     subgroups, then joins of each found subgroup's full element set with
@@ -274,6 +309,39 @@ def extension_counterexample_scan(F: FusionSystem) -> GroupMap | None:
                        for psi in F.hom_set(n, P)):
                 return phi
     return None
+
+
+def saturation_report_full_scan(F: FusionSystem) -> SaturationReport:
+    """`saturation_report` with the extension axiom decided by the full
+    scan alone: every morphism into P with fully normalized image, in
+    `F.subgroups` order, with no per-class shortcut."""
+    if F.prime is None:
+        idx, sylow_ok = 1, True
+    else:
+        idx = sylow_index(F)
+        sylow_ok = idx % F.prime != 0
+    counter = _first_non_extendable(F, _extension_test(F))
+    witness = None
+    if not sylow_ok:
+        witness = {"kind": "sylow_index", "index": idx}
+    elif counter is not None:
+        witness = {"kind": "non_extendable_morphism", "domain": list(counter.domain.elems),
+                   "images": list(counter.images)}
+    return SaturationReport(sylow_ok, counter is None, idx, witness)
+
+
+def hom_count_matrix_dense(F: FusionSystem) -> np.ndarray:
+    """|Hom(Q, R)| for Q, R over `F.subgroups` as the dense product A @ C:
+    A counts the isos per (domain, image) and C[i, j] is 1 iff
+    subgroups[i] <= subgroups[j]."""
+    index = {S.elems: i for i, S in enumerate(F.subgroups)}
+    n = len(F.subgroups)
+    A = np.zeros((n, n), dtype=np.int64)
+    for m in F.isos:
+        A[index[m.domain.elems], index[m.image_elems]] += 1
+    C = np.array([[Q.is_subset_of(R) for R in F.subgroups] for Q in F.subgroups],
+                 dtype=np.int64)
+    return A @ C
 
 
 def fusion_equal_scan(F1: FusionSystem, F2: FusionSystem) -> bool:

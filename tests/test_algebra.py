@@ -287,12 +287,18 @@ def test_augmentation_identifies_principal(groups, d24):
                     assert augmentation(b.elem) == 0
 
 
-def test_sparse_roundtrip(d24):
+def test_sparse_roundtrip(d24, monkeypatch):
     """to_sparse keys the support by element index and spells each code
-    as its coefficient list, which digits_code reads back."""
+    as its coefficient list, which digits_code reads back; each distinct
+    nonzero code is converted to digits once per call."""
     blocks = primitive_central_idempotents(d24, F4)
+    converted = []
+    coeffs_of = type(F4).coeffs
+    monkeypatch.setattr(type(F4), "coeffs", lambda t, c: converted.append(c) or coeffs_of(t, c))
     for b in blocks:
+        converted.clear()
         sparse = b.elem.to_sparse()
+        assert sorted(converted) == sorted(set(b.elem.coeffs) - {0})
         coeffs = [0] * d24.order
         for key, arr in sparse.items():
             coeffs[int(key)] = digits_code(F4, arr)

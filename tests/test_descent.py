@@ -241,11 +241,26 @@ def _nonsplit_generators(q, pa, u, v):
     return [a, b, t]
 
 
-def _nonsplit_builtin(params):
-    """The shipped G(q, p^a, u, v), checked against the generators above."""
-    name = {(5, 8, 4, 5): "c5c8s2", (7, 9, 2, 4): "c7c9s3"}[params]
+# (C7xC2^2):C3 on 7 + 4 points: a cycles the first 7, b1 and b2 are the
+# two involutions of C2^2, and t multiplies by 2 mod 7 and cycles b1, b2
+# and b1 b2.
+C7V4S3_GENERATORS = [[1, 2, 3, 4, 5, 6, 0, 7, 8, 9, 10],
+                     [0, 1, 2, 3, 4, 5, 6, 8, 7, 10, 9],
+                     [0, 1, 2, 3, 4, 5, 6, 9, 10, 7, 8],
+                     [0, 2, 4, 6, 1, 3, 5, 7, 9, 10, 8]]
+
+
+def _nonsplit_builtin(group):
+    """The shipped group: G(q, p^a, u, v), given by its parameters and
+    checked against the generators above, or builtin:c7v4s3 checked
+    against C7V4S3_GENERATORS."""
+    if group == "c7v4s3":
+        name, generators = group, C7V4S3_GENERATORS
+    else:
+        name = {(5, 8, 4, 5): "c5c8s2", (7, 9, 2, 4): "c7c9s3"}[group]
+        generators = _nonsplit_generators(*group)
     spec = json.loads(cli._builtin_path(name).read_text(encoding="utf-8"))
-    assert spec["generators"] == _nonsplit_generators(*params)
+    assert spec["generators"] == generators
     return cli.load_group_file(f"builtin:{name}")
 
 
@@ -254,16 +269,18 @@ def _nonsplit_builtin(params):
     ((5, 8, 4, 5), (2, 2, 2), [(1, False, False, 8)] * 2 + [(1, True, True, 16)]),
     ((7, 9, 2, 4), (3, 2, 6), [(3, True, False, 9)] * 2 + [(1, True, True, 27)]),
     ((7, 9, 2, 4), (3, 2, 2), [(1, False, False, 9)] * 2 + [(1, True, True, 27)]),
+    ("c7v4s3", (2, 1, 3), [(3, True, True, 4)] * 2 + [(1, True, True, 4)]),
 ])
 def test_nonsplit_descents(group, tower, expected):
     """(C5xC8):C2 and (C7xC9):C3, where t acts on the q-th roots of unity
     as a power of Frobenius: over F16/F2 and F_{3^6}/F_{3^2} an L-saturated
     system descends, with index 2 or 3 = p, to a K-system that is not
     saturated; over F4 and F9 the same blocks are unsaturated on both
-    sides, with index 1.  Each descent, one per Galois orbit, has
-    (index, saturated_l, saturated_k, defect_order) pinned, all verdicts
-    true, and |Aut_{F_K}(P)| = index |Aut_{F_L}(P)|.  The groups are the
-    shipped builtin:c5c8s2 and builtin:c7c9s3."""
+    sides, with index 1.  (C7xC2^2):C3 over F8/F2 has index 3, prime to
+    p = 2, and both sides saturated.  Each descent, one per Galois orbit,
+    has (index, saturated_l, saturated_k, defect_order) pinned, all
+    verdicts true, and |Aut_{F_K}(P)| = index |Aut_{F_L}(P)|.  The groups
+    are the shipped builtin:c5c8s2, builtin:c7c9s3 and builtin:c7v4s3."""
     G, t = _nonsplit_builtin(group), make_tower(*tower)
     got = []
     for b in cli._descent_blocks(G, t, "all"):

@@ -1,5 +1,7 @@
 import itertools
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +23,8 @@ from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
                               normalizer_in, sylow_p_subgroup, trivial_subgroup)
 from oracles import (block_fusion_scan, cyclic_subgroup, extension_counterexample_scan,
                      factorization_check_scan, fully_centralized_scan, fully_normalized_scan,
-                     fusion_equal_scan, is_centric_scan, n_phi_scan)
+                     fusion_equal_scan, hom_count_matrix_dense, is_centric_scan, n_phi_scan,
+                     saturation_report_full_scan)
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -452,6 +455,24 @@ def _assert_matches_scan_oracles(F):
     assert [[len(F.hom_set(Q, R)) for R in F.subgroups] for Q in F.subgroups] == counts
 
 
+def _assert_per_class_matches_full_scan(F):
+    """The saturation report and the hom counts equal the full-scan and
+    dense-product oracles, and the full scan runs, after the per-class
+    check, exactly when F is not saturated: in a saturated system the
+    first fully normalized member of each class is fully automized and
+    receptive, and in any other some class has no such member."""
+    scans = []
+    scan = fusion._first_non_extendable
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fusion, "_first_non_extendable",
+                      lambda F, extends: scans.append(F) or scan(F, extends))
+        rep = saturation_report(F)
+    assert len(scans) == (not rep.saturated)
+    assert rep == saturation_report_full_scan(F)
+    assert np.array_equal(F.hom_count_matrix(), hom_count_matrix_dense(F))
+    return rep
+
+
 def test_equality_and_factorization_match_scan_oracles_on_corpus(corpus_objects):
     """Both verdicts of every descent: L = K and closure(L + sigma) = K,
     and the twist factorization of K over L."""
@@ -513,7 +534,9 @@ def sylow2_homs(groups):
 def test_closure_extension_check_matches_scan_oracle(sylow2_homs, data):
     P, homs = sylow2_homs[data.draw(st.sampled_from(("d8", "s4")))]
     seeds = data.draw(st.lists(st.sampled_from(homs), max_size=3))
-    _assert_matches_scan_oracles(closure(P, seeds))
+    F = closure(P, seeds)
+    _assert_matches_scan_oracles(F)
+    _assert_per_class_matches_full_scan(F)
 
 
 @given(st.data())
@@ -546,3 +569,34 @@ def test_extension_witness_is_canonical(groups):
     assert rep.sylow_ok and not rep.extension_ok
     assert rep.witness == {"kind": "non_extendable_morphism", "domain": [0, 15],
                            "images": [0, 3]}
+
+
+def test_per_class_saturation_matches_full_scan_on_corpus(corpus_objects):
+    """Every L-side and K-side block system of the corpus, the unsaturated
+    K-sides that fall back to the full scan included."""
+    systems = {id(F): F for o in corpus_objects for ctx in o["contexts"]
+               for F in (ctx.system_l, ctx.system_k)}
+    verdicts = [_assert_per_class_matches_full_scan(F).saturated for F in systems.values()]
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("source,tower", [
+    ("builtin:c5c8s2", (2, 1, 4)), ("builtin:c7c9s3", (3, 2, 6)), ("2e3s4.json", (2, 1, 1))])
+def test_per_class_saturation_matches_full_scan(source, tower):
+    """Both systems of every descent of (C5xC8):C2 over F16/F2 and of
+    (C7xC9):C3 over F_{3^6}/F_{3^2}, and the block systems of 2^3:S4 at
+    p = 2."""
+    if not source.startswith("builtin:"):
+        source = str(Path(__file__).resolve().parents[1] / "perfbench" / "groups" / source)
+    G, t = cli.load_group_file(source), make_tower(*tower)
+    systems = []
+    if t.m < t.n:
+        for b in cli._descent_blocks(G, t, "all"):
+            ctx = descent.run_descent(G, t, b)[1]
+            systems += [ctx.system_l, ctx.system_k]
+    else:
+        systems = [block_fusion(G, t, b, maximal_pairs(G, t, b).pairs[0])
+                   for b in primitive_central_idempotents(G, t)]
+    assert systems
+    for F in systems:
+        _assert_per_class_matches_full_scan(F)

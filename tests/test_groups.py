@@ -14,7 +14,8 @@ from conftest import GROUP_NAMES
 from oracles import (all_subgroups_brute, all_subgroups_by_element_joins,
                      centralizer_in_scan, commuting_with, conjugacy_classes,
                      conjugacy_classes_brute, cyclic_subgroup, generated_subgroup_bfs,
-                     normalizer_in_scan, perm_table_bfs, subgroup_lattice_bfs_joins)
+                     normalizer_in_scan, perm_table_bfs, subgroup_lattice_bfs_joins,
+                     subgroup_lattice_dimino)
 
 BENCH_GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
@@ -139,7 +140,7 @@ def test_sylow_against_subgroup_enumeration(groups):
         for p in (2, 3):
             S = sylow_p_subgroup(G, p)
             assert S.order == p_part(G.order, p)
-            subs = all_subgroups(full_subgroup(G))
+            subs = subgroup_lattice_dimino(full_subgroup(G))
             assert S.order == max(H.order for H in subs
                                   if H.order == p_part(H.order, p))
 
@@ -299,8 +300,32 @@ def test_generated_subgroups_match_oracles(groups, bench_groups, data):
 
 
 def test_lattices_match_bfs_join_oracle(groups, bench_groups):
+    """The index-p lattice on every p-group case, the Dimino oracle on the
+    whole groups that are not p-groups; both against the BFS joins."""
     cases = [full_subgroup(G) for G in groups.values()]
     cases += [sylow_p_subgroup(G, p) for G in bench_groups.values() for p in _primes(G.order)]
     for P in cases:
-        assert ([S.elems for S in all_subgroups(P)]
+        lattice = all_subgroups if len(_primes(P.order)) <= 1 else subgroup_lattice_dimino
+        assert ([S.elems for S in lattice(P)]
                 == [S.elems for S in subgroup_lattice_bfs_joins(P)])
+
+
+def test_all_subgroups_takes_p_groups_only(groups, d24):
+    """A group whose order is not a prime power is a ValueError; the
+    trivial group is a p-group with one subgroup, for every p."""
+    for G in groups.values():
+        if len(_primes(G.order)) > 1:
+            with pytest.raises(ValueError, match="needs a p-group"):
+                all_subgroups(full_subgroup(G))
+    assert [S.elems for S in all_subgroups(trivial_subgroup(d24))] == [(0,)]
+    assert [S.elems for S in subgroup_lattice_dimino(trivial_subgroup(d24))] == [(0,)]
+
+
+def test_lattice_builds_no_conjugation_table():
+    """The index-p steps read `mul` and `inv` only: enumerating the
+    lattice of C4 wr C2 (order 32) builds no conjugation table."""
+    G = build_group({"kind": "perm", "name": "C4wrC2", "degree": 8,
+                     "generators": [[1, 2, 3, 0, 4, 5, 6, 7], [4, 5, 6, 7, 0, 1, 2, 3]]})
+    subs = all_subgroups(full_subgroup(G))
+    assert len(subs) == len(subgroup_lattice_bfs_joins(full_subgroup(G)))
+    assert "conj" not in G._memo and "conj_rows" not in G._memo
