@@ -85,29 +85,31 @@ def blocks_report(G, tower) -> dict:
 
 
 def _generating_maps(aut_maps) -> list:
-    """Greedy generating subset of a finite set of automorphisms."""
+    """Greedy generating subset of a finite set of automorphisms of one subgroup."""
     maps = sorted(aut_maps, key=lambda m: m.images)
     if not maps:
         return []
-    identity = next(m for m in maps if m.images == m.domain.elems)
+    at = {g: i for i, g in enumerate(maps[0].domain.elems)}.__getitem__
+    by_perm = {tuple(map(at, m.images)): m for m in maps}
+    identity = tuple(range(len(maps[0].images)))
     gens: list = []
-    generated = {identity.images}
-    for m in maps:
-        if m.images in generated:
+    generated = {identity}
+    for perm in by_perm:
+        if perm in generated:
             continue
-        gens.append(m)
+        gens.append(perm)
         frontier = [identity]
-        generated = {identity.images}
+        generated = {identity}
         while frontier:
             cur = frontier.pop()
             for g in gens:
-                nxt = g.compose(cur)
-                if nxt.images not in generated:
-                    generated.add(nxt.images)
+                nxt = tuple(map(g.__getitem__, cur))  # g after cur, on element positions
+                if nxt not in generated:
+                    generated.add(nxt)
                     frontier.append(nxt)
         if len(generated) == len(maps):
             break
-    return gens
+    return [by_perm[g] for g in gens]
 
 
 def _fusion_system_report(G, tower, block) -> dict:
@@ -116,6 +118,7 @@ def _fusion_system_report(G, tower, block) -> dict:
     system = block_fusion(G, tower, block, root)
     P = root.subgroup
     sat = saturation_report(system)
+    aut = system.aut_set(P)
     # "Q|R" keys inserted in the order render_json sorts them into: rows by
     # label + "|" ("|" sorts after every digit and ","), columns by label
     labels = [",".join(map(str, Q.elems)) for Q in system.subgroups]
@@ -131,9 +134,9 @@ def _fusion_system_report(G, tower, block) -> dict:
         "maximal_pairs": [{"P": list(pr.subgroup.elems), "e": pr.block.index,
                            "defect_order": mp.defect_order} for pr in mp.pairs],
         "root": {"P": list(P.elems), "e": root.block.index},
-        "aut_order": len(system.aut_set(P)),
-        "aut_generators": [list(m.images) for m in _generating_maps(system.aut_set(P))],
-        "inner_aut_order": len(system.aut_set(P)) // sat.aut_index,
+        "aut_order": len(aut),
+        "aut_generators": [list(m.images) for m in _generating_maps(aut)],
+        "inner_aut_order": len(aut) // sat.aut_index,
         "hom_counts": hom_counts,
         "saturated": sat.saturated,
         "sylow_axiom": sat.sylow_ok,
@@ -382,12 +385,15 @@ def render_json(report: dict) -> str:
     """`json.dumps(report, sort_keys=True, indent=2) + "\\n"`, byte for byte.
 
     With an indent the standard library encodes in Python, one small piece
-    per token.  Here each container joins its pieces once, str, int, bool
-    and None are written directly, and a container of at least
-    `_C_ENCODER_MIN` such scalars goes whole to the C encoder, whose item
-    separator carries the newline and indentation.  Anything else (floats,
-    tuples, non-string keys) is left to the standard library."""
-    return "".join(_json_pieces(report, "\n") + ["\n"])
+    per token.  Here str, int, bool and None are written directly; a
+    container of at least `_C_ENCODER_MIN` such scalars goes whole to the C
+    encoder, whose item separator carries the newline and indentation,
+    except a dict of ints whose keys need no escaping: its sorted keys
+    become pieces, joined only with the whole report.  Anything else
+    (floats, tuples, non-string keys) is left to the standard library."""
+    pieces: list[str] = []
+    _json_pieces(report, "\n", pieces)
+    return "".join(pieces + ["\n"])
 
 
 _C_ENCODER_MIN = 16
@@ -399,42 +405,61 @@ _JSON_SCALARS = {
 }
 
 
-def _json_text(value, pad: str) -> str:
-    scalar = _JSON_SCALARS.get(type(value))
-    return scalar(value) if scalar else "".join(_json_pieces(value, pad))
-
-
-def _json_pieces(value, pad: str) -> list[str]:
-    """The JSON text of value in pieces; pad, a newline and the indentation
-    of value's first line, starts each of its other lines."""
+def _json_pieces(value, pad: str, out: list[str]) -> bool:
+    """Append the JSON text of value to out; return whether it went in as
+    several pieces, which it does only if value is or holds a dict of ints
+    written key by key.  pad, a newline and the indentation of value's
+    first line, starts each of its other lines."""
     kind = type(value)
     scalar = _JSON_SCALARS.get(kind)
     if scalar is not None:
-        return [scalar(value)]
+        out.append(scalar(value))
+        return False
     if kind is list:
         brackets, values = "[]", value
     elif kind is dict and {*map(type, value)} <= {str}:
         brackets, values = "{}", value.values()
     else:
-        return [json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)]
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
+        return False
     if not value:
-        return [brackets]
+        out.append(brackets)
+        return False
     inner = pad + "  "
-    if len(value) >= _C_ENCODER_MIN and {*map(type, values)} <= _JSON_SCALARS.keys():
-        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
-        return [brackets[0], inner, text[1:-1], pad, brackets[1]]
     sep = "," + inner
+    if len(value) >= _C_ENCODER_MIN:
+        types = {*map(type, values)}
+        keys = sorted(value) if types == {int} and kind is dict else []
+        joined = "".join(keys)  # no key needs escaping iff the quotes are all it adds
+        if keys and len(_JSON_SCALARS[str](joined)) == len(joined) + 2:
+            sep += '"'  # each key stands between a separator's '"' and '": <its value>'
+            value_text = {v: '": ' + int.__repr__(v) for v in {*values}}
+            out.append("{" + sep[1:])
+            for k in keys:
+                out += (k, value_text[value[k]], sep)
+            out[-1:] = (pad, "}")
+            return True
+        if types <= _JSON_SCALARS.keys():
+            text = json.dumps(value, sort_keys=True, separators=(sep, ": "))
+            out.append(brackets[0] + inner + text[1:-1] + pad + brackets[1])
+            return False
     pieces = [brackets[0], inner]
+    split = False
     if kind is list:
         for v in value:
-            pieces += (_json_text(v, inner), sep)
+            split |= _json_pieces(v, inner, pieces)
+            pieces.append(sep)
     else:
         key = _JSON_SCALARS[str]
         for k, v in sorted(value.items()):
-            pieces += (key(k), ": ", _json_text(v, inner), sep)
-    pieces[-1] = pad
+            pieces += (key(k), ": ")
+            split |= _json_pieces(v, inner, pieces)
+            pieces.append(sep)
+    pieces[-1] = pad  # in place of the separator after the last item
     pieces.append(brackets[1])
-    return pieces
+    # joined unless split, so that small pieces do not all live until the final join
+    out += pieces if split else ["".join(pieces)]
+    return split
 
 
 def _flatten(prefix: str, value, lines: list[str]) -> None:

@@ -304,11 +304,12 @@ def _extension_test(F: FusionSystem):
     N_phi = {y in N_P(Q) : phi c_y phi^-1 in Aut_P(R)} (Aschbacher-
     Kessar-Oliver, Fusion Systems in Algebra and Topology, I.2) comes
     from one Aut_P(R) lookup per coset, and phi extends iff its images
-    are among the restrictions to Q of the isos out of N_phi.  The
-    restriction sets are keyed by Q and the leaders of N_phi's cosets,
-    kept for the life of the returned function and built only on a miss.
+    are among the restrictions to Q of the isos out of N_phi: scanned up
+    to the first match the first time a (Q, N_phi) pair is asked about,
+    built whole and kept for the returned function's life from the second.
     """
     restrictions: dict[tuple[tuple[int, ...], tuple[int, ...]], set[tuple[int, ...]]] = {}
+    asked: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
     def extends(phi: GroupMap, cosets, aut_r: set[tuple[int, ...]]) -> bool:
         passing = _intertwiners(phi, cosets, aut_r)
@@ -317,8 +318,10 @@ def _extension_test(F: FusionSystem):
         if extended is None:
             N = tuple(sorted(y for coset in passing for y in coset))
             at = list(map({g: i for i, g in enumerate(N)}.__getitem__, phi.domain.elems))
-            extended = restrictions[key] = {tuple(map(psi.images.__getitem__, at))
-                                            for psi in F._by_domain.get(N, ())}
+            extended = (tuple(map(psi.images.__getitem__, at)) for psi in F._by_domain.get(N, ()))
+            if key in asked:
+                extended = restrictions[key] = set(extended)
+            asked.add(key)
         return phi.images in extended
 
     return extends

@@ -153,6 +153,33 @@ def render_json_reference(report) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def generating_maps_by_compose(aut_maps) -> list:
+    """Greedy generating subset of a finite set of automorphisms, each
+    closure built by composing `GroupMap`s."""
+    maps = sorted(aut_maps, key=lambda m: m.images)
+    if not maps:
+        return []
+    identity = next(m for m in maps if m.images == m.domain.elems)
+    gens: list = []
+    generated = {identity.images}
+    for m in maps:
+        if m.images in generated:
+            continue
+        gens.append(m)
+        frontier = [identity]
+        generated = {identity.images}
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = g.compose(cur)
+                if nxt.images not in generated:
+                    generated.add(nxt.images)
+                    frontier.append(nxt)
+        if len(generated) == len(maps):
+            break
+    return gens
+
+
 def subgroup_lattice_bfs_joins(P: Subgroup) -> list[Subgroup]:
     """Every subgroup of P, sorted by (order, element set): the cyclic
     subgroups closed under joins with one generator per cyclic subgroup,

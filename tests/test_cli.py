@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,11 @@ from hypothesis import given, strategies as st
 
 import blockfuse
 import blockfuse.cli as cli
+from blockfuse import block_fusion, maximal_pairs, primitive_central_idempotents
 from blockfuse.algebra import VerificationError
 from blockfuse.cli import CorpusEntry, main, render_json, run_entry
 from blockfuse.gf import make_tower
-from oracles import render_json_reference
+from oracles import generating_maps_by_compose, render_json_reference
 
 BENCH_GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
@@ -438,15 +440,112 @@ def test_render_json_defers_other_values_to_the_standard_library():
     assert render_json(report) == render_json_reference(report)
 
 
-def test_render_json_matches_the_standard_library_on_reports(corpus_run):
+@pytest.fixture(scope="module")
+def fusion_2e3s4():
+    """2^3:S4 (order 192) at p = 2 and its fusion report, the largest of
+    the benchmark's reports."""
+    G = cli.load_group_file(str(BENCH_GROUPS / "2e3s4.json"))
+    tower = make_tower(2, 1, 1)
+    return G, tower, cli.fusion_report(G, tower)
+
+
+def test_render_json_matches_the_standard_library_on_reports(corpus_run, fusion_2e3s4):
     """Every corpus entry, the corpus report and the fusion report of
-    2^3:S4, the largest of the benchmark's reports."""
+    2^3:S4."""
     for entry in corpus_run["entries"]:
         assert render_json(entry) == render_json_reference(entry)
     assert render_json(corpus_run) == render_json_reference(corpus_run)
-    G = cli.load_group_file(str(BENCH_GROUPS / "2e3s4.json"))
-    report = cli.fusion_report(G, make_tower(2, 1, 1))
-    assert render_json(report) == render_json_reference(report)
+    report = fusion_2e3s4[2]  # 3.25 MB, compared by lines for a readable failure
+    assert render_json(report).split("\n") == render_json_reference(report).split("\n")
+
+
+_PLAIN_KEY = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                   blacklist_characters='"\\'), max_size=6)
+_ESCAPED_KEY = st.builds("{}{}{}".format, _PLAIN_KEY,
+                         st.sampled_from('"\\\x00\n\x1f\x7f\u00e9\u20ac\U0001f600'), _PLAIN_KEY)
+
+
+@st.composite
+def _int_dicts(draw, sizes):
+    """Flat dicts of int values, their keys inserted out of sorted order;
+    in about half of them keys may need JSON escapes."""
+    key = _PLAIN_KEY | _ESCAPED_KEY if draw(st.booleans()) else _PLAIN_KEY
+    n = draw(sizes)
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))  # a few bytes of entropy, not n
+    if n <= 64:
+        keys = draw(st.lists(key, min_size=n, max_size=n, unique=True))
+    else:  # about n keys, each a drawn stem and a number
+        stems = draw(st.lists(key, min_size=1, max_size=8))
+        keys = list({f"{rnd.choice(stems)}{i}": None for i in range(n)})
+    rnd.shuffle(keys)
+    pool = draw(st.lists(st.integers(-3, 3) | st.integers(), min_size=1, max_size=6))
+    return {k: rnd.choice(pool) for k in keys}
+
+
+@given(_int_dicts(st.integers(cli._C_ENCODER_MIN - 2, cli._C_ENCODER_MIN + 2)
+                  | st.integers(1990, 2010)))
+def test_render_json_writes_int_dicts_like_the_standard_library(value):
+    # compared by lines: pytest's diff of two long strings takes minutes
+    for report in (value, {"a": [value, {"b": value}], "c": 1}):
+        assert render_json(report).split("\n") == render_json_reference(report).split("\n")
+
+
+def test_render_json_keeps_true_apart_from_1():
+    """True == 1 and they hash alike, but JSON spells them differently."""
+    value = {f"k{i:02}": i % 2 for i in range(cli._C_ENCODER_MIN)}
+    for extra in ({"t": True}, {"t": True, "f": False}, {"t": True, "z": 1.0}):
+        report = value | extra
+        assert render_json(report) == render_json_reference(report)
+        assert '"t": true' in render_json(report)
+
+
+def test_render_json_passes_no_large_container_to_json_dumps(fusion_2e3s4, monkeypatch):
+    """The 50,625 hom counts of 2^3:S4 are written as pieces, not by the
+    standard library's encoder."""
+    report = fusion_2e3s4[2]
+    assert len(report["systems"][0]["hom_counts"]) == 225 ** 2
+    sizes = []
+    dumps = json.dumps
+
+    def spy(obj, *args, **kwargs):
+        sizes.append(len(obj) if isinstance(obj, (list, dict)) else 0)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", spy)
+    render_json(report)
+    assert sizes and max(sizes) < 1000
+
+
+def test_render_json_joins_each_container_without_an_int_table(corpus_run, fusion_2e3s4):
+    """Only a dict of ints written key by key and the containers holding it
+    stay in pieces until the final join, so the many small strings of a
+    large report are not all alive at once."""
+    pieces = []
+    assert not cli._json_pieces(corpus_run, "\n", pieces)
+    assert len(pieces) == 1
+    pieces = []
+    assert cli._json_pieces(fusion_2e3s4[2], "\n", pieces)
+    assert 3 * 225 ** 2 <= len(pieces) < 3 * 225 ** 2 + 100
+
+
+def test_generating_maps_match_composing_group_maps(corpus_objects, fusion_2e3s4):
+    """Composing image tuples picks the generators that composing
+    `GroupMap`s picks, for Aut_F(P) of every corpus system (L and K
+    sides) and of every block of 2^3:S4 at p = 2."""
+    systems = [o["principal"] for o in corpus_objects if o["principal"] is not None]
+    systems += [F for o in corpus_objects for ctx in o["contexts"]
+                for F in (ctx.system_l, ctx.system_k)]
+    G, tower, report = fusion_2e3s4
+    for b in primitive_central_idempotents(G, tower):
+        systems.append(block_fusion(G, tower, b, maximal_pairs(G, tower, b).pairs[0]))
+    lengths = set()
+    for F in systems:
+        aut = F.aut_set(F.p_subgroup)
+        gens = cli._generating_maps(aut)
+        assert gens == generating_maps_by_compose(aut)
+        lengths.add(len(gens))
+    assert max(lengths) >= 2
+    assert [list(m.images) for m in gens] == report["systems"][-1]["aut_generators"]
 
 
 def test_blocks_report_builds_no_conjugation_rows():
