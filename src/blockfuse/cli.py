@@ -191,28 +191,23 @@ def descent_report(G, tower, block_sel="all") -> dict:
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One corpus line: a group file, a field tower, a block selector and
-    the checks to run (None means all; ValueError if it names none)."""
+    """One corpus line: a group file and a field tower, on which every
+    check runs on every block."""
 
     group: str
     p: int
     m: int = 1
     n: int = 1
-    block: str = "all"
-    checks: tuple[str, ...] | None = None
     label: str | None = None
-
-    def __post_init__(self):
-        if self.checks is not None:
-            _check_names(self.checks)
 
     @staticmethod
     def from_dict(d: dict) -> "CorpusEntry":
         if not isinstance(d, dict) or not isinstance(d.get("group"), str):
             raise ValueError(f'a corpus entry must be an object with a "group" file, not {d!r}')
-        checks = d.get("checks")
-        if checks is not None and not isinstance(checks, list):
-            raise ValueError(f'"checks" must be a list of check names, not {checks!r}')
+        unknown = sorted(d.keys() - {"group", "p", "m", "n", "label"})
+        if unknown:
+            raise ValueError(f"unknown corpus entry key {unknown[0]!r}; "
+                             f"the keys are group, p, m, n and label")
         p, m, n = d["p"], d.get("m", 1), d.get("n", 1)
         for name, value in (("p", p), ("m", m), ("n", n)):
             if type(value) is not int:  # bool is an int subclass, and not a number here
@@ -220,29 +215,10 @@ class CorpusEntry:
         label = d.get("label")
         if label is not None and not isinstance(label, str):
             raise ValueError(f'"label" must be a string, not {label!r}')
-        return CorpusEntry(group=d["group"], p=p, m=m, n=n, block=str(d.get("block", "all")),
-                           checks=None if checks is None else tuple(checks), label=label)
-
-    def wants(self, check: str) -> bool:
-        return self.checks is None or check in self.checks
+        return CorpusEntry(group=d["group"], p=p, m=m, n=n, label=label)
 
 
-ALL_CHECKS = ("blocks", "correspondence", "principal", "descent")
-
-
-def _check_names(names) -> tuple[str, ...]:
-    """names as a tuple; ValueError if it is empty or a name is not in
-    ALL_CHECKS."""
-    names = tuple(names)
-    if not names:
-        raise ValueError(f"no check selected; the checks are {', '.join(ALL_CHECKS)}")
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise ValueError(f"unknown check {name!r}; the checks are {', '.join(ALL_CHECKS)}")
-    return names
-
-
-def _check_input(G, tower, block: str) -> None:
+def _check_input(G, tower, block: str = "all") -> None:
     """Raise InputError unless the Sylow p-subgroup is within the subgroup
     enumeration bound and block is 'all' or the index of an L-block."""
     sylow = p_part(G.order, tower.p)
@@ -260,12 +236,12 @@ def _check_input(G, tower, block: str) -> None:
 
 
 def run_entry(entry: CorpusEntry, base: Path | None = None, group=None) -> dict:
-    """Run every requested check for one corpus entry, on group when given
-    (the group its file describes) and else on the group loaded from the
-    file; never raises, error text is embedded instead, with its kind:
-    "input" (group file, tower, block selector or range, or a Sylow
-    subgroup over the enumeration bound), "verification" (a
-    VerificationError) or "internal" (any other exception)."""
+    """Run every check for one corpus entry, on group when given (the group
+    its file describes) and else on the group loaded from the file; never
+    raises, error text is embedded instead, with its kind: "input" (group
+    file, tower, or a Sylow subgroup over the enumeration bound),
+    "verification" (a VerificationError) or "internal" (any other
+    exception)."""
     label = entry.label or f"{entry.group}@p{entry.p}m{entry.m}n{entry.n}"
 
     def error(kind: str, exc: Exception) -> dict:
@@ -278,54 +254,42 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, group=None) -> dict:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return error("input", exc)
     try:
-        _check_input(G, tower, entry.block)
+        _check_input(G, tower)
+        pb = principal_block(primitive_central_idempotents(G, tower, over_k=False))
         report: dict = {"label": label, "group": G.name, "order": G.order,
-                        "tower": _tower_dict(tower)}
-        verdicts = []
-        pb = None
-        if entry.wants("principal"):
-            pb = principal_block(primitive_central_idempotents(G, tower, over_k=False))
-        principal = None  # pb's fusion system and saturation, read off its descent
-        if entry.wants("blocks"):
-            report["blocks"] = blocks_report(G, tower)
-        if entry.wants("correspondence"):
-            corr = block_correspondence(G, tower)
-            report["correspondence"] = {
-                "orbits": [list(o) for o in corr.orbits],
-                "k_block_of_orbit": list(corr.k_block_of_orbit),
-                "defect_orders": list(corr.defect_orders_l),
-                "bijective": corr.bijective,
-                "defects_match": corr.defects_match,
-            }
-            verdicts += [corr.bijective, corr.defects_match]
-        if entry.wants("descent"):
-            descents = []
-            for b in _descent_blocks(G, tower, entry.block):
-                d, ctx = run_descent(G, tower, b)
-                axioms_ok = True
-                try:
-                    assert_fusion_axioms(ctx.system_l)
-                    if ctx.system_k is not ctx.system_l:
-                        assert_fusion_axioms(ctx.system_k)
-                except VerificationError:
-                    axioms_ok = False
-                d["axioms_ok"] = axioms_ok
-                descents.append(d)
-                verdicts += [d["all_ok"], axioms_ok]
-                if b == pb:  # the descent built pb's system at its first maximal pair
-                    principal = ctx.system_l, d["saturated"]["l"]
-            report["descent"] = descents
-        if pb is not None:
-            mp = maximal_pairs(G, tower, pb)
-            root = mp.pairs[0]
-            if principal is None:
-                system = block_fusion(G, tower, pb, root)
-                principal = system, saturation_report(system).saturated
-            system, sat = principal
-            same = fusion_equal(system, group_fusion(root.subgroup, G))
-            report["principal"] = {"block_index": pb.index, "sylow_order": mp.sylow.order,
-                                   "matches_group_fusion": same, "saturated": sat}
-            verdicts += [same, sat, root.subgroup.order == mp.sylow.order]
+                        "tower": _tower_dict(tower), "blocks": blocks_report(G, tower)}
+        corr = block_correspondence(G, tower)
+        report["correspondence"] = {
+            "orbits": [list(o) for o in corr.orbits],
+            "k_block_of_orbit": list(corr.k_block_of_orbit),
+            "defect_orders": list(corr.defect_orders_l),
+            "bijective": corr.bijective,
+            "defects_match": corr.defects_match,
+        }
+        verdicts = [corr.bijective, corr.defects_match]
+        descents = []
+        # pb is Galois-fixed, so it is the representative of its own orbit
+        for b in _descent_blocks(G, tower, "all"):
+            d, ctx = run_descent(G, tower, b)
+            axioms_ok = True
+            try:
+                assert_fusion_axioms(ctx.system_l)
+                if ctx.system_k is not ctx.system_l:
+                    assert_fusion_axioms(ctx.system_k)
+            except VerificationError:
+                axioms_ok = False
+            d["axioms_ok"] = axioms_ok
+            descents.append(d)
+            verdicts += [d["all_ok"], axioms_ok]
+            if b == pb:  # the descent built pb's system at its first maximal pair
+                system, sat = ctx.system_l, d["saturated"]["l"]
+        report["descent"] = descents
+        mp = maximal_pairs(G, tower, pb)
+        root = mp.pairs[0]
+        same = fusion_equal(system, group_fusion(root.subgroup, G))
+        report["principal"] = {"block_index": pb.index, "sylow_order": mp.sylow.order,
+                               "matches_group_fusion": same, "saturated": sat}
+        verdicts += [same, sat, root.subgroup.order == mp.sylow.order]
         report["ok"] = all(verdicts)
         return report
     except InputError as exc:
@@ -336,39 +300,24 @@ def run_entry(entry: CorpusEntry, base: Path | None = None, group=None) -> dict:
         return error("internal", exc)
 
 
-def _worker(payload: tuple) -> dict:
-    entry_dict, base_str = payload
-    base = Path(base_str) if base_str else None
-    return run_entry(CorpusEntry.from_dict(entry_dict), base)
-
-
-def run_corpus(entries, base: Path | None = None, jobs: int = 1) -> dict:
-    """Run every entry.  Serially, each group file is loaded once and its
+def run_corpus(entries, base: Path | None = None) -> dict:
+    """Run every entry in order.  Each group file is loaded once and its
     group is kept until the last entry that names it; a file that fails
     to load is left to run_entry, which reports the error on each entry."""
     entries = list(entries)
-    # the pool starts all of its workers up front: no more than there are entries
-    jobs = min(jobs, len(entries))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # most runs start no pool
-        payloads = [(e.__dict__ | {"checks": None if e.checks is None else list(e.checks)},
-                     str(base) if base else "") for e in entries]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker, payloads))
-    else:
-        last = {e.group: i for i, e in enumerate(entries)}
-        groups: dict = {}
-        results = []
-        for i, e in enumerate(entries):
-            G = groups.get(e.group)
-            if G is None:
-                try:
-                    G = groups[e.group] = load_group_file(e.group, base)
-                except (OSError, ValueError, KeyError, TypeError):
-                    pass
-            results.append(run_entry(e, base, G))
-            if last[e.group] == i:
-                groups.pop(e.group, None)
+    last = {e.group: i for i, e in enumerate(entries)}
+    groups: dict = {}
+    results = []
+    for i, e in enumerate(entries):
+        G = groups.get(e.group)
+        if G is None:
+            try:
+                G = groups[e.group] = load_group_file(e.group, base)
+            except (OSError, ValueError, KeyError, TypeError):
+                pass
+        results.append(run_entry(e, base, G))
+        if last[e.group] == i:
+            groups.pop(e.group, None)
     return {"version": __version__, "entries": results,
             "ok": all(r.get("ok", False) for r in results)}
 
@@ -520,29 +469,17 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run a corpus and aggregate the verdicts")
     p_verify.add_argument("--corpus", default=None, help="corpus file (default: shipped corpus)")
-    p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--checks", default=None,
-                          help="comma-separated subset of " + ",".join(ALL_CHECKS))
     p_verify.add_argument("--format", choices=("json", "table"), default="json")
 
     args = parser.parse_args(argv)
 
     if args.command == "verify":
-        if args.jobs < 1:
-            return _input_error(f"--jobs must be at least 1, got {args.jobs}")
         corpus_path = Path(args.corpus) if args.corpus else default_corpus_path()
         try:
             entries = load_corpus(corpus_path)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             return _input_error(f"corpus {corpus_path}: {type(exc).__name__}: {exc}")
-        if args.checks is not None:
-            try:
-                wanted = _check_names(args.checks.split(",") if args.checks else ())
-            except ValueError as exc:
-                return _input_error(f"--checks: {exc}")
-            entries = [CorpusEntry(e.group, e.p, e.m, e.n, e.block, wanted, e.label)
-                       for e in entries]
-        report = run_corpus(entries, base=corpus_path.parent, jobs=args.jobs)
+        report = run_corpus(entries, base=corpus_path.parent)
         _emit(report, args.format)
         kinds = {e.get("kind") for e in report["entries"]}
         if kinds & {"verification", "internal"}:

@@ -144,14 +144,16 @@ def _build_local_table(P: Subgroup) -> dict[tuple[int, ...], tuple[Subgroup, Sub
     return {Q.elems: (normalizer_in(P, Q), centralizer_in(P, Q)) for Q in all_subgroups(P)}
 
 
-def _conjugation_isos(P: Subgroup, xs) -> set[GroupMap]:
-    """The maps c_x: Q -> xQx^-1 for Q <= P and x in xs, where xQx^-1 <= P."""
+def _conjugation_isos(P: Subgroup, H: Subgroup) -> set[GroupMap]:
+    """The maps c_x: Q -> xQx^-1 for Q <= P and x in H, where xQx^-1 <= P.
+    c_x on Q depends only on the left coset x C_H(Q), so x runs over one
+    transporter per coset."""
     G = P.parent
     pset = set(P.elems)
     rows = conj_rows(G)
     isos = set()
     for Q in all_subgroups(P):
-        for x in xs:
+        for x in coset_reps(H, centralizer_in(H, Q)):
             images = tuple(map(rows[x].__getitem__, Q.elems))
             if pset.issuperset(images):
                 target = Subgroup(G, images, _checked=True)
@@ -160,8 +162,8 @@ def _conjugation_isos(P: Subgroup, xs) -> set[GroupMap]:
 
 
 def _inner_isos(P: Subgroup) -> frozenset:
-    """`_conjugation_isos(P, P.elems)`, memoized on the group per P."""
-    return P.parent.memo(("inner", P.elems), lambda: frozenset(_conjugation_isos(P, P.elems)))
+    """`_conjugation_isos(P, P)`, memoized on the group per P."""
+    return P.parent.memo(("inner", P.elems), lambda: frozenset(_conjugation_isos(P, P)))
 
 
 def group_fusion(P: Subgroup, G: FiniteGroup) -> FusionSystem:
@@ -169,7 +171,7 @@ def group_fusion(P: Subgroup, G: FiniteGroup) -> FusionSystem:
     subgroups of P realized by elements of G."""
     if P.parent is not G:
         raise ValueError("P must be a subgroup of G")
-    return FusionSystem(P, _conjugation_isos(P, G.elements()))
+    return FusionSystem(P, _conjugation_isos(P, full_subgroup(G)))
 
 
 def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> FusionSystem:

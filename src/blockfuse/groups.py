@@ -22,8 +22,8 @@ the centralizer bitmasks cmask[g] (bit h set iff gh = hg), G as a
 subgroup of itself, subgroup views, subgroup lattices and class data
 here, and the blocks, maximal pairs, subpair tables and N_P(Q)/C_P(Q)
 tables of the algebra, brauer and fusion layers.  The memo lives as long
-as the group, which the command line builds once per report, and a serial
-corpus run once per group file, dropped after the last entry naming it.
+as the group, which the command line builds once per report, and a corpus
+run once per group file, dropped after the last entry naming it.
 
 A `Subgroup` is a sorted index set inside a parent group together with the
 same set as an int bitmask (bit g set iff g is a member).  Membership and
@@ -79,8 +79,7 @@ class FiniteGroup:
         self.ambient: FiniteGroup | None = ambient
         self.ambient_elems: tuple[int, ...] | None = (
             tuple(ambient_elems) if ambient_elems is not None else None)
-        # the only cache; values are deterministic, so concurrent
-        # population is harmless
+        # the only cache
         self._memo: dict = {}
 
     def memo(self, key, build):

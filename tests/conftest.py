@@ -45,22 +45,17 @@ def corpus_run(corpus_entries):
 @pytest.fixture(scope="session")
 def corpus_objects(corpus_entries):
     """Per shipped corpus entry, the objects its checks read: the label,
-    group and tower, the principal block fusion system (None unless the
-    entry runs the principal check) and the GaloisContext of every
-    descent it runs, built as `cli.run_entry` builds them."""
+    group and tower, the principal block fusion system and the
+    GaloisContext of every descent it runs, built as `cli.run_entry`
+    builds them."""
     base = cli.default_corpus_path().parent
     out = []
     for entry in corpus_entries:
         G = cli.load_group_file(entry.group, base)
         tower = make_tower(entry.p, entry.m, entry.n)
-        principal = None
-        if entry.wants("principal"):
-            pb = principal_block(primitive_central_idempotents(G, tower))
-            principal = block_fusion(G, tower, pb, maximal_pairs(G, tower, pb).pairs[0])
-        contexts = []
-        if entry.wants("descent"):
-            contexts = [run_descent(G, tower, b)[1]
-                        for b in cli._descent_blocks(G, tower, entry.block)]
+        pb = principal_block(primitive_central_idempotents(G, tower))
+        principal = block_fusion(G, tower, pb, maximal_pairs(G, tower, pb).pairs[0])
+        contexts = [run_descent(G, tower, b)[1] for b in cli._descent_blocks(G, tower, "all")]
         out.append({"label": entry.label, "group": G, "tower": tower,
                     "principal": principal, "contexts": contexts})
     return out

@@ -413,6 +413,21 @@ def factorization_check_scan(F: FusionSystem, F_big: FusionSystem, sigma: GroupM
     return True
 
 
+def conjugation_isos_scan(P: Subgroup, xs) -> set[GroupMap]:
+    """The maps c_x: Q -> xQx^-1 for Q <= P and every x in xs, where
+    xQx^-1 <= P."""
+    G = P.parent
+    pset = set(P.elems)
+    isos = set()
+    for Q in all_subgroups(P):
+        for x in xs:
+            images = tuple(G.conj(x, g) for g in Q.elems)
+            if pset.issuperset(images):
+                target = Subgroup(G, tuple(sorted(images)), _checked=True)
+                isos.add(GroupMap(Q, target, images, _checked=True))
+    return isos
+
+
 def block_fusion_scan(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> FusionSystem:
     """The block fusion system by scanning every x in G against every
     Q <= P and testing x e_Q = e_{xQ} through the subpair table, one

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 import random
@@ -12,7 +11,7 @@ from hypothesis import given, strategies as st
 import blockfuse
 import blockfuse.cli as cli
 from blockfuse import block_fusion, maximal_pairs, primitive_central_idempotents
-from blockfuse.algebra import VerificationError
+from blockfuse.algebra import VerificationError, principal_block
 from blockfuse.cli import CorpusEntry, main, render_json, run_entry
 from blockfuse.gf import make_tower
 from oracles import generating_maps_by_compose, render_json_reference
@@ -151,45 +150,6 @@ def test_report_determinism(capsys):
     assert t1 == t2
 
 
-def test_jobs_output_matches_serial(tmp_path, capsys):
-    corpus = {"entries": [
-        {"group": "builtin:c3", "p": 2, "m": 1, "n": 2, "label": "a"},
-        {"group": "builtin:c6", "p": 2, "m": 1, "n": 2, "label": "b"},
-    ]}
-    path = tmp_path / "corpus.json"
-    path.write_text(json.dumps(corpus))
-    code1, out1 = _run(capsys, ["verify", "--corpus", str(path), "--jobs", "1"])
-    code2, out2 = _run(capsys, ["verify", "--corpus", str(path), "--jobs", "2"])
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
-def test_verify_pool_is_capped_at_entry_count(tmp_path, capsys, monkeypatch):
-    """The pool starts every worker it is given; the stand-in pool records
-    the request and runs the entries in this process."""
-    requested = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    path = _write_corpus(tmp_path, [{"group": "builtin:c3", "p": 2, "label": "a"},
-                                    {"group": "builtin:s3", "p": 3, "label": "b"}])
-    code, out = _run(capsys, ["verify", "--corpus", path, "--jobs", "64"])
-    assert code == 0 and json.loads(out)["ok"]
-    assert requested == [2]
-
-
 def test_table_format(capsys):
     code, out = _run(capsys, ["blocks", "--group", "builtin:c3", "--p", "3",
                               "--format", "table"])
@@ -205,15 +165,19 @@ def test_full_corpus_exit_zero(corpus_run):
         assert entry.get("ok"), entry.get("label")
 
 
-def test_checks_filter(tmp_path, capsys):
-    corpus = {"entries": [{"group": "builtin:c3", "p": 3, "label": "c3"}]}
-    path = tmp_path / "corpus.json"
-    path.write_text(json.dumps(corpus))
-    code, out = _run(capsys, ["verify", "--corpus", str(path), "--checks", "blocks"])
-    assert code == 0
-    report = json.loads(out)
-    assert "descent" not in report["entries"][0]
-    assert "blocks" in report["entries"][0]
+def test_principal_block_is_a_descent_representative(corpus_entries):
+    """run_entry reads the principal block's fusion system off its descent,
+    so the principal block must be among the orbit representatives that
+    descend: on every shipped corpus entry and on the non-split builtins
+    over the towers where their descents have index p or prime to p."""
+    base = cli.default_corpus_path().parent
+    cases = [(e.group, (e.p, e.m, e.n)) for e in corpus_entries]
+    cases += [("builtin:c5c8s2", (2, 1, 4)), ("builtin:c7c9s3", (3, 2, 6)),
+              ("builtin:c7v4s3", (2, 1, 3))]
+    for source, tower in cases:
+        G, t = cli.load_group_file(source, base), make_tower(*tower)
+        pb = principal_block(primitive_central_idempotents(G, t))
+        assert pb in cli._descent_blocks(G, t, "all"), (source, tower)
 
 
 def test_run_entry_report_is_plain_json():
@@ -244,36 +208,45 @@ def test_verify_under_optimized_mode():
     (["fusion", "--group", "builtin:s3", "--p", "2", "--block", "99"], "out of range"),
     (["descent", "--group", "builtin:s3", "--p", "2", "--block", "first"], "--block"),
     (["verify", "--corpus", "no_such_corpus.json"], "no_such_corpus.json"),
-    (["verify", "--jobs", "0"], "--jobs must be at least 1"),
-    (["verify", "--jobs", "-2"], "--jobs must be at least 1"),
-    (["verify", "--checks", "blocks,blcoks"], "--checks: unknown check 'blcoks'"),
-    (["verify", "--corpus", "{tmp}/checks.json"], "unknown check 'blcoks'"),
-    (["verify", "--corpus", "{tmp}/string_checks.json"],
-     '"checks" must be a list of check names'),
-    (["verify", "--checks", ""], "--checks: no check selected"),
-    (["verify", "--corpus", "{tmp}/empty_checks.json"], "no check selected"),
+    *[(["verify", "--corpus", f"{{tmp}}/{name}.json"], f"unknown corpus entry key {key!r}")
+      for name, key in (("checks", "checks"), ("string_checks", "checks"),
+                        ("empty_checks", "checks"), ("block", "block"), ("lable", "lable"))],
+    (["fusion", "--group", "builtin:s3", "--p", "2", "--block", "-1"], "not '-1'"),
+    (["descent", "--group", "builtin:s3", "--p", "2", "--block", "99"], "out of range"),
     *[([command, "--group", "{tmp}/c2e9.json", "--p", "2"],
         "Sylow 2-subgroup of order 512, over the subgroup enumeration bound 256")
       for command in ("blocks", "fusion", "descent")],
 ])
 def test_bad_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
-    """{tmp}/checks.json is a corpus whose one entry names an unknown check,
-    {tmp}/string_checks.json one whose "checks" is a string and
-    {tmp}/empty_checks.json one whose "checks" is empty.  {tmp}/c2e9.json
-    is C2^9, of order 512, under the group bound, but its Sylow 2-subgroup
-    is over the subgroup enumeration bound."""
+    """{tmp}/checks.json, string_checks.json and empty_checks.json are
+    corpora whose one entry has a "checks" key (a list, a string, an empty
+    list), block.json one with a "block" key and lable.json one with a
+    misspelt "label": a corpus entry has no other keys than group, p, m,
+    n and label.  {tmp}/c2e9.json is C2^9, of order 512, under the group
+    bound, but its Sylow 2-subgroup is over the subgroup enumeration
+    bound."""
     (tmp_path / "c2e9.json").write_text(json.dumps(C2E9))
-    (tmp_path / "checks.json").write_text(json.dumps(
-        {"entries": [{"group": "builtin:s3", "p": 2, "checks": ["blcoks"]}]}))
-    (tmp_path / "string_checks.json").write_text(json.dumps(
-        {"entries": [{"group": "builtin:s3", "p": 2, "checks": "descent"}]}))
-    (tmp_path / "empty_checks.json").write_text(json.dumps(
-        {"entries": [{"group": "builtin:c3", "p": 2, "checks": []}]}))
+    s3 = {"group": "builtin:s3", "p": 2}
+    for name, extra in (("checks", {"checks": ["blcoks"]}),
+                        ("string_checks", {"checks": "descent"}),
+                        ("empty_checks", {"checks": []}), ("block", {"block": "all"}),
+                        ("lable", {"lable": "x"})):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"entries": [s3 | extra]}))
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("blockfuse: error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--checks", "blocks"]])
+def test_verify_has_one_configuration(option, capsys):
+    """verify runs every check on every block, serially: no pool size or
+    check filter is accepted."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", *option])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
@@ -286,7 +259,8 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
     for corpus in ([1, 2], {"entries": [{"p": 2}]}, {"entries": [1]}, {"entries": {"a": 1}},
                    {"entries": [{"group": 5, "p": 2}]}, {"entries": [s3 | {"p": 3.9}]},
                    {"entries": [s3 | {"p": True}]}, {"entries": [s3 | {"n": "2"}]},
-                   {"entries": [s3 | {"label": [1]}]}):
+                   {"entries": [s3 | {"label": [1]}]}, {"entries": [s3 | {"checks": ["descent"]}]},
+                   {"entries": [s3 | {"block": "0"}]}, {"entries": [s3 | {"lable": "x"}]}):
         path.write_text(json.dumps(corpus))
         assert main(["verify", "--corpus", str(path)]) == 2
         err = capsys.readouterr().err
@@ -322,15 +296,6 @@ def test_verify_bad_prime_is_input_error(tmp_path, capsys):
     (entry,) = json.loads(out)["entries"]
     assert entry == {"label": "p4", "error": "ValueError: p=4 is not prime",
                      "kind": "input", "ok": False}
-
-
-@pytest.mark.parametrize("block,message", [("first", "'first'"), ("99", "out of range")])
-def test_verify_bad_block_is_input_error(block, message, tmp_path, capsys):
-    path = _write_corpus(tmp_path, [{"group": "builtin:s3", "p": 2, "block": block}])
-    code, out = _run(capsys, ["verify", "--corpus", path])
-    assert code == 2
-    (entry,) = json.loads(out)["entries"]
-    assert entry["kind"] == "input" and message in entry["error"]
 
 
 def _failing_report(*args, **kwargs):
@@ -379,7 +344,7 @@ def test_axiom_check_failures(exc, code, kind, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "assert_fusion_axioms", failing)
     path = _write_corpus(tmp_path, [{"group": "builtin:d24", "p": 2, "m": 1, "n": 2,
-                                     "label": "d24", "checks": ["descent"]}])
+                                     "label": "d24"}])
     got, out = _run(capsys, ["verify", "--corpus", path])
     assert got == code
     (entry,) = json.loads(out)["entries"]
@@ -532,7 +497,7 @@ def test_generating_maps_match_composing_group_maps(corpus_objects, fusion_2e3s4
     """Composing image tuples picks the generators that composing
     `GroupMap`s picks, for Aut_F(P) of every corpus system (L and K
     sides) and of every block of 2^3:S4 at p = 2."""
-    systems = [o["principal"] for o in corpus_objects if o["principal"] is not None]
+    systems = [o["principal"] for o in corpus_objects]
     systems += [F for o in corpus_objects for ctx in o["contexts"]
                 for F in (ctx.system_l, ctx.system_k)]
     G, tower, report = fusion_2e3s4

@@ -21,13 +21,15 @@ from blockfuse.gf import make_tower
 from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
                               centralizer_in, full_subgroup, generated_subgroup,
                               normalizer_in, sylow_p_subgroup, trivial_subgroup)
-from oracles import (block_fusion_scan, cyclic_subgroup, extension_counterexample_scan,
-                     factorization_check_scan, fully_centralized_scan, fully_normalized_scan,
-                     fusion_equal_scan, hom_count_matrix_dense, is_centric_scan, n_phi_scan,
+from oracles import (block_fusion_scan, conjugation_isos_scan, cyclic_subgroup,
+                     extension_counterexample_scan, factorization_check_scan,
+                     fully_centralized_scan, fully_normalized_scan, fusion_equal_scan,
+                     hom_count_matrix_dense, is_centric_scan, n_phi_scan,
                      saturation_report_full_scan)
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
+BENCH_GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
 
 def _c4(d24):
@@ -53,6 +55,19 @@ def test_group_fusion_c4_in_d24(d24):
     F = group_fusion(P, d24)
     assert len(F.aut_set(P)) == 2  # identity and inversion
     assert_fusion_axioms(F)
+
+
+def test_conjugation_isos_match_the_all_elements_scan(corpus_objects):
+    """One transporter per left coset of C_H(Q) gives the maps of every x
+    in H, for H = G and H = P: on the principal defect group of each
+    corpus entry and on a Sylow 2-subgroup of 2^3:S4."""
+    bench = cli.load_group_file(str(BENCH_GROUPS / "2e3s4.json"))
+    cases = [(o["group"], o["principal"].p_subgroup) for o in corpus_objects]
+    cases.append((bench, sylow_p_subgroup(bench, 2)))
+    for G, P in cases:
+        assert (fusion._conjugation_isos(P, full_subgroup(G))
+                == conjugation_isos_scan(P, G.elements()))
+        assert fusion._conjugation_isos(P, P) == conjugation_isos_scan(P, P.elems)
 
 
 def test_group_fusion_abelian_only_inclusions(groups):
@@ -118,11 +133,9 @@ def test_principal_block_fusion_is_group_fusion(groups, d24):
 def test_block_fusion_matches_scan_oracle_on_corpus(corpus_objects):
     cases = []
     for objects in corpus_objects:
-        if objects["principal"] is not None:
-            G, tower = objects["group"], objects["tower"]
-            pb = principal_block(primitive_central_idempotents(G, tower))
-            cases.append((objects["principal"], G, tower, pb,
-                          maximal_pairs(G, tower, pb).pairs[0]))
+        G, tower = objects["group"], objects["tower"]
+        pb = principal_block(primitive_central_idempotents(G, tower))
+        cases.append((objects["principal"], G, tower, pb, maximal_pairs(G, tower, pb).pairs[0]))
         for ctx in objects["contexts"]:
             cases.append((ctx.system_l, ctx.group, ctx.tower, ctx.block, ctx.root))
             cases.append((ctx.system_k, ctx.group, ctx.tower, ctx.k_block, ctx.k_root))
@@ -239,7 +252,7 @@ def _assert_local_facts_match_scans(F):
 
 def test_local_facts_match_scan_oracles_on_corpus(corpus_objects):
     """The principal systems and the L- and K-systems of all 52 descents."""
-    principal = [o["principal"] for o in corpus_objects if o["principal"] is not None]
+    principal = [o["principal"] for o in corpus_objects]
     contexts = [ctx for o in corpus_objects for ctx in o["contexts"]]
     assert principal and len(contexts) == 52
     for F in principal + [F for ctx in contexts for F in (ctx.system_l, ctx.system_k)]:
