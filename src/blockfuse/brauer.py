@@ -21,6 +21,7 @@ from .algebra import (BlockIdempotent, VerificationError, brauer_map, central_mu
 from .gf import FieldTower
 from .groups import (FiniteGroup, Subgroup, all_subgroups, centralizer, normalizer,
                      normalizer_in, sylow_p_subgroup)
+from .groups import _centralizer_masks, p_part
 
 
 @dataclass(frozen=True)
@@ -164,21 +165,25 @@ def maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> Maxi
 
 
 def _maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> MaximalPairs:
+    """|D| is the largest p-part of |C_G(x)| over the support of b: the
+    support's classes have defect groups up to D (Brauer and Green's defect
+    classes), and Br_D(b) != 0 puts some x in C_G(D) into it."""
     p = tower.p
     S = sylow_p_subgroup(G, p)
-    candidates = []
-    for P in all_subgroups(S):
-        br = brauer_map(b.elem, P, check_stable=False)
-        if not br.is_zero:
-            candidates.append((P, br))
-    defect = max(P.order for P, _ in candidates)
+    cmasks = _centralizer_masks(G)
+    defect = max(p_part(cmasks[x].bit_count(), p) for x, c in enumerate(b.elem.coeffs) if c)
     pairs = []
-    for P, br in candidates:
+    for P in all_subgroups(S):
         if P.order != defect:
+            continue
+        br = brauer_map(b.elem, P, check_stable=False)
+        if br.is_zero:
             continue
         for e in centralizer_blocks(G, tower, P, b.over_k):
             if central_multiply(br, e.elem) == e.elem:
                 pairs.append(BrauerPair(P, e))
+    if not pairs:
+        raise VerificationError(f"no subgroup of order {defect} has a pair of block {b.index}")
     pairs.sort(key=lambda pr: (pr.subgroup.elems, pr.block.index))
     return MaximalPairs(tuple(pairs), defect, S)
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .algebra import (VerificationError, augmentation, is_k_rational,
                       primitive_central_idempotents, principal_block)
@@ -112,6 +111,44 @@ def _generating_maps(aut_maps) -> list:
     return [by_perm[g] for g in gens]
 
 
+class HomCounts(Mapping):
+    """|Hom_F(Q, R)| keyed "Q|R", Q and R a system's subgroups written as
+    their comma-joined element lists; read-only, iterated in sorted key
+    order.  Rows of one F-class are equal, and are written from one list
+    of column pieces."""
+
+    def __init__(self, system):
+        labels = [",".join(map(str, Q.elems)) for Q in system.subgroups]
+        cols = sorted(range(len(labels)), key=labels.__getitem__)
+        self._cols = {labels[j]: c for c, j in enumerate(cols)}
+        counts = map(tuple, system.hom_count_matrix()[:, cols].tolist())
+        # "|" sorts after every digit and ",", so "Q|R" keys sort by "Q|" first
+        self._rows = dict(sorted(zip([label + "|" for label in labels], counts)))
+
+    def __getitem__(self, key) -> int:
+        row, bar, col = str(key).partition("|")
+        return self._rows[row + bar][self._cols[col]]
+
+    def __iter__(self):
+        return (row + col for row in self._rows for col in self._cols)
+
+    def __len__(self) -> int:
+        return len(self._rows) * len(self._cols)
+
+    def json_pieces(self, pad: str, out: list[str]) -> None:
+        """Append the JSON text as `_json_pieces` does, two pieces per row:
+        its key "Q|", and its column pieces 'R": n,<newline and indent>"'
+        joined with that key."""
+        tail = "," + pad + '  "'
+        columns: dict[tuple[int, ...], list[str]] = {}
+        out.append("{" + tail[1:])
+        for row, counts in self._rows.items():
+            if counts not in columns:
+                columns[counts] = [f'{col}": {n}{tail}' for col, n in zip(self._cols, counts)]
+            out += (row, row.join(columns[counts]))
+        out[-1:] = (out[-1][:-len(tail)], pad + "}")
+
+
 def _fusion_system_report(G, tower, block) -> dict:
     mp = maximal_pairs(G, tower, block)
     root = mp.pairs[0]
@@ -119,15 +156,6 @@ def _fusion_system_report(G, tower, block) -> dict:
     P = root.subgroup
     sat = saturation_report(system)
     aut = system.aut_set(P)
-    # "Q|R" keys inserted in the order render_json sorts them into: rows by
-    # label + "|" ("|" sorts after every digit and ","), columns by label
-    labels = [",".join(map(str, Q.elems)) for Q in system.subgroups]
-    rows = sorted(range(len(labels)), key=lambda i: labels[i] + "|")
-    cols = sorted(range(len(labels)), key=labels.__getitem__)
-    col_labels = [labels[j] for j in cols]
-    hom_counts: dict[str, int] = {}
-    for i, counts in zip(rows, system.hom_count_matrix()[np.ix_(rows, cols)].tolist()):
-        hom_counts.update(zip(map((labels[i] + "|").__add__, col_labels), counts))
     return {
         "block_index": block.index,
         "defect_order": mp.defect_order,
@@ -137,7 +165,7 @@ def _fusion_system_report(G, tower, block) -> dict:
         "aut_order": len(aut),
         "aut_generators": [list(m.images) for m in _generating_maps(aut)],
         "inner_aut_order": len(aut) // sat.aut_index,
-        "hom_counts": hom_counts,
+        "hom_counts": HomCounts(system),
         "saturated": sat.saturated,
         "sylow_axiom": sat.sylow_ok,
         "extension_axiom": sat.extension_ok,
@@ -331,15 +359,16 @@ def load_corpus(path: Path) -> list[CorpusEntry]:
 
 
 def render_json(report: dict) -> str:
-    """`json.dumps(report, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+    """`json.dumps(report, sort_keys=True, indent=2, default=dict) + "\\n"`,
+    byte for byte.
 
     With an indent the standard library encodes in Python, one small piece
     per token.  Here str, int, bool and None are written directly; a
     container of at least `_C_ENCODER_MIN` such scalars goes whole to the C
-    encoder, whose item separator carries the newline and indentation,
-    except a dict of ints whose keys need no escaping: its sorted keys
-    become pieces, joined only with the whole report.  Anything else
-    (floats, tuples, non-string keys) is left to the standard library."""
+    encoder, whose item separator carries the newline and indentation, and
+    a `HomCounts` table is written a row at a time, joined only with the
+    whole report.  Anything else (floats, tuples, non-string keys) is left
+    to the standard library."""
     pieces: list[str] = []
     _json_pieces(report, "\n", pieces)
     return "".join(pieces + ["\n"])
@@ -356,14 +385,17 @@ _JSON_SCALARS = {
 
 def _json_pieces(value, pad: str, out: list[str]) -> bool:
     """Append the JSON text of value to out; return whether it went in as
-    several pieces, which it does only if value is or holds a dict of ints
-    written key by key.  pad, a newline and the indentation of value's
-    first line, starts each of its other lines."""
+    several pieces, which it does only if value is or holds a `HomCounts`.
+    pad, a newline and the indentation of value's first line, starts each
+    of its other lines."""
     kind = type(value)
     scalar = _JSON_SCALARS.get(kind)
     if scalar is not None:
         out.append(scalar(value))
         return False
+    if kind is HomCounts:
+        value.json_pieces(pad, out)
+        return True
     if kind is list:
         brackets, values = "[]", value
     elif kind is dict and {*map(type, value)} <= {str}:
@@ -376,22 +408,10 @@ def _json_pieces(value, pad: str, out: list[str]) -> bool:
         return False
     inner = pad + "  "
     sep = "," + inner
-    if len(value) >= _C_ENCODER_MIN:
-        types = {*map(type, values)}
-        keys = sorted(value) if types == {int} and kind is dict else []
-        joined = "".join(keys)  # no key needs escaping iff the quotes are all it adds
-        if keys and len(_JSON_SCALARS[str](joined)) == len(joined) + 2:
-            sep += '"'  # each key stands between a separator's '"' and '": <its value>'
-            value_text = {v: '": ' + int.__repr__(v) for v in {*values}}
-            out.append("{" + sep[1:])
-            for k in keys:
-                out += (k, value_text[value[k]], sep)
-            out[-1:] = (pad, "}")
-            return True
-        if types <= _JSON_SCALARS.keys():
-            text = json.dumps(value, sort_keys=True, separators=(sep, ": "))
-            out.append(brackets[0] + inner + text[1:-1] + pad + brackets[1])
-            return False
+    if len(value) >= _C_ENCODER_MIN and {*map(type, values)} <= _JSON_SCALARS.keys():
+        text = json.dumps(value, sort_keys=True, separators=(sep, ": "))
+        out.append(brackets[0] + inner + text[1:-1] + pad + brackets[1])
+        return False
     pieces = [brackets[0], inner]
     split = False
     if kind is list:
@@ -412,7 +432,7 @@ def _json_pieces(value, pad: str, out: list[str]) -> bool:
 
 
 def _flatten(prefix: str, value, lines: list[str]) -> None:
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], lines)
     elif isinstance(value, list):

@@ -330,9 +330,10 @@ def _extension_test(F: FusionSystem):
 
 
 def _automizer(P: Subgroup, R: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Aut_P(R) as image tuples over R."""
+    """Aut_P(R) as image tuples over R, one conjugation per left coset of
+    C_P(R) in N_P(R), since c_u on R depends only on u C_P(R)."""
     rows = conj_rows(P.parent)
-    return {tuple(map(rows[u].__getitem__, R)) for u in _local_table(P)[R][0].elems}
+    return {tuple(map(rows[u].__getitem__, R)) for u in coset_reps(*_local_table(P)[R])}
 
 
 def _extension_counterexample(F: FusionSystem):

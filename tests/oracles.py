@@ -15,16 +15,19 @@ import json
 
 import numpy as np
 
-from blockfuse.algebra import AlgebraElement, VerificationError, multiply, one, zero
-from blockfuse.brauer import (BrauerPair, SubpairTable, centralizer_blocks, conjugate_block,
-                              is_pair_of_block, maximal_pairs, normal_leq, subpair_table)
+from blockfuse.algebra import (AlgebraElement, VerificationError, brauer_map, central_multiply,
+                               multiply, one, zero)
+from blockfuse.brauer import (BrauerPair, MaximalPairs, SubpairTable, centralizer_blocks,
+                              conjugate_block, is_pair_of_block, maximal_pairs, normal_leq,
+                              subpair_table)
 from blockfuse.fusion import (FusionSystem, SaturationReport, _extension_test,
                              _first_non_extendable, sylow_index)
 from blockfuse.gf import (Factorization, FieldTower, Poly, _fp_is_irreducible, _pdivmod,
                           _pinvmod, _pmod, _pmul, _pnorm, factor, factor_over_subfield)
 from blockfuse.groups import (MAX_ORDER, FiniteGroup, GroupMap, Subgroup, _join,
                               all_subgroups, centralizer_in, class_data, coset_reps,
-                              full_subgroup, generated_subgroup, normalizer_in)
+                              full_subgroup, generated_subgroup, normalizer_in,
+                              sylow_p_subgroup)
 from blockfuse.linalg import Echelon
 
 
@@ -149,8 +152,23 @@ def is_stable_scan(a: AlgebraElement, S: Subgroup) -> bool:
 
 
 def render_json_reference(report) -> str:
-    """The report as the standard library's encoder prints it."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as the standard library's encoder prints it, a
+    `cli.HomCounts` table as the dict it reads as."""
+    return json.dumps(report, sort_keys=True, indent=2, default=dict) + "\n"
+
+
+def hom_counts_dict(F: FusionSystem) -> dict[str, int]:
+    """The fusion report's hom-count table as a dict keyed "Q|R" by the
+    comma-joined element lists, its keys inserted in sorted order: rows by
+    label + "|" ("|" sorts after every digit and ","), columns by label."""
+    labels = [",".join(map(str, Q.elems)) for Q in F.subgroups]
+    rows = sorted(range(len(labels)), key=lambda i: labels[i] + "|")
+    cols = sorted(range(len(labels)), key=labels.__getitem__)
+    col_labels = [labels[j] for j in cols]
+    out: dict[str, int] = {}
+    for i, counts in zip(rows, F.hom_count_matrix()[np.ix_(rows, cols)].tolist()):
+        out.update(zip(map((labels[i] + "|").__add__, col_labels), counts))
+    return out
 
 
 def generating_maps_by_compose(aut_maps) -> list:
@@ -453,6 +471,24 @@ def block_fusion_scan(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) ->
             target = Subgroup(G, target_elems, _checked=True)
             isos.add(GroupMap(Q, target, images, _checked=True))
     return FusionSystem(P, isos)
+
+
+def maximal_pairs_scan(G: FiniteGroup, tower: FieldTower, b) -> MaximalPairs:
+    """The maximal pairs of b inside one Sylow p-subgroup S, with the
+    defect order read as the largest order of a subgroup of S onto which
+    b has a nonzero Brauer projection: every subgroup of S is projected."""
+    S = sylow_p_subgroup(G, tower.p)
+    candidates = []
+    for P in all_subgroups(S):
+        br = brauer_map(b.elem, P, check_stable=False)
+        if not br.is_zero:
+            candidates.append((P, br))
+    defect = max(P.order for P, _ in candidates)
+    pairs = [BrauerPair(P, e) for P, br in candidates if P.order == defect
+             for e in centralizer_blocks(G, tower, P, b.over_k)
+             if central_multiply(br, e.elem) == e.elem]
+    pairs.sort(key=lambda pr: (pr.subgroup.elems, pr.block.index))
+    return MaximalPairs(tuple(pairs), defect, S)
 
 
 def subpair_table_normal_steps(root: BrauerPair) -> SubpairTable:

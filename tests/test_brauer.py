@@ -15,7 +15,8 @@ from blockfuse.groups import Subgroup, all_subgroups, sylow_p_subgroup, trivial_
 
 from conftest import GROUP_NAMES, load_builtin
 from oracles import (block_fusion_cosets, conjugate_element_scan, conjugate_subgroup,
-                     cyclic_subgroup, is_stable_scan, subpair_table_normal_steps, support)
+                     cyclic_subgroup, is_stable_scan, maximal_pairs_scan,
+                     subpair_table_normal_steps, support)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -390,3 +391,31 @@ def test_forced_subpairs_and_fusion_match_normal_step_oracles(source, tower):
                 assert block_fusion(G, t, b, root).isos == block_fusion_cosets(G, t, b, root).isos
         if source in ("builtin:c5c8s2", "builtin:c7c9s3"):
             assert unforced
+
+
+def _defect_class_cases():
+    """(group file, tower) for every distinct corpus entry, S6 at p = 2, 3
+    and 5, 2^3:S4 at p = 2 and 3, and the three non-split builtins over
+    towers where their descents have index p."""
+    entries = cli.load_corpus(cli.default_corpus_path())
+    cases = {(e.group, (e.p, e.m, e.n)) for e in entries}
+    cases |= {("perfbench/groups/s6.json", (p, 1, 2)) for p in (2, 3, 5)}
+    cases |= {("perfbench/groups/2e3s4.json", (p, 1, 2)) for p in (2, 3)}
+    cases |= {("builtin:c5c8s2", (2, 1, 4)), ("builtin:c7c9s3", (3, 2, 6)),
+              ("builtin:c7v4s3", (2, 1, 3))}
+    return [pytest.param(source, tower, id=f"{source}@p{tower[0]}m{tower[1]}n{tower[2]}")
+            for source, tower in sorted(cases)]
+
+
+@pytest.mark.parametrize("source,tower", _defect_class_cases())
+def test_defect_classes_give_the_projection_scan_pairs(source, tower):
+    """The maximal pairs found by projecting only subgroups of the order
+    the defect classes give equal those of the scan that projects every
+    subgroup of the Sylow subgroup, for every L- and K-block."""
+    G = cli.load_group_file(source, ROOT)
+    t = make_tower(*tower)
+    for over_k in (False, True):
+        for b in primitive_central_idempotents(G, t, over_k):
+            mp, scan = maximal_pairs(G, t, b), maximal_pairs_scan(G, t, b)
+            assert mp.defect_order == scan.defect_order, (b.index, over_k)
+            assert mp == scan

@@ -10,11 +10,12 @@ from hypothesis import given, strategies as st
 
 import blockfuse
 import blockfuse.cli as cli
-from blockfuse import block_fusion, maximal_pairs, primitive_central_idempotents
+from blockfuse import (block_fusion, maximal_pairs, primitive_central_idempotents,
+                       run_descent)
 from blockfuse.algebra import VerificationError, principal_block
 from blockfuse.cli import CorpusEntry, main, render_json, run_entry
 from blockfuse.gf import make_tower
-from oracles import generating_maps_by_compose, render_json_reference
+from oracles import generating_maps_by_compose, hom_counts_dict, render_json_reference
 
 BENCH_GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
@@ -482,15 +483,47 @@ def test_render_json_passes_no_large_container_to_json_dumps(fusion_2e3s4, monke
 
 
 def test_render_json_joins_each_container_without_an_int_table(corpus_run, fusion_2e3s4):
-    """Only a dict of ints written key by key and the containers holding it
-    stay in pieces until the final join, so the many small strings of a
-    large report are not all alive at once."""
+    """Only a hom-count table and the containers holding it stay in pieces
+    until the final join, the table in two per row, the row's key and its
+    joined columns, so the many small strings of a large report are not
+    all alive at once."""
     pieces = []
     assert not cli._json_pieces(corpus_run, "\n", pieces)
     assert len(pieces) == 1
     pieces = []
     assert cli._json_pieces(fusion_2e3s4[2], "\n", pieces)
-    assert 3 * 225 ** 2 <= len(pieces) < 3 * 225 ** 2 + 100
+    assert 2 * 225 <= len(pieces) < 2 * 225 + 100
+
+
+def test_hom_counts_read_as_the_dict_they_replace(corpus_objects, fusion_2e3s4):
+    """`HomCounts` equals the "Q|R"-keyed dict, its keys iterated in sorted
+    order, for every corpus principal system, both sides of every corpus
+    descent and of (C5xC8):C2 over F16/F2, and every block of 2^3:S4 at
+    p = 2; a key that names no pair of subgroups is missing."""
+    systems = [o["principal"] for o in corpus_objects]
+    systems += [F for o in corpus_objects for ctx in o["contexts"]
+                for F in (ctx.system_l, ctx.system_k)]
+    G = cli.load_group_file("builtin:c5c8s2")
+    t = make_tower(2, 1, 4)
+    for b in cli._descent_blocks(G, t, "all"):
+        ctx = run_descent(G, t, b)[1]
+        systems += [ctx.system_l, ctx.system_k]
+    G, tower, _ = fusion_2e3s4
+    for b in primitive_central_idempotents(G, tower):
+        systems.append(block_fusion(G, tower, b, maximal_pairs(G, tower, b).pairs[0]))
+    for F in systems:
+        counts, expected = cli.HomCounts(F), hom_counts_dict(F)
+        assert dict(counts) == expected
+        assert list(counts) == sorted(expected)
+    assert len(counts) == 225 ** 2
+    for key in ("0", "0|0|0", "0|1,2", "", 0, None):
+        assert key not in counts
+
+
+def test_table_format_renders_the_json_data(corpus_run, fusion_2e3s4):
+    """`--format table` reads a hom-count table as the dict it encodes."""
+    for report in (corpus_run, fusion_2e3s4[2]):
+        assert cli.render_table(report) == cli.render_table(json.loads(render_json(report)))
 
 
 def test_generating_maps_match_composing_group_maps(corpus_objects, fusion_2e3s4):
