@@ -8,8 +8,7 @@ from .gf import (FieldElement, FieldTower, Factorization, Poly, factor,
                  factor_over_subfield, make_tower)
 from .groups import (ClassData, FiniteGroup, GroupMap, Subgroup, all_subgroups, build_group,
                      centralizer, centralizer_in, class_data, coset_reps, full_subgroup,
-                     generated_subgroup, normalizer, normalizer_in, sylow_p_subgroup,
-                     trivial_subgroup)
+                     normalizer, normalizer_in, sylow_p_subgroup, trivial_subgroup)
 from .algebra import (AlgebraElement, BlockIdempotent, VerificationError, augmentation,
                       basis_element, brauer_map, central_multiply, conjugate_element, embed,
                       find_block, galois_apply, is_k_rational, is_stable, multiply, one,

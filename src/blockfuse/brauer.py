@@ -191,6 +191,6 @@ def _maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> Max
 def pair_stabilizer(pair: BrauerPair) -> Subgroup:
     """N_G(P, e): ambient elements fixing both coordinates."""
     e = pair.block.elem
-    members = [x for x in normalizer(pair.group, pair.subgroup).elems
-               if conjugate_element(x, e) == e]
-    return Subgroup(pair.group, members, _checked=True)
+    members = tuple(x for x in normalizer(pair.group, pair.subgroup).elems
+                    if conjugate_element(x, e) == e)
+    return Subgroup._of(pair.group, members)

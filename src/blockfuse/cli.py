@@ -18,7 +18,7 @@ from pathlib import Path
 from .algebra import (VerificationError, augmentation, is_k_rational,
                       primitive_central_idempotents, principal_block)
 from .brauer import maximal_pairs
-from .descent import block_correspondence, galois_orbit, run_descent
+from .descent import block_correspondence, run_descent
 from .fusion import (assert_fusion_axioms, block_fusion, fusion_equal, group_fusion,
                      saturation_report)
 from .gf import make_tower
@@ -197,13 +197,7 @@ def _descent_blocks(G, tower, block_sel: str) -> list:
     l_blocks = primitive_central_idempotents(G, tower, over_k=False)
     if block_sel != "all":
         return [l_blocks[int(block_sel)]]
-    seen: set[int] = set()
-    selected = []
-    for b in l_blocks:
-        if b.index not in seen:
-            seen.update(x.index for x in galois_orbit(b))
-            selected.append(b)
-    return selected
+    return [l_blocks[o[0]] for o in block_correspondence(G, tower).orbits]
 
 
 def descent_report(G, tower, block_sel="all") -> dict:

@@ -20,7 +20,7 @@ from .brauer import BrauerPair, maximal_pairs, pair_stabilizer, subpair_table
 from .fusion import (FusionSystem, SaturationReport, alperin_check, block_fusion, closure,
                      factorization_check, fusion_equal, saturation_report)
 from .gf import FieldTower
-from .groups import FiniteGroup, GroupMap, Subgroup, normalizer_in
+from .groups import FiniteGroup, GroupMap, Subgroup, coset_order, normalizer_in
 
 
 def frobenius_stabilizer_order(a) -> int:
@@ -69,12 +69,16 @@ class Correspondence:
     orbits: tuple[tuple[int, ...], ...]          # L-block indices per orbit
     k_block_of_orbit: tuple[int, ...]            # K-block index per orbit
     defect_orders_l: tuple[int, ...]             # per orbit (shared by members)
-    defect_orders_k: tuple[int, ...]             # per K-block, aligned with orbits
     bijective: bool
     defects_match: bool
 
 
 def block_correspondence(G: FiniteGroup, tower: FieldTower) -> Correspondence:
+    """The block correspondence over the tower, memoized on G per tower."""
+    return G.memo(("correspondence", tower.key), lambda: _block_correspondence(G, tower))
+
+
+def _block_correspondence(G: FiniteGroup, tower: FieldTower) -> Correspondence:
     l_blocks = primitive_central_idempotents(G, tower, over_k=False)
     k_blocks = primitive_central_idempotents(G, tower, over_k=True)
     seen: set[int] = set()
@@ -99,7 +103,7 @@ def block_correspondence(G: FiniteGroup, tower: FieldTower) -> Correspondence:
                  and len(set(k_of_orbit)) == len(k_of_orbit))
     defects_match = tuple(defects_l) == tuple(defects_k)
     return Correspondence(tuple(orbits), tuple(k_of_orbit), tuple(defects_l),
-                          tuple(defects_k), bijective, defects_match)
+                          bijective, defects_match)
 
 
 @dataclass(frozen=True)
@@ -115,14 +119,6 @@ class GoursatInvariants:
     p2_order: int         # |Gamma_b|
     index: int            # common cyclic quotient size
     g0: int               # generator of p1 / k1; 0 when index == 1
-
-
-def _coset_order(G: FiniteGroup, x: int, H: Subgroup) -> int:
-    d, cur = 1, x
-    while cur not in H:
-        cur = G.mul[cur][x]
-        d += 1
-    return d
 
 
 def goursat_invariants(pair: BrauerPair, b: BlockIdempotent) -> GoursatInvariants:
@@ -141,7 +137,7 @@ def goursat_invariants(pair: BrauerPair, b: BlockIdempotent) -> GoursatInvariant
         raise VerificationError("group-side and Galois-side indices differ")
     g0 = 0
     if index > 1:
-        g0 = next((x for x in p1.elems if _coset_order(pair.group, x, k1) == index), None)
+        g0 = next((x for x in p1.elems if coset_order(pair.group, x, k1) == index), None)
         if g0 is None:
             raise VerificationError("stabilizer quotient is not cyclic")
     return GoursatInvariants(k1, p1, k2, p2, index, g0)

@@ -156,7 +156,7 @@ def _conjugation_isos(P: Subgroup, H: Subgroup) -> set[GroupMap]:
         for x in coset_reps(H, centralizer_in(H, Q)):
             images = tuple(map(rows[x].__getitem__, Q.elems))
             if pset.issuperset(images):
-                target = Subgroup(G, images, _checked=True)
+                target = Subgroup._of(G, tuple(sorted(images)))
                 isos.add(GroupMap(Q, target, images, _checked=True))
     return isos
 
@@ -263,7 +263,7 @@ def _normalizer_cosets(P: Subgroup, Q: Subgroup) -> list[tuple[int, ...]]:
     element."""
     NQ, CQ = _local_table(P)[Q.elems]
     mul = P.parent.mul
-    QC = Subgroup(P.parent, {mul[q][c] for q in Q.elems for c in CQ.elems}, _checked=True)
+    QC = Subgroup._of(P.parent, tuple(sorted({mul[q][c] for q in Q.elems for c in CQ.elems})))
     return [tuple(mul[x][h] for h in QC.elems) for x in coset_reps(NQ, QC)]
 
 
@@ -433,7 +433,7 @@ def factorization_check(F: FusionSystem, F_big: FusionSystem, sigma: GroupMap) -
             sig_inv = powers[-i % order]
             if (Q.elems, tuple(sig_inv.apply(g) for g in phi.images)) not in isos:
                 continue
-            dom_r = Subgroup(P.parent, tuple(powers[i].apply(g) for g in Q.elems), _checked=True)
+            dom_r = Subgroup._of(P.parent, tuple(sorted(powers[i].apply(g) for g in Q.elems)))
             if (dom_r.elems, phi.compose(sig_inv.restrict(dom_r)).images) in isos:
                 break
         else:

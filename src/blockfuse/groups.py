@@ -19,19 +19,20 @@ build)`: the conjugation table K[x, g] = x g x^-1 as a numpy array
 conjugation loops of block fusion; class data keeps `FiniteGroup.conj`, so
 a blocks report does not build rows that on S6 are 720 x 720 pointers),
 the centralizer bitmasks cmask[g] (bit h set iff gh = hg), G as a
-subgroup of itself, subgroup views, subgroup lattices and class data
-here, and the blocks, maximal pairs, subpair tables and N_P(Q)/C_P(Q)
-tables of the algebra, brauer and fusion layers.  The memo lives as long
+subgroup of itself, subgroup views, Sylow subgroups, subgroup lattices
+and class data here, the blocks, maximal pairs, subpair tables and
+N_P(Q)/C_P(Q) tables of the algebra, brauer and fusion layers, and the
+block correspondences of the descent layer.  The memo lives as long
 as the group, which the command line builds once per report, and a corpus
 run once per group file, dropped after the last entry naming it.
 
 A `Subgroup` is a sorted index set inside a parent group together with the
 same set as an int bitmask (bit g set iff g is a member).  Membership and
 inclusion are integer tests, C_H(S) is H's mask ANDed with cmask[s] for s
-in S, and N_H(S) is one gather from K.  Subgroups are generated by
-Dimino's coset enumeration: <H, x> is the union of right cosets Hy, and
-only coset representatives times generators are tested for membership.
-The subgroup lattice, of p-groups only, is built by index-p steps.
+in S, and N_H(S) is one gather from K.  Sylow subgroups and subgroup
+lattices (of p-groups only) both grow by index-p steps: for x normalizing
+H with x^p in H and x not in H, <H, x> is the coset union H u Hx u ... u
+Hx^(p-1).
 
 `as_group()` re-labels a subgroup as a standalone multiplication table
 group (needed to treat centralizer algebras as group algebras in their own
@@ -42,8 +43,7 @@ identical subgroups share one object.
 
 from __future__ import annotations
 
-from itertools import compress, count, islice
-from operator import lt
+from itertools import compress, count
 
 import numpy as np
 
@@ -184,7 +184,7 @@ def _bfs_from_generators(degree, generators):
     gens = []
     for gen in generators:
         gen = tuple(int(x) for x in gen)
-        if sorted(gen) != list(range(degree)):
+        if len(gen) != degree or sorted(gen) != list(range(degree)):
             raise ValueError(f"generator {list(gen)} is not a permutation of 0..{degree - 1}")
         gens.append(gen)
     identity = tuple(range(degree))
@@ -232,7 +232,12 @@ def build_group(spec) -> FiniteGroup:
         table, inv = _table_from_spec(spec)
         return FiniteGroup(name, table, inv)
     if kind == "perm":
-        mul, inv = _bfs_from_generators(int(spec["degree"]), spec["generators"])
+        degree = spec["degree"]
+        if type(degree) is not int or degree < 0:
+            raise ValueError("degree is not a nonnegative integer")
+        if degree > MAX_ORDER:  # a group of order n acts faithfully on n points
+            raise ValueError(f"degree {degree} exceeds bound {MAX_ORDER}")
+        mul, inv = _bfs_from_generators(degree, spec["generators"])
         # BFS tables are groups by construction; skip the cubic associativity scan
         g = FiniteGroup(name, mul, inv, _validate=False)
         _validate_light(g)
@@ -270,24 +275,20 @@ class Subgroup:
 
     __slots__ = ("parent", "elems", "_mask", "_hash")
 
-    def __init__(self, parent: FiniteGroup, elems, *, _checked=False):
+    def __init__(self, parent: FiniteGroup, elems):
         self.parent = parent
-        if _checked and type(elems) is tuple and all(map(lt, elems, islice(elems, 1, None))):
-            self.elems = elems
-        else:
-            self.elems = tuple(sorted(set(map(int, elems))))
+        self.elems = tuple(sorted(set(map(int, elems))))
         self._mask = self._hash = None
-        if not _checked:
-            if not self.elems or self.elems[0] != 0:
-                raise ValueError("subgroup must contain the identity")
-            if self.elems[-1] >= parent.order:
-                raise ValueError("subgroup element out of range")
-            member = set(self.elems)
-            mul = parent.mul
-            for a in self.elems:
-                for b in self.elems:
-                    if mul[a][b] not in member:
-                        raise ValueError("element set is not closed under multiplication")
+        if not self.elems or self.elems[0] != 0:
+            raise ValueError("subgroup must contain the identity")
+        if self.elems[-1] >= parent.order:
+            raise ValueError("subgroup element out of range")
+        member = set(self.elems)
+        mul = parent.mul
+        for a in self.elems:
+            for b in self.elems:
+                if mul[a][b] not in member:
+                    raise ValueError("element set is not closed under multiplication")
 
     @classmethod
     def _of(cls, parent: FiniteGroup, elems: tuple[int, ...], mask: int | None = None):
@@ -354,45 +355,6 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
     return G.memo("full", lambda: Subgroup._of(G, tuple(range(G.order)), (1 << G.order) - 1))
 
 
-def _join(mul, H: list[int], hmask: int, gens: tuple[int, ...], x: int):
-    """Elements (unsorted) and mask of <H, x>, for H = <gens> given by its
-    elements and mask and x not in H: Dimino's enumeration.
-
-    The join is kept a union of right cosets Hy.  A representative r
-    times a generator s that falls outside it adds the whole coset H(rs);
-    when no product leaves it, the union is closed under right
-    multiplication by generators, so it is the join.
-    """
-    gens += (x,)
-    elems, reps = list(H), []
-
-    def add_coset(y):
-        nonlocal hmask
-        coset = [mul[h][y] for h in H]
-        elems.extend(coset)
-        hmask |= _mask_of(coset)
-        reps.append(y)
-
-    add_coset(x)
-    for r in reps:
-        row = mul[r]
-        for s in gens:
-            if not hmask >> row[s] & 1:
-                add_coset(row[s])
-    return elems, hmask
-
-
-def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
-    """<gens>, joining one generator at a time by Dimino's enumeration."""
-    elems, mask, used = [0], 1, ()
-    for g in gens:
-        g = int(g)
-        if not mask >> g & 1:
-            elems, mask = _join(G.mul, elems, mask, used, g)
-            used += (g,)
-    return Subgroup._of(G, tuple(sorted(elems)), mask)
-
-
 def centralizer_in(H: Subgroup, S: Subgroup) -> Subgroup:
     """C_H(S): H's mask ANDed with the centralizer mask of each s in S."""
     cmask = _centralizer_masks(H.parent)
@@ -430,34 +392,49 @@ def p_part(num: int, p: int) -> int:
     return out
 
 
-def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup, grown inside its own normalizer.
+def coset_order(G: FiniteGroup, x: int, H: Subgroup) -> int:
+    """The least d >= 1 with x^d in H."""
+    d, cur = 1, x
+    while cur not in H:
+        cur = G.mul[cur][x]
+        d += 1
+    return d
 
-    Deterministic given the element ordering; returns the trivial
+
+def _coset_union(mul, H, x: int, p: int) -> list[int]:
+    """H u Hx u ... u Hx^(p-1), unsorted: the subgroup <H, x> when x
+    normalizes H, x^p is in H and x is not."""
+    elems, y = list(H), x
+    for _ in range(p - 1):
+        elems += [mul[h][y] for h in H]
+        y = mul[y][x]
+    return elems
+
+
+def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
+    """A Sylow p-subgroup, memoized on the group per p; the trivial
     subgroup when p does not divide the group order.
+
+    H grows inside its normalizer by index-p steps: the first x in N_G(H)
+    whose coset xH has order d divisible by p gives y = x^(d/p), which
+    normalizes H with y^p in H, so <H, y> has index p over H.
     """
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise ValueError(f"p={p} is not prime")
-    target = p_part(G.order, p)
-    H = trivial_subgroup(G)
-    while H.order < target:
-        N = normalizer(G, H)
-        grown = False
-        for x in N.elems:
-            if x in H:
-                continue
-            d, cur = 1, x
-            while cur not in H:
-                cur = G.mul[cur][x]
-                d += 1
-            if d % p == 0:
-                y = G.power(x, d // p)
-                H = generated_subgroup(G, H.elems + (y,))
-                grown = True
-                break
-        if not grown:  # cannot happen for p | [N : H]
-            raise AssertionError("sylow growth stalled")
-    return H
+
+    def grow():
+        H = trivial_subgroup(G)
+        while G.order // H.order % p == 0:
+            for x in normalizer(G, H).elems:
+                d = coset_order(G, x, H)
+                if d % p == 0:
+                    break
+            else:  # cannot happen for p | [N : H]
+                raise AssertionError("sylow growth stalled")
+            y = G.power(x, d // p)
+            H = Subgroup._of(G, tuple(sorted(_coset_union(G.mul, H.elems, y, p))))
+        return H
+    return G.memo(("sylow", p), grow)
 
 
 def all_subgroups(P: Subgroup) -> list[Subgroup]:
@@ -510,10 +487,7 @@ def _subgroup_lattice(P: Subgroup) -> tuple[Subgroup, ...]:
                 row, xi = mul[x], inv[x]
                 if not hmask >> xp & 1 or not all(hmask >> mul[row[g]][xi] & 1 for g in gens):
                     continue
-                elems, y = list(H), x
-                for _ in range(p - 1):
-                    elems += [mul[h][y] for h in H]
-                    y = mul[y][x]
+                elems = _coset_union(mul, H, x, p)
                 kmask = _mask_of(elems)
                 covered |= kmask
                 if kmask not in found:
@@ -628,7 +602,7 @@ class GroupMap:
         return tuple(sorted(self.images))
 
     def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.domain.parent, self.images, _checked=True)
+        return Subgroup._of(self.domain.parent, self.image_elems)
 
     def is_iso_onto_codomain(self) -> bool:
         return self.image_elems == self.codomain.elems
@@ -647,7 +621,7 @@ class GroupMap:
         if not Q.is_subset_of(self.domain):
             raise ValueError("restriction domain is not contained")
         images = tuple(self.apply(g) for g in Q.elems)
-        return GroupMap(Q, Subgroup(self.domain.parent, images, _checked=True),
+        return GroupMap(Q, Subgroup._of(self.domain.parent, tuple(sorted(images))),
                         images, _checked=True)
 
     def with_codomain(self, R: Subgroup) -> "GroupMap":

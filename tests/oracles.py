@@ -24,10 +24,9 @@ from blockfuse.fusion import (FusionSystem, SaturationReport, _extension_test,
                              _first_non_extendable, sylow_index)
 from blockfuse.gf import (Factorization, FieldTower, Poly, _fp_is_irreducible, _pdivmod,
                           _pinvmod, _pmod, _pmul, _pnorm, factor, factor_over_subfield)
-from blockfuse.groups import (MAX_ORDER, FiniteGroup, GroupMap, Subgroup, _join,
-                              all_subgroups, centralizer_in, class_data, coset_reps,
-                              full_subgroup, generated_subgroup, normalizer_in,
-                              sylow_p_subgroup)
+from blockfuse.groups import (MAX_ORDER, FiniteGroup, GroupMap, Subgroup, all_subgroups,
+                              centralizer_in, class_data, coset_reps, full_subgroup,
+                              normalizer_in, sylow_p_subgroup)
 from blockfuse.linalg import Echelon
 
 
@@ -103,14 +102,14 @@ def generated_subgroup_bfs(G: FiniteGroup, gens) -> Subgroup:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return Subgroup(G, seen, _checked=True)
+    return Subgroup._of(G, tuple(sorted(seen)))
 
 
 def centralizer_in_scan(H: Subgroup, S: Subgroup) -> Subgroup:
     """C_H(S) by testing hs = sh for every h in H and s in S."""
     mul = H.parent.mul
     members = [h for h in H.elems if all(mul[h][s] == mul[s][h] for s in S.elems)]
-    return Subgroup(H.parent, members, _checked=True)
+    return Subgroup._of(H.parent, tuple(members))
 
 
 def normalizer_in_scan(H: Subgroup, S: Subgroup) -> Subgroup:
@@ -118,7 +117,7 @@ def normalizer_in_scan(H: Subgroup, S: Subgroup) -> Subgroup:
     G = H.parent
     sset = set(S.elems)
     members = [h for h in H.elems if all(G.conj(h, s) in sset for s in S.elems)]
-    return Subgroup(G, members, _checked=True)
+    return Subgroup._of(G, tuple(members))
 
 
 def conjugate_element_scan(x: int, a: AlgebraElement) -> AlgebraElement:
@@ -136,7 +135,7 @@ def conjugate_element_scan(x: int, a: AlgebraElement) -> AlgebraElement:
     moved = {amb.conj(x, g.ambient_elems[i]): c
              for i, c in enumerate(a.coeffs) if c}
     target_elems = tuple(sorted(amb.conj(x, e) for e in g.ambient_elems))
-    target = Subgroup(amb, target_elems, _checked=True).as_group()
+    target = Subgroup._of(amb, target_elems).as_group()
     out = [0] * target.order
     for i, e in enumerate(target_elems):
         out[i] = moved.get(e, 0)
@@ -224,36 +223,24 @@ def subgroup_lattice_bfs_joins(P: Subgroup) -> list[Subgroup]:
     return sorted(found.values(), key=lambda s: (s.order, s.elems))
 
 
-def subgroup_lattice_dimino(P: Subgroup) -> list[Subgroup]:
-    """Every subgroup of any group P (a p-group or not), sorted by (order,
-    element set): the cyclic subgroups closed under joining with one
-    generator per cyclic subgroup, each join <H, x> one Dimino enumeration
-    from H.  <H, x> = <H, hx> for h in H, so once x is joined its whole
-    right coset Hx is skipped."""
-    G = P.parent
-    mul = G.mul
-    found: dict[int, list[int]] = {1: [0]}
-    cyclic_gens = []
-    queue = []
-    for g in P.elems[1:]:
-        elems, mask = _join(mul, [0], 1, (), g)
-        if mask not in found:
-            found[mask] = elems
-            cyclic_gens.append(g)
-            queue.append((elems, mask, (g,)))
-    while queue:
-        H, hmask, gens = queue.pop()
-        covered = hmask
-        for x in cyclic_gens:
-            if covered >> x & 1:
-                continue
-            covered |= sum(1 << mul[h][x] for h in H)
-            elems, mask = _join(mul, H, hmask, gens, x)
-            if mask not in found:
-                found[mask] = elems
-                queue.append((elems, mask, gens + (x,)))
-    subs = (Subgroup(G, tuple(sorted(elems)), _checked=True) for elems in found.values())
-    return sorted(subs, key=lambda s: (s.order, s.elems))
+def sylow_p_subgroup_by_joins(G: FiniteGroup, p: int) -> Subgroup:
+    """A Sylow p-subgroup by the library's growth rule, each step one
+    breadth-first join: x is the first element of N_G(H) whose coset xH
+    has order d divisible by p, and H becomes <H, x^(d/p)>."""
+    H = generated_subgroup_bfs(G, ())
+    while G.order // H.order % p == 0:
+        hset = set(H.elems)
+        for x in normalizer_in_scan(full_subgroup(G), H).elems:
+            d, cur = 1, x
+            while cur not in hset:
+                cur = G.mul[cur][x]
+                d += 1
+            if d % p == 0:
+                break
+        else:
+            raise AssertionError("sylow growth stalled")
+        H = generated_subgroup_bfs(G, H.elems + (G.power(x, d // p),))
+    return H
 
 
 def all_subgroups_by_element_joins(P: Subgroup) -> list[Subgroup]:
@@ -416,12 +403,12 @@ def factorization_check_scan(F: FusionSystem, F_big: FusionSystem, sigma: GroupM
                 for i in range(order):
                     sig_inv = powers[-i % order]
                     left = sig_inv.compose(phi.onto_image()).onto_image()
-                    target_l = Subgroup(P.parent, tuple(sig_inv.apply(g) for g in R.elems),
-                                        _checked=True)
+                    target_l = Subgroup._of(P.parent,
+                                            tuple(sorted(sig_inv.apply(g) for g in R.elems)))
                     if left.with_codomain(target_l) not in F.hom_set(Q, target_l):
                         continue
-                    dom_r = Subgroup(P.parent, tuple(powers[i].apply(g) for g in Q.elems),
-                                     _checked=True)
+                    dom_r = Subgroup._of(P.parent,
+                                         tuple(sorted(powers[i].apply(g) for g in Q.elems)))
                     right = phi.compose(sig_inv.restrict(dom_r))
                     if right.with_codomain(R) in F.hom_set(dom_r, R):
                         ok = True
@@ -441,7 +428,7 @@ def conjugation_isos_scan(P: Subgroup, xs) -> set[GroupMap]:
         for x in xs:
             images = tuple(G.conj(x, g) for g in Q.elems)
             if pset.issuperset(images):
-                target = Subgroup(G, tuple(sorted(images)), _checked=True)
+                target = Subgroup._of(G, tuple(sorted(images)))
                 isos.add(GroupMap(Q, target, images, _checked=True))
     return isos
 
@@ -468,7 +455,7 @@ def block_fusion_scan(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) ->
             target_elems = tuple(sorted(images))
             if conjugate_block(x, e_q) != table[target_elems]:
                 continue
-            target = Subgroup(G, target_elems, _checked=True)
+            target = Subgroup._of(G, target_elems)
             isos.add(GroupMap(Q, target, images, _checked=True))
     return FusionSystem(P, isos)
 
@@ -540,7 +527,7 @@ def block_fusion_cosets(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) 
             target_elems = tuple(sorted(images))
             if conjugate_block(x, e_q) != table[target_elems]:
                 continue
-            target = Subgroup(G, target_elems, _checked=True)
+            target = Subgroup._of(G, target_elems)
             isos.add(GroupMap(Q, target, images, _checked=True))
     return FusionSystem(P, isos)
 
@@ -850,7 +837,7 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def cyclic_subgroup(G: FiniteGroup, g: int) -> Subgroup:
-    return generated_subgroup(G, (g,))
+    return generated_subgroup_bfs(G, (g,))
 
 
 def center_basis(G: FiniteGroup, tower: FieldTower) -> list[AlgebraElement]:
@@ -883,7 +870,7 @@ def scale(a: AlgebraElement, code: int) -> AlgebraElement:
 
 def conjugate_subgroup(S: Subgroup, x: int) -> Subgroup:
     """x S x^-1."""
-    return Subgroup(S.parent, (S.parent.conj(x, g) for g in S.elems), _checked=True)
+    return Subgroup._of(S.parent, tuple(sorted(S.parent.conj(x, g) for g in S.elems)))
 
 
 def make_poly(t: FieldTower, codes) -> Poly:

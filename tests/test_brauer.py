@@ -386,7 +386,7 @@ def test_forced_subpairs_and_fusion_match_normal_step_oracles(source, tower):
                 assert table.assignment == subpair_table_normal_steps(root).assignment
                 assert table.forced == {q for q in table.assignment
                                         if len(centralizer_blocks(
-                                            G, t, Subgroup(G, q, _checked=True), over_k)) == 1}
+                                            G, t, Subgroup._of(G, q), over_k)) == 1}
                 unforced += len(table.assignment) - len(table.forced)
                 assert block_fusion(G, t, b, root).isos == block_fusion_cosets(G, t, b, root).isos
         if source in ("builtin:c5c8s2", "builtin:c7c9s3"):

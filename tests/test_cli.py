@@ -252,7 +252,9 @@ def test_verify_has_one_configuration(option, capsys):
 
 def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for text in ("not json", "[1, 2]", json.dumps({"kind": "perm", "degree": 3})):
+    perm = {"kind": "perm", "name": "bad", "generators": []}
+    for text in ("not json", "[1, 2]", json.dumps({"kind": "perm", "degree": 3}),
+                 json.dumps(perm | {"degree": -4}), json.dumps(perm | {"degree": 10**12})):
         path.write_text(text)
         assert main(["blocks", "--group", str(path), "--p", "2"]) == 2
         assert capsys.readouterr().err.startswith("blockfuse: error: group ")

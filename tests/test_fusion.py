@@ -19,13 +19,13 @@ from blockfuse.fusion import (FusionSystem, _extension_counterexample, alperin_c
                               inner_automorphisms, map_order, saturation_report, sylow_index)
 from blockfuse.gf import make_tower
 from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
-                              centralizer_in, full_subgroup, generated_subgroup,
-                              normalizer_in, sylow_p_subgroup, trivial_subgroup)
+                              centralizer_in, full_subgroup, normalizer_in,
+                              sylow_p_subgroup, trivial_subgroup)
 from oracles import (block_fusion_scan, conjugation_isos_scan, cyclic_subgroup,
                      extension_counterexample_scan, factorization_check_scan,
                      fully_centralized_scan, fully_normalized_scan, fusion_equal_scan,
-                     hom_count_matrix_dense, is_centric_scan, n_phi_scan,
-                     saturation_report_full_scan)
+                     generated_subgroup_bfs, hom_count_matrix_dense, is_centric_scan,
+                     n_phi_scan, saturation_report_full_scan)
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -265,7 +265,7 @@ def test_centric_is_an_inclusion_not_an_order_bound():
     G = build_group({"kind": "perm", "name": "D8xC2", "degree": 6, "generators": [
         [1, 2, 3, 0, 4, 5], [0, 3, 2, 1, 4, 5], [0, 1, 2, 3, 5, 4]]})
     P = full_subgroup(G)
-    R = generated_subgroup(G, [1, 2])
+    R = generated_subgroup_bfs(G, [1, 2])
     assert R.order == 8 and centralizer_in(P, R).order == 4
     F = closure(P, [])
     assert R.elems not in F.centric and P.elems in F.centric
@@ -516,7 +516,7 @@ def _injective_homs_into(P):
     for Q in all_subgroups(P):
         gens = []
         for g in Q.elems:
-            if g not in generated_subgroup(G, gens).elems:
+            if g not in generated_subgroup_bfs(G, gens).elems:
                 gens.append(g)
         for targets in itertools.product(P.elems, repeat=len(gens)):
             image = {0: 0}

@@ -8,14 +8,14 @@ import blockfuse.cli as cli
 import blockfuse.groups as groups_mod
 from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
                               centralizer, centralizer_in, conj_rows, coset_reps,
-                              full_subgroup, generated_subgroup, normalizer,
-                              normalizer_in, p_part, sylow_p_subgroup, trivial_subgroup)
+                              full_subgroup, normalizer, normalizer_in, p_part,
+                              sylow_p_subgroup, trivial_subgroup)
 from conftest import GROUP_NAMES
 from oracles import (all_subgroups_brute, all_subgroups_by_element_joins,
                      centralizer_in_scan, commuting_with, conjugacy_classes,
                      conjugacy_classes_brute, cyclic_subgroup, generated_subgroup_bfs,
                      normalizer_in_scan, perm_table_bfs, subgroup_lattice_bfs_joins,
-                     subgroup_lattice_dimino)
+                     sylow_p_subgroup_by_joins)
 
 BENCH_GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
@@ -98,6 +98,9 @@ def test_build_rejects_oversize(monkeypatch):
     with pytest.raises(ValueError, match="exceeds bound 4"):
         build_group({"kind": "perm", "name": "c5", "degree": 5,
                      "generators": [[1, 2, 3, 4, 0]]})
+    with pytest.raises(ValueError, match="group order exceeds bound 4"):
+        build_group({"kind": "perm", "name": "s4", "degree": 4,
+                     "generators": [[1, 2, 3, 0], [1, 0, 2, 3]]})
     with pytest.raises(ValueError, match="exceeds bound 4"):
         build_group({"kind": "table", "name": "c5",
                      "table": [[(a + b) % 5 for b in range(5)] for a in range(5)]})
@@ -140,9 +143,25 @@ def test_sylow_against_subgroup_enumeration(groups):
         for p in (2, 3):
             S = sylow_p_subgroup(G, p)
             assert S.order == p_part(G.order, p)
-            subs = subgroup_lattice_dimino(full_subgroup(G))
+            subs = subgroup_lattice_bfs_joins(full_subgroup(G))
             assert S.order == max(H.order for H in subs
                                   if H.order == p_part(H.order, p))
+
+
+def test_sylow_matches_join_oracle_and_is_built_once():
+    """Every shipped and bench group file, every p in (2, 3, 5, 7, 13):
+    the index-p coset unions give the element set of breadth-first joins,
+    and the subgroup is built once per group and p."""
+    paths = sorted(cli._builtin_path("c2").parent.glob("*.json"))
+    paths += sorted(BENCH_GROUPS.glob("*.json"))
+    assert len(paths) == 16
+    for path in paths:
+        G = build_group(json.loads(path.read_text(encoding="utf-8")))
+        for p in (2, 3, 5, 7, 13):
+            S = sylow_p_subgroup(G, p)
+            assert S.elems == sylow_p_subgroup_by_joins(G, p).elems, (G.name, p)
+            assert S.order == p_part(G.order, p)
+            assert sylow_p_subgroup(G, p) is S
 
 
 def test_sylow_rejects_composite(d24):
@@ -228,15 +247,6 @@ def test_coset_reps_cover(d24):
     assert seen == set(range(24))
 
 
-@given(st.data())
-def test_generated_subgroup_is_closed(groups, data):
-    G = data.draw(st.sampled_from(sorted(groups.values(), key=lambda g: g.name)))
-    gens = data.draw(st.lists(st.integers(0, G.order - 1), min_size=0, max_size=3))
-    H = generated_subgroup(G, gens)
-    Subgroup(G, H.elems)  # re-validates closure and identity membership
-    assert all(g in H.elems for g in gens)
-
-
 def test_relative_centralizer_normalizer(d24):
     P = sylow_p_subgroup(d24, 2)
     C2 = cyclic_subgroup(d24, d24.power(1, 6))
@@ -288,9 +298,8 @@ def test_generated_subgroups_match_oracles(groups, bench_groups, data):
     element = st.integers(0, G.order - 1)
     gens = data.draw(st.lists(element, max_size=3), label="gens")
     other = data.draw(st.lists(element, max_size=3), label="other")
-    H = generated_subgroup(G, gens)
-    assert H.elems == generated_subgroup_bfs(G, gens).elems
-    S = generated_subgroup(G, other)
+    H = generated_subgroup_bfs(G, gens)
+    S = generated_subgroup_bfs(G, other)
     for A in (H, full_subgroup(G)):
         assert centralizer_in(A, S).elems == centralizer_in_scan(A, S).elems
         assert normalizer_in(A, S).elems == normalizer_in_scan(A, S).elems
@@ -300,13 +309,11 @@ def test_generated_subgroups_match_oracles(groups, bench_groups, data):
 
 
 def test_lattices_match_bfs_join_oracle(groups, bench_groups):
-    """The index-p lattice on every p-group case, the Dimino oracle on the
-    whole groups that are not p-groups; both against the BFS joins."""
-    cases = [full_subgroup(G) for G in groups.values()]
+    """The index-p lattice on every p-group case against the BFS joins."""
+    cases = [full_subgroup(G) for G in groups.values() if len(_primes(G.order)) <= 1]
     cases += [sylow_p_subgroup(G, p) for G in bench_groups.values() for p in _primes(G.order)]
     for P in cases:
-        lattice = all_subgroups if len(_primes(P.order)) <= 1 else subgroup_lattice_dimino
-        assert ([S.elems for S in lattice(P)]
+        assert ([S.elems for S in all_subgroups(P)]
                 == [S.elems for S in subgroup_lattice_bfs_joins(P)])
 
 
@@ -318,7 +325,7 @@ def test_all_subgroups_takes_p_groups_only(groups, d24):
             with pytest.raises(ValueError, match="needs a p-group"):
                 all_subgroups(full_subgroup(G))
     assert [S.elems for S in all_subgroups(trivial_subgroup(d24))] == [(0,)]
-    assert [S.elems for S in subgroup_lattice_dimino(trivial_subgroup(d24))] == [(0,)]
+    assert [S.elems for S in subgroup_lattice_bfs_joins(trivial_subgroup(d24))] == [(0,)]
 
 
 def test_lattice_builds_no_conjugation_table():
