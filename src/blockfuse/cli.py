@@ -357,10 +357,8 @@ def render_json(report: dict) -> str:
     byte for byte.
 
     With an indent the standard library encodes in Python, one small piece
-    per token.  Here str, int, bool and None are written directly; a
-    container of at least `_C_ENCODER_MIN` such scalars goes whole to the C
-    encoder, whose item separator carries the newline and indentation, and
-    a `HomCounts` table is written a row at a time, joined only with the
+    per token.  Here str, int, bool and None are written directly, and a
+    `HomCounts` table is written a row at a time, joined only with the
     whole report.  Anything else (floats, tuples, non-string keys) is left
     to the standard library."""
     pieces: list[str] = []
@@ -368,7 +366,6 @@ def render_json(report: dict) -> str:
     return "".join(pieces + ["\n"])
 
 
-_C_ENCODER_MIN = 16
 _JSON_SCALARS = {
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
@@ -391,9 +388,9 @@ def _json_pieces(value, pad: str, out: list[str]) -> bool:
         value.json_pieces(pad, out)
         return True
     if kind is list:
-        brackets, values = "[]", value
+        brackets = "[]"
     elif kind is dict and {*map(type, value)} <= {str}:
-        brackets, values = "{}", value.values()
+        brackets = "{}"
     else:
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
         return False
@@ -402,10 +399,6 @@ def _json_pieces(value, pad: str, out: list[str]) -> bool:
         return False
     inner = pad + "  "
     sep = "," + inner
-    if len(value) >= _C_ENCODER_MIN and {*map(type, values)} <= _JSON_SCALARS.keys():
-        text = json.dumps(value, sort_keys=True, separators=(sep, ": "))
-        out.append(brackets[0] + inner + text[1:-1] + pad + brackets[1])
-        return False
     pieces = [brackets[0], inner]
     split = False
     if kind is list:

@@ -271,7 +271,7 @@ def run_descent(G: FiniteGroup, tower: FieldTower,
         "alperin_k": alperin_l if ctx.system_k is ctx.system_l else alperin_check(ctx.system_k),
         "local_agreement": check_local_agreement(ctx),
         "order_preserved": check_order_preservation(ctx),
-        "sigma_in_k_system": ctx.sigma in ctx.system_k.aut_set(P),
+        "sigma_in_k_system": ctx.sigma in ctx.system_k.isos,
     }
     report = {
         "group": G.name,

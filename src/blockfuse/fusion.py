@@ -267,73 +267,47 @@ def _normalizer_cosets(P: Subgroup, Q: Subgroup) -> list[tuple[int, ...]]:
     return [tuple(mul[x][h] for h in QC.elems) for x in coset_reps(NQ, QC)]
 
 
-def _intertwiners(phi: GroupMap, cosets, aut_r: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The cosets whose y in N_P(Q) have phi c_y phi^-1 in Aut_P(R),
-    R = phi(Q), where aut_r holds Aut_P(R) as image tuples over R.elems
-    and cosets are the left cosets of Q C_P(Q) in N_P(Q).
-
-    These y form a subgroup containing Q C_P(Q): c_y is the identity on Q
-    for y in C_P(Q), and phi c_y phi^-1 = c_{phi(y)} for y in Q.  So the
-    leader of each coset decides the whole coset."""
-    rows = conj_rows(phi.domain.parent)
-    fwd = dict(zip(phi.domain.elems, phi.images)).__getitem__
-    pre = [src for _, src in sorted(zip(phi.images, phi.domain.elems))]  # phi^-1 on R.elems
-    return [coset for coset in cosets
-            if tuple(map(fwd, map(rows[coset[0]].__getitem__, pre))) in aut_r]
-
-
-def inner_automorphisms(P: Subgroup, Q: Subgroup) -> frozenset:
-    """Aut_P(Q): conjugations of Q by normalizer elements in P."""
-    rows = conj_rows(P.parent)
-    return frozenset(GroupMap(Q, Q, tuple(map(rows[u].__getitem__, Q.elems)), _checked=True)
-                     for u in normalizer_in(P, Q).elems)
-
-
-def sylow_index(F: FusionSystem) -> int:
-    P = F.p_subgroup
-    aut_f = F.aut_set(P)
-    aut_p = inner_automorphisms(P, P)
-    if len(aut_f) % len(aut_p):
-        raise VerificationError("inner automorphisms do not divide Aut_F(P)")
-    return len(aut_f) // len(aut_p)
-
-
-def _extension_test(F: FusionSystem):
-    """extends(phi, cosets, aut_r): whether phi: Q -> R extends to N_phi,
-    given the left cosets of Q C_P(Q) in N_P(Q) and Aut_P(R) as image
-    tuples over R.elems.
-
-    N_phi = {y in N_P(Q) : phi c_y phi^-1 in Aut_P(R)} (Aschbacher-
-    Kessar-Oliver, Fusion Systems in Algebra and Topology, I.2) comes
-    from one Aut_P(R) lookup per coset, and phi extends iff its images
-    are among the restrictions to Q of the isos out of N_phi: scanned up
-    to the first match the first time a (Q, N_phi) pair is asked about,
-    built whole and kept for the returned function's life from the second.
-    """
-    restrictions: dict[tuple[tuple[int, ...], tuple[int, ...]], set[tuple[int, ...]]] = {}
-    asked: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    def extends(phi: GroupMap, cosets, aut_r: set[tuple[int, ...]]) -> bool:
-        passing = _intertwiners(phi, cosets, aut_r)
-        key = (phi.domain.elems, tuple(coset[0] for coset in passing))
-        extended = restrictions.get(key)
-        if extended is None:
-            N = tuple(sorted(y for coset in passing for y in coset))
-            at = list(map({g: i for i, g in enumerate(N)}.__getitem__, phi.domain.elems))
-            extended = (tuple(map(psi.images.__getitem__, at)) for psi in F._by_domain.get(N, ()))
-            if key in asked:
-                extended = restrictions[key] = set(extended)
-            asked.add(key)
-        return phi.images in extended
-
-    return extends
-
-
 def _automizer(P: Subgroup, R: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Aut_P(R) as image tuples over R, one conjugation per left coset of
     C_P(R) in N_P(R), since c_u on R depends only on u C_P(R)."""
     rows = conj_rows(P.parent)
     return {tuple(map(rows[u].__getitem__, R)) for u in coset_reps(*_local_table(P)[R])}
+
+
+def inner_automorphisms(P: Subgroup, Q: Subgroup) -> frozenset:
+    """Aut_P(Q) for Q <= P: conjugations of Q by normalizer elements in P."""
+    return frozenset(GroupMap(Q, Q, images, _checked=True) for images in _automizer(P, Q.elems))
+
+
+def sylow_index(F: FusionSystem) -> int:
+    """|Aut_F(P)| / |Aut_P(P)|, both counted without building the maps."""
+    P = F.p_subgroup
+    aut_f, aut_p = F._aut_order(P), len(_automizer(P, P.elems))
+    if aut_f % aut_p:
+        raise VerificationError("inner automorphisms do not divide Aut_F(P)")
+    return aut_f // aut_p
+
+
+def _extends(F: FusionSystem, phi: GroupMap, cosets, aut_r: set[tuple[int, ...]]) -> bool:
+    """Whether phi: Q -> R extends to N_phi, given the left cosets of
+    Q C_P(Q) in N_P(Q), each led by its smallest element, and Aut_P(R) as
+    image tuples over R.elems.
+
+    N_phi = {y in N_P(Q) : phi c_y phi^-1 in Aut_P(R)} (Aschbacher-
+    Kessar-Oliver, Fusion Systems in Algebra and Topology, I.2) is a
+    subgroup containing Q C_P(Q): c_y is the identity on Q for y in
+    C_P(Q), and phi c_y phi^-1 = c_{phi(y)} for y in Q.  So the leader of
+    each coset decides the whole coset, and phi extends iff its images are
+    among the restrictions to Q of the isos out of N_phi, scanned up to
+    the first match."""
+    rows = conj_rows(phi.domain.parent)
+    fwd = dict(zip(phi.domain.elems, phi.images)).__getitem__
+    pre = [src for _, src in sorted(zip(phi.images, phi.domain.elems))]  # phi^-1 on R.elems
+    N = tuple(sorted(y for coset in cosets
+                     if tuple(map(fwd, map(rows[coset[0]].__getitem__, pre))) in aut_r
+                     for y in coset))
+    at = list(map({g: i for i, g in enumerate(N)}.__getitem__, phi.domain.elems))
+    return phi.images in (tuple(map(psi.images.__getitem__, at)) for psi in F._by_domain.get(N, ()))
 
 
 def _extension_counterexample(F: FusionSystem):
@@ -344,14 +318,13 @@ def _extension_counterexample(F: FusionSystem):
     and receptive (Aschbacher-Kessar-Oliver, Definition I.2.2), and then
     every fully normalized subgroup is both.  So when `_classes_saturated`
     finds that for every class, no such phi exists; otherwise the full
-    scan `_first_non_extendable` decides, sharing its restriction sets."""
-    extends = _extension_test(F)
-    if _classes_saturated(F, extends):
+    scan `_first_non_extendable` decides."""
+    if _classes_saturated(F):
         return None
-    return _first_non_extendable(F, extends)
+    return _first_non_extendable(F)
 
 
-def _classes_saturated(F: FusionSystem, extends) -> bool:
+def _classes_saturated(F: FusionSystem) -> bool:
     """Whether every F-class has its first fully normalized member R, in
     `F.subgroups` order, fully automized (|Aut_F(R)| / |Aut_P(R)| prime
     to p) and receptive (every iso Q -> R extends to N_phi).
@@ -375,13 +348,13 @@ def _classes_saturated(F: FusionSystem, extends) -> bool:
             for phi in F._by_domain.get(Q.elems, ()):
                 if phi.images in seen or not rset.issuperset(phi.images):
                     continue
-                if not extends(phi, cosets, aut_r):
+                if not _extends(F, phi, cosets, aut_r):
                     return False
                 seen.update(tuple(map(row.__getitem__, phi.images)) for row in twists)
     return True
 
 
-def _first_non_extendable(F: FusionSystem, extends):
+def _first_non_extendable(F: FusionSystem):
     """The full scan: Q runs in `F.subgroups` order and phi over the isos
     out of Q by image tuple, so the witness (with codomain P) is
     canonical.  The automizers of the fully normalized subgroups are
@@ -392,7 +365,7 @@ def _first_non_extendable(F: FusionSystem, extends):
         cosets = _normalizer_cosets(P, Q)
         for phi in F._by_domain.get(Q.elems, ()):
             aut_r = automizers.get(phi.codomain.elems)
-            if aut_r is not None and not extends(phi, cosets, aut_r):
+            if aut_r is not None and not _extends(F, phi, cosets, aut_r):
                 return phi.with_codomain(P)
     return None
 

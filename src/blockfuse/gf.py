@@ -65,12 +65,6 @@ def _is_prime(x: int) -> bool:
 # prime-field polynomial helpers: the tower modulus and its primitive element
 # ---------------------------------------------------------------------------
 
-def _fp_norm(cs: list[int]) -> tuple[int, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def _fp_mul(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not a or not b:
         return ()
@@ -79,7 +73,7 @@ def _fp_mul(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % p
-    return _fp_norm(out)
+    return _pnorm(out)
 
 
 def _fp_mod(p: int, a: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
@@ -93,7 +87,7 @@ def _fp_mod(p: int, a: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
             for k in range(dm + 1):
                 r[shift + k] = (r[shift + k] - lead * m[k]) % p
         r.pop()
-    return _fp_norm(r)
+    return _pnorm(r)
 
 
 def _fp_powmod(p: int, a: tuple[int, ...], e: int, m: tuple[int, ...]) -> tuple[int, ...]:
@@ -129,7 +123,7 @@ def _fp_is_irreducible(p: int, f: tuple[int, ...]) -> bool:
         while len(diff) < 2:
             diff.append(0)
         diff[1] = (diff[1] - 1) % p
-        if _fp_gcd(p, _fp_norm(diff), f) != (1,):
+        if _fp_gcd(p, _pnorm(diff), f) != (1,):
             return False
     return True
 

@@ -168,6 +168,8 @@ def _table_from_spec(spec):
         raise ValueError(f"group order {len(table)} exceeds bound {MAX_ORDER}")
     inv = []
     for a, row in enumerate(table):
+        if any(type(x) is not int for x in row):  # bools and floats included
+            raise ValueError(f"row {a} has an entry that is not an integer")
         try:
             inv.append(list(row).index(0))
         except ValueError:
@@ -183,8 +185,9 @@ def _bfs_from_generators(degree, generators):
     """
     gens = []
     for gen in generators:
-        gen = tuple(int(x) for x in gen)
-        if len(gen) != degree or sorted(gen) != list(range(degree)):
+        gen = tuple(gen)
+        if (any(type(x) is not int for x in gen)  # bools and floats included
+                or len(gen) != degree or sorted(gen) != list(range(degree))):
             raise ValueError(f"generator {list(gen)} is not a permutation of 0..{degree - 1}")
         gens.append(gen)
     identity = tuple(range(degree))
@@ -225,6 +228,7 @@ def build_group(spec) -> FiniteGroup:
     full multiplication table (identity must be index 0), or
     {"kind": "perm", "name": ..., "degree": d, "generators": [[0-based
     images], ...]} enumerated by breadth-first closure in generator order.
+    Table entries and images must be ints; bools and floats are rejected.
     """
     kind = spec.get("kind")
     name = spec.get("name", "G")

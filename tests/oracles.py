@@ -20,10 +20,9 @@ from blockfuse.algebra import (AlgebraElement, VerificationError, brauer_map, ce
 from blockfuse.brauer import (BrauerPair, MaximalPairs, SubpairTable, centralizer_blocks,
                               conjugate_block, is_pair_of_block, maximal_pairs, normal_leq,
                               subpair_table)
-from blockfuse.fusion import (FusionSystem, SaturationReport, _extension_test,
-                             _first_non_extendable, sylow_index)
-from blockfuse.gf import (Factorization, FieldTower, Poly, _fp_is_irreducible, _pdivmod,
-                          _pinvmod, _pmod, _pmul, _pnorm, factor, factor_over_subfield)
+from blockfuse.fusion import FusionSystem, SaturationReport, _first_non_extendable, sylow_index
+from blockfuse.gf import (Factorization, FieldTower, Poly, _pdivmod, _pinvmod, _pmod, _pmul,
+                          _pnorm, factor, factor_over_subfield)
 from blockfuse.groups import (MAX_ORDER, FiniteGroup, GroupMap, Subgroup, all_subgroups,
                               centralizer_in, class_data, coset_reps, full_subgroup,
                               normalizer_in, sylow_p_subgroup)
@@ -352,7 +351,7 @@ def saturation_report_full_scan(F: FusionSystem) -> SaturationReport:
     else:
         idx = sylow_index(F)
         sylow_ok = idx % F.prime != 0
-    counter = _first_non_extendable(F, _extension_test(F))
+    counter = _first_non_extendable(F)
     witness = None
     if not sylow_ok:
         witness = {"kind": "sylow_index", "index": idx}
@@ -799,14 +798,28 @@ def field_pow_digits(t: FieldTower, a: int, e: int) -> int:
     return out
 
 
+def _fp_remainder(p: int, f: tuple[int, ...], d: tuple[int, ...]) -> list[int]:
+    """f mod d over F_p for monic d, coefficients low degree first, by
+    schoolbook long division."""
+    r, m = list(f), len(d) - 1
+    for i in range(len(f) - 1 - m, -1, -1):
+        lead = r[i + m]
+        for k, c in enumerate(d):
+            r[i + k] = (r[i + k] - lead * c) % p
+    return r[:m]
+
+
 def smallest_irreducible_scan(p: int, n: int) -> tuple[int, ...]:
-    """Lexicographically first monic irreducible of degree n over F_p, by
-    the irreducibility test on every candidate in scan order."""
+    """Lexicographically first monic irreducible of degree n over F_p: the
+    first candidate in scan order that trial division by every monic
+    polynomial of degree 1 to n // 2 leaves with a nonzero remainder."""
     if n == 1:
         return (0, 1)
+    divisors = [low + (1,) for d in range(1, n // 2 + 1)
+                for low in itertools.product(range(p), repeat=d)]
     for low in itertools.product(range(p), repeat=n):
         f = low + (1,)
-        if _fp_is_irreducible(p, f):
+        if all(any(_fp_remainder(p, f, d)) for d in divisors):
             return f
     raise AssertionError("no irreducible found")
 

@@ -59,7 +59,8 @@ def test_group_fusion_c4_in_d24(d24):
 
 def test_conjugation_isos_match_the_all_elements_scan(corpus_objects):
     """One transporter per left coset of C_H(Q) gives the maps of every x
-    in H, for H = G and H = P: on the principal defect group of each
+    in H, for H = G and H = P, and one per left coset of C_P(Q) in N_P(Q)
+    gives Aut_P(Q) for every Q <= P: on the principal defect group of each
     corpus entry and on a Sylow 2-subgroup of 2^3:S4."""
     bench = cli.load_group_file(str(BENCH_GROUPS / "2e3s4.json"))
     cases = [(o["group"], o["principal"].p_subgroup) for o in corpus_objects]
@@ -67,7 +68,23 @@ def test_conjugation_isos_match_the_all_elements_scan(corpus_objects):
     for G, P in cases:
         assert (fusion._conjugation_isos(P, full_subgroup(G))
                 == conjugation_isos_scan(P, G.elements()))
-        assert fusion._conjugation_isos(P, P) == conjugation_isos_scan(P, P.elems)
+        inner = conjugation_isos_scan(P, P.elems)
+        assert fusion._conjugation_isos(P, P) == inner
+        for Q in all_subgroups(P):
+            assert inner_automorphisms(P, Q) == {m for m in inner
+                                                 if m.domain == Q and m.codomain == Q}
+
+
+def test_sylow_index_counts_the_automorphism_sets(corpus_objects):
+    """|Aut_F(P)| / |Aut_P(P)| from the maps of both sets, for the
+    principal system and both sides of every descent of the corpus."""
+    systems = [o["principal"] for o in corpus_objects]
+    systems += [F for o in corpus_objects for ctx in o["contexts"]
+                for F in (ctx.system_l, ctx.system_k)]
+    for F in systems:
+        P = F.p_subgroup
+        inner = {m for m in conjugation_isos_scan(P, P.elems) if m.domain == m.codomain == P}
+        assert sylow_index(F) * len(inner) == len(F.aut_set(P))
 
 
 def test_group_fusion_abelian_only_inclusions(groups):
@@ -478,7 +495,7 @@ def _assert_per_class_matches_full_scan(F):
     scan = fusion._first_non_extendable
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fusion, "_first_non_extendable",
-                      lambda F, extends: scans.append(F) or scan(F, extends))
+                      lambda F: scans.append(F) or scan(F))
         rep = saturation_report(F)
     assert len(scans) == (not rep.saturated)
     assert rep == saturation_report_full_scan(F)
