@@ -118,12 +118,14 @@ class HomCounts(Mapping):
     of column pieces."""
 
     def __init__(self, system):
-        labels = [",".join(map(str, Q.elems)) for Q in system.subgroups]
-        cols = sorted(range(len(labels)), key=labels.__getitem__)
-        self._cols = {labels[j]: c for c, j in enumerate(cols)}
-        counts = map(tuple, system.hom_count_matrix()[:, cols].tolist())
+        def label(Q):
+            return ",".join(map(str, Q.elems))
+
+        columns = sorted(system.subgroups, key=label)
+        self._cols = {label(R): c for c, R in enumerate(columns)}
         # "|" sorts after every digit and ",", so "Q|R" keys sort by "Q|" first
-        self._rows = dict(sorted(zip([label + "|" for label in labels], counts)))
+        self._rows = dict(sorted((label(Q) + "|", counts)
+                                 for cls, counts in system.hom_count_rows(columns) for Q in cls))
 
     def __getitem__(self, key) -> int:
         row, bar, col = str(key).partition("|")

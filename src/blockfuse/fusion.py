@@ -11,11 +11,16 @@ derived from the isos on each call, without a cache.
 F-isomorphism classes and the local predicates (fully normalized, fully
 centralized, centric) are decided once per system, on construction, and
 N_P(Q), C_P(Q) and the inner isos once per (group, P), memoized on the group.
+Hom counts are built one row per F-class.
+
+The axioms are stated once, in `closure`: the generated system is the
+groupoid generated by the inner isos and the restricted seeds with their
+inverses, and `assert_fusion_axioms` asks whether closing a system adds
+anything, naming the first map it adds.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +45,11 @@ class FusionSystem:
     decided on construction per class; a class is centric iff C_P(R) <= R
     for every R in it.
 
-    The class-level shortcuts (`hom_count_matrix`, the saturation check)
-    assume the isos form a fusion system: closed under inverses,
-    composition and restriction, with the inner isos present.  Every
-    system built here is one, and `assert_fusion_axioms` checks it."""
+    The class-level shortcuts (`hom_count_rows`, one row per F-class, and
+    the saturation check) assume the isos form a fusion system: closed
+    under inverses, composition and restriction, with the inner isos
+    present.  Every system built here is one, and `assert_fusion_axioms`
+    checks it by asking whether `closure` adds anything."""
 
     def __init__(self, P: Subgroup, isos):
         self.p_subgroup = P
@@ -82,23 +88,23 @@ class FusionSystem:
         return frozenset(GroupMap(m.domain, R, m.images, _checked=True)
                          for m in self._by_domain.get(Q.elems, ()) if rset.issuperset(m.images))
 
-    def hom_count_matrix(self) -> np.ndarray:
-        """|Hom(Q, R)| for Q, R over `subgroups`: |Aut_F(Q)| times the
-        number of members of Q's F-class inside R, since a morphism
-        Q -> R is an iso onto some R' <= R and the isos from Q onto one
-        member form a coset of Aut_F(Q).  Inclusions are read from the
-        masks."""
-        index = {S.elems: i for i, S in enumerate(self.subgroups)}
-        n = len(self.subgroups)
+    def hom_count_rows(self, columns):
+        """Yield (cls, row) per F-class, row[j] = |Hom(Q, columns[j])| for
+        every Q in cls: |Aut_F(Q)| times the number of members of the class
+        inside columns[j], since a morphism Q -> R is an iso onto some
+        R' <= R and the isos from Q onto one member form a coset of
+        Aut_F(Q).  Inclusions are read from the masks, one small array per
+        class."""
         width = (self.p_subgroup.parent.order + 7) // 8
-        masks = np.frombuffer(b"".join(S.mask.to_bytes(width, "little") for S in self.subgroups),
-                              np.uint8).reshape(n, width)
-        counts = np.empty((n, n), dtype=np.int64)
+
+        def masks(subgroups):
+            return np.frombuffer(b"".join(S.mask.to_bytes(width, "little") for S in subgroups),
+                                 np.uint8).reshape(len(subgroups), width)
+
+        outside = ~masks(columns)
         for cls in self.classes:
-            rows = [index[S.elems] for S in cls]
-            inside = ~(masks[rows, None, :] & ~masks[None, :, :]).any(axis=2)
-            counts[rows] = self._aut_order(cls[0]) * inside.sum(axis=0)
-        return counts
+            inside = ~(masks(cls)[:, None, :] & outside[None, :, :]).any(axis=2)
+            yield cls, tuple((self._aut_order(cls[0]) * inside.sum(axis=0)).tolist())
 
     def _aut_order(self, Q: Subgroup) -> int:
         """|Aut_F(Q)|, counted without building the maps."""
@@ -211,42 +217,39 @@ def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> Fusi
 
 
 def closure(P: Subgroup, seeds) -> FusionSystem:
-    """Least fusion system over P containing the seed morphisms: fixpoint
-    closure of the inner isos plus the seeds under inversion, restriction
-    and composition."""
-    contained: dict[tuple[int, ...], list[Subgroup]] = {}
+    """Least fusion system over P containing the seed morphisms: the
+    groupoid generated by the inner isos and by each seed's restrictions,
+    onto their images, to every subgroup of its domain, with their inverses.
+
+    Restriction commutes with composition and inversion (Aschbacher-
+    Kessar-Oliver, Fusion Systems in Algebra and Topology, I.2), and these
+    generators are closed under both, so every morphism of the generated
+    system is a word in them: closing under composition alone suffices."""
     subs = all_subgroups(P)
-    for Q in subs:
-        contained[Q.elems] = [S for S in subs if S.is_subset_of(Q)]
-    maps: set[GroupMap] = set()
-    by_dom: dict[tuple[int, ...], list[GroupMap]] = {}
-    by_cod: dict[tuple[int, ...], list[GroupMap]] = {}
-    queue: deque[GroupMap] = deque()
-
-    def add(m: GroupMap):
-        if m not in maps:
-            maps.add(m)
-            by_dom.setdefault(m.domain.elems, []).append(m)
-            by_cod.setdefault(m.codomain.elems, []).append(m)
-            queue.append(m)
-
-    for m in _inner_isos(P):
-        add(m)
-    for s in seeds:
-        if (s.domain.parent is not P.parent or s.domain.elems not in contained
-                or not set(s.images) <= set(P.elems)):
+    objects = {Q.elems for Q in subs}
+    pset = set(P.elems)
+    maps = set(_inner_isos(P))
+    for s in sorted(seeds, key=lambda s: -s.domain.order):
+        if (s.domain.parent is not P.parent or s.domain.elems not in objects
+                or not pset.issuperset(s.images)):
             raise ValueError("seed morphism is not between subgroups of P")
-        add(s.onto_image())
-    while queue:
-        m = queue.popleft()
-        add(m.inverse())
-        for Q in contained[m.domain.elems]:
-            if Q.order < m.domain.order:
-                add(m.restrict(Q))
-        for other in list(by_dom.get(m.codomain.elems, ())):
-            add(other.compose(m))
-        for other in list(by_cod.get(m.domain.elems, ())):
-            add(m.compose(other))
+        if s.restrict(s.domain) in maps:  # maps is closed under restriction and inverses
+            continue
+        for Q in subs:
+            if Q.is_subset_of(s.domain):
+                m = s.restrict(Q)
+                maps.update((m, m.inverse()))
+    out_of: dict[tuple[int, ...], list[GroupMap]] = {}
+    for m in maps:
+        out_of.setdefault(m.domain.elems, []).append(m)
+    frontier = list(maps)
+    while frontier:
+        m = frontier.pop()
+        for g in out_of.get(m.codomain.elems, ()):
+            word = g.compose(m)
+            if word not in maps:
+                maps.add(word)
+                frontier.append(word)
     return FusionSystem(P, maps)
 
 
@@ -446,21 +449,14 @@ def saturation_report(F: FusionSystem) -> SaturationReport:
 
 
 def assert_fusion_axioms(F: FusionSystem) -> None:
-    """Raise unless F satisfies the defining axioms of a fusion system:
-    inner maps present, injectivity, closure under restriction to the
-    image with inverses, and under composition."""
-    if not _inner_isos(F.p_subgroup) <= F.isos:
-        raise VerificationError("inner conjugation map is missing")
+    """Raise unless F is a fusion system: its maps are injective and
+    `closure` of them adds nothing, so the inner isos, inverses,
+    restrictions and composites are all present.  The error names the
+    first iso the closure adds, by least domain, then least images."""
     for m in F.isos:
         if len(set(m.images)) != m.domain.order:
-            raise VerificationError("non-injective morphism stored")
-        if m.inverse() not in F.isos:
-            raise VerificationError("inverse morphism is missing")
-        for Q in F.subgroups:
-            if Q.order < m.domain.order and Q.is_subset_of(m.domain):
-                if m.restrict(Q) not in F.isos:
-                    raise VerificationError("restriction is missing")
-    for m in F.isos:
-        for other in F._by_domain.get(m.image_elems, ()):
-            if other.compose(m) not in F.isos:
-                raise VerificationError("composition is missing")
+            raise VerificationError(f"non-injective morphism stored: {m!r}")
+    added = closure(F.p_subgroup, F.isos).isos - F.isos
+    if added:
+        first = min(added, key=lambda m: (m.domain.elems, m.images))
+        raise VerificationError(f"not closed: the closure adds {first!r}")

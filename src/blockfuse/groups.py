@@ -605,14 +605,8 @@ class GroupMap:
     def image_elems(self) -> tuple[int, ...]:
         return tuple(sorted(self.images))
 
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup._of(self.domain.parent, self.image_elems)
-
     def is_iso_onto_codomain(self) -> bool:
         return self.image_elems == self.codomain.elems
-
-    def onto_image(self) -> "GroupMap":
-        return GroupMap(self.domain, self.image_subgroup(), self.images, _checked=True)
 
     def inverse(self) -> "GroupMap":
         if not self.is_iso_onto_codomain():

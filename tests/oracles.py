@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 
 import numpy as np
 
@@ -164,7 +165,7 @@ def hom_counts_dict(F: FusionSystem) -> dict[str, int]:
     cols = sorted(range(len(labels)), key=labels.__getitem__)
     col_labels = [labels[j] for j in cols]
     out: dict[str, int] = {}
-    for i, counts in zip(rows, F.hom_count_matrix()[np.ix_(rows, cols)].tolist()):
+    for i, counts in zip(rows, hom_count_matrix_dense(F)[np.ix_(rows, cols)].tolist()):
         out.update(zip(map((labels[i] + "|").__add__, col_labels), counts))
     return out
 
@@ -272,7 +273,7 @@ def n_phi_scan(P: Subgroup, phi: GroupMap) -> Subgroup:
     phi c_y = c_z phi on all of Q."""
     G = P.parent
     Q = phi.domain
-    R = phi.image_subgroup()
+    R = Subgroup._of(G, phi.image_elems)
     NQ = normalizer_in_scan(P, Q)
     NR = normalizer_in_scan(P, R)
     members = []
@@ -333,9 +334,9 @@ def extension_counterexample_scan(F: FusionSystem) -> GroupMap | None:
     P = F.p_subgroup
     for Q in F.subgroups:
         for phi in sorted(F.hom_set(Q, P), key=lambda m: m.images):
-            if not fully_normalized_scan(F, phi.image_subgroup()):
+            if not fully_normalized_scan(F, Subgroup._of(P.parent, phi.image_elems)):
                 continue
-            n = n_phi_scan(P, phi.onto_image())
+            n = n_phi_scan(P, phi.restrict(Q))
             if not any(all(psi.apply(g) == phi.apply(g) for g in Q.elems)
                        for psi in F.hom_set(n, P)):
                 return phi
@@ -375,6 +376,67 @@ def hom_count_matrix_dense(F: FusionSystem) -> np.ndarray:
     return A @ C
 
 
+def closure_bfs(P: Subgroup, seeds) -> FusionSystem:
+    """Least fusion system over P containing the seed morphisms, as the
+    breadth-first fixpoint of the inner isos plus the seeds, onto their
+    images, under inversion, restriction to every smaller subgroup and
+    composition on either side."""
+    contained = {Q.elems: [S for S in all_subgroups(P) if S.is_subset_of(Q)]
+                 for Q in all_subgroups(P)}
+    maps: set[GroupMap] = set()
+    by_dom: dict[tuple[int, ...], list[GroupMap]] = {}
+    by_cod: dict[tuple[int, ...], list[GroupMap]] = {}
+    queue: deque[GroupMap] = deque()
+
+    def add(m: GroupMap):
+        if m not in maps:
+            maps.add(m)
+            by_dom.setdefault(m.domain.elems, []).append(m)
+            by_cod.setdefault(m.codomain.elems, []).append(m)
+            queue.append(m)
+
+    for m in conjugation_isos_scan(P, P.elems):
+        add(m)
+    for s in seeds:
+        if (s.domain.parent is not P.parent or s.domain.elems not in contained
+                or not set(s.images) <= set(P.elems)):
+            raise ValueError("seed morphism is not between subgroups of P")
+        add(s.restrict(s.domain))
+    while queue:
+        m = queue.popleft()
+        add(m.inverse())
+        for Q in contained[m.domain.elems]:
+            if Q.order < m.domain.order:
+                add(m.restrict(Q))
+        for other in list(by_dom.get(m.codomain.elems, ())):
+            add(other.compose(m))
+        for other in list(by_cod.get(m.domain.elems, ())):
+            add(m.compose(other))
+    return FusionSystem(P, maps)
+
+
+def fusion_axioms_scan(F: FusionSystem) -> None:
+    """Raise VerificationError unless F satisfies each axiom of a fusion
+    system, checked map by map: inner maps present, injectivity, the
+    inverse and every restriction of each map present, and every
+    composite of two maps present."""
+    if not conjugation_isos_scan(F.p_subgroup, F.p_subgroup.elems) <= F.isos:
+        raise VerificationError("inner conjugation map is missing")
+    for m in F.isos:
+        if len(set(m.images)) != m.domain.order:
+            raise VerificationError("non-injective morphism stored")
+        if m.inverse() not in F.isos:
+            raise VerificationError("inverse morphism is missing")
+        for Q in F.subgroups:
+            if Q.order < m.domain.order and Q.is_subset_of(m.domain):
+                if m.restrict(Q) not in F.isos:
+                    raise VerificationError("restriction is missing")
+    for m in F.isos:
+        for other in F.isos:
+            if other.domain.elems == m.image_elems and other.compose(m) not in F.isos:
+                raise VerificationError("composition is missing")
+
+
 def fusion_equal_scan(F1: FusionSystem, F2: FusionSystem) -> bool:
     """Hom-set equality over every ordered pair of subgroups."""
     if F1.p_subgroup != F2.p_subgroup:
@@ -401,7 +463,7 @@ def factorization_check_scan(F: FusionSystem, F_big: FusionSystem, sigma: GroupM
                 ok = False
                 for i in range(order):
                     sig_inv = powers[-i % order]
-                    left = sig_inv.compose(phi.onto_image()).onto_image()
+                    left = sig_inv.compose(phi).restrict(Q)
                     target_l = Subgroup._of(P.parent,
                                             tuple(sorted(sig_inv.apply(g) for g in R.elems)))
                     if left.with_codomain(target_l) not in F.hom_set(Q, target_l):

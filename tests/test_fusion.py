@@ -1,7 +1,7 @@
 import itertools
+import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +9,7 @@ import blockfuse.cli as cli
 import blockfuse.descent as descent
 import blockfuse.fusion as fusion
 import blockfuse.groups as groups_mod
-from blockfuse.algebra import (augmentation, basis_element, find_block,
+from blockfuse.algebra import (VerificationError, augmentation, basis_element, find_block,
                                primitive_central_idempotents, principal_block)
 from blockfuse.brauer import maximal_pairs
 from blockfuse.brauer import BrauerPair, centralizer_blocks, subpair_table
@@ -21,11 +21,11 @@ from blockfuse.gf import make_tower
 from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
                               centralizer_in, full_subgroup, normalizer_in,
                               sylow_p_subgroup, trivial_subgroup)
-from oracles import (block_fusion_scan, conjugation_isos_scan, cyclic_subgroup,
+from oracles import (block_fusion_scan, closure_bfs, conjugation_isos_scan, cyclic_subgroup,
                      extension_counterexample_scan, factorization_check_scan,
-                     fully_centralized_scan, fully_normalized_scan, fusion_equal_scan,
-                     generated_subgroup_bfs, hom_count_matrix_dense, is_centric_scan,
-                     n_phi_scan, saturation_report_full_scan)
+                     fully_centralized_scan, fully_normalized_scan, fusion_axioms_scan,
+                     fusion_equal_scan, generated_subgroup_bfs, hom_count_matrix_dense,
+                     is_centric_scan, n_phi_scan, saturation_report_full_scan)
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -477,11 +477,18 @@ def test_hom_sets_closed_under_inner_twists(groups, d24):
                             assert any(h.images == pre for h in homs)
 
 
+def _hom_count_table(F):
+    """|Hom(Q, R)| for Q, R over `F.subgroups`, read from the per-class
+    rows of `hom_count_rows`."""
+    rows = {Q: row for cls, row in F.hom_count_rows(F.subgroups) for Q in cls}
+    return [list(rows[Q]) for Q in F.subgroups]
+
+
 def _assert_matches_scan_oracles(F):
     """The extension witness against the scan that builds every N_phi by
-    `n_phi_scan`, and the hom-count matrix against the hom sets."""
+    `n_phi_scan`, and the hom-count rows against the hom sets."""
     assert _extension_counterexample(F) == extension_counterexample_scan(F)
-    counts = F.hom_count_matrix().tolist()
+    counts = _hom_count_table(F)
     assert [[len(F.hom_set(Q, R)) for R in F.subgroups] for Q in F.subgroups] == counts
 
 
@@ -499,7 +506,7 @@ def _assert_per_class_matches_full_scan(F):
         rep = saturation_report(F)
     assert len(scans) == (not rep.saturated)
     assert rep == saturation_report_full_scan(F)
-    assert np.array_equal(F.hom_count_matrix(), hom_count_matrix_dense(F))
+    assert _hom_count_table(F) == hom_count_matrix_dense(F).tolist()
     return rep
 
 
@@ -562,9 +569,12 @@ def sylow2_homs(groups):
 
 @given(st.data())
 def test_closure_extension_check_matches_scan_oracle(sylow2_homs, data):
+    """The closure of drawn seeds equals the breadth-first oracle's, and
+    its extension check, hom counts and saturation report the scans'."""
     P, homs = sylow2_homs[data.draw(st.sampled_from(("d8", "s4")))]
     seeds = data.draw(st.lists(st.sampled_from(homs), max_size=3))
     F = closure(P, seeds)
+    assert F.isos == closure_bfs(P, seeds).isos
     _assert_matches_scan_oracles(F)
     _assert_per_class_matches_full_scan(F)
 
@@ -587,6 +597,77 @@ def test_closure_equality_and_factorization_match_scan_oracles(sylow2_homs, data
     sigma = data.draw(st.sampled_from(sorted(F_big.aut_set(P), key=lambda m: m.images)))
     assert fusion_equal(F, F_big) == fusion_equal_scan(F, F_big)
     assert factorization_check(F, F_big, sigma) == factorization_check_scan(F, F_big, sigma)
+
+
+def _alperin_seeds(F):
+    """The seeds `alperin_check` closes: Aut_F(Q) for every centric, fully
+    normalized Q."""
+    return [m for Q in F.subgroups
+            if Q.elems in F.centric and Q.elems in F.fully_normalized for m in F.aut_set(Q)]
+
+
+def _assert_closure_matches_bfs(contexts):
+    """`closure` equals the breadth-first oracle on the generation seeds
+    (the L-side isos plus sigma) and on the Alperin seeds of both sides of
+    every descent."""
+    for ctx in contexts:
+        P = ctx.root.subgroup
+        for seeds in (ctx.system_l.isos | {ctx.sigma},
+                      _alperin_seeds(ctx.system_l), _alperin_seeds(ctx.system_k)):
+            assert closure(P, seeds).isos == closure_bfs(P, seeds).isos
+
+
+def test_closure_matches_bfs_oracle_on_corpus(corpus_objects):
+    _assert_closure_matches_bfs([ctx for o in corpus_objects for ctx in o["contexts"]])
+
+
+@pytest.mark.parametrize("source,tower", [
+    ("builtin:c5c8s2", (2, 1, 4)), ("builtin:c7c9s3", (3, 2, 6)), ("builtin:c7v4s3", (2, 1, 3))])
+def test_closure_matches_bfs_oracle_on_nonsplit_descents(source, tower):
+    """(C5xC8):C2 over F16/F2, (C7xC9):C3 over F_{3^6}/F_{3^2} and
+    (C7xV4):C3 over F8/F2, where closing the L-side system with sigma adds
+    fusion."""
+    G, t = cli.load_group_file(source), make_tower(*tower)
+    contexts = [descent.run_descent(G, t, b)[1] for b in cli._descent_blocks(G, t, "all")]
+    assert any(not fusion_equal(ctx.system_l, ctx.system_k) for ctx in contexts)
+    _assert_closure_matches_bfs(contexts)
+
+
+def test_fusion_axioms_name_the_map_the_closure_adds(groups):
+    """The group fusion of S4 on its Sylow 2-subgroup P passes both axiom
+    checks.  Each broken copy fails both: one that drops a non-identity
+    inner iso, the inverse of an order-3 automorphism alpha of the normal
+    V4, a restriction of alpha to an order-2 subgroup it moves, or a
+    non-inner involution of V4 (a restriction of nothing in F, only a
+    composite), and one that adds a non-injective map.  Where a map is
+    dropped, the error names it."""
+    s4 = groups["s4"]
+    P = sylow_p_subgroup(s4, 2)
+    F = group_fusion(P, s4)
+    assert_fusion_axioms(F)
+    fusion_axioms_scan(F)
+    V = next(Q for Q in F.subgroups if Q.order == 4 and len(F.aut_set(Q)) == 6)
+    outer = sorted(F.aut_set(V) - inner_automorphisms(P, V), key=lambda m: m.images)
+    alpha = next(m for m in outer if map_order(m) == 3)
+    involution = next(m for m in outer if map_order(m) == 2)
+    moved = next(Q for Q in F.subgroups if Q.order == 2 and Q.is_subset_of(V)
+                 and alpha.restrict(Q).codomain != Q)
+    inner = next(m for m in sorted(inner_automorphisms(P, P), key=lambda m: m.images)
+                 if m.images != P.elems)
+    dropped = [inner, alpha.inverse(), alpha.restrict(moved), involution]
+    assert len(set(dropped)) == 4 and set(dropped) <= F.isos
+    for m in dropped:
+        broken = FusionSystem(P, F.isos - {m})
+        with pytest.raises(VerificationError, match=re.escape(repr(m))):
+            assert_fusion_axioms(broken)
+        with pytest.raises(VerificationError):
+            fusion_axioms_scan(broken)
+    collapse = GroupMap(moved, moved, (moved.elems[0],) * 2, _checked=True)
+    broken = FusionSystem(P, F.isos | {collapse})
+    with pytest.raises(VerificationError, match="non-injective"):
+        assert_fusion_axioms(broken)
+    with pytest.raises(VerificationError, match="non-injective"):
+        fusion_axioms_scan(broken)
 
 
 def test_extension_witness_is_canonical(groups):
