@@ -22,7 +22,7 @@ from .fusion import (FusionSystem, SaturationReport, alperin_check, assert_fusio
 from .descent import (Correspondence, GaloisContext, GoursatInvariants, SaturationTransfer,
                       block_correspondence, check_generation, check_local_agreement,
                       check_order_preservation, check_saturation_transfer, descend_pair,
-                      frobenius_stabilizer_order, galois_context, galois_orbit,
-                      goursat_invariants, orbit_sum, run_descent, twist_automorphism)
+                      galois_context, galois_orbit, goursat_invariants, orbit_sum,
+                      run_descent, twist_automorphism)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldTower, Poly, factor, factor_over_subfield, _pdivmod, _pinvmod, _pmod, _pmul
-from .groups import (ClassData, FiniteGroup, Subgroup, _conj_table, _index_dtype, centralizer,
-                     class_data, conj_rows, coset_reps, p_part)
+from .groups import (ClassData, FiniteGroup, Subgroup, _index_dtype, centralizer, class_data,
+                     conjugates, coset_reps, p_part)
 from .linalg import Echelon
 
 
@@ -197,31 +197,36 @@ def conjugate_element(x: int, a: AlgebraElement) -> AlgebraElement:
     g = a.group
     if g.ambient is None:
         # out[h] = a[x^-1 h x]: the coefficients read along the row of x^-1
-        return AlgebraElement(g, a.tower, tuple(map(a.coeffs.__getitem__,
-                                                    conj_rows(g)[g.inv[x]])))
+        row = conjugates(g, [g.inv[x]], g.elements())[0].tolist()
+        return AlgebraElement(g, a.tower, tuple(map(a.coeffs.__getitem__, row)))
     amb = g.ambient
-    row = conj_rows(amb)[x]
-    images = list(map(row.__getitem__, g.ambient_elems))
+    images = conjugates(amb, [x], g.ambient_elems)[0].tolist()
     moved = dict(zip(images, a.coeffs))
     images.sort()
     target = Subgroup._of(amb, tuple(images)).as_group()
     return AlgebraElement(target, a.tower, tuple(map(moved.__getitem__, images)))
 
 
-def is_stable(a: AlgebraElement, S: Subgroup) -> bool:
-    """True iff conjugation by every element of S fixes a: one gather of
-    the conjugation table over S x the owner's elements, read through a's
-    coefficients spread over the ambient group, with -1 (no field code)
-    outside the owner, so an image that leaves the owner never matches."""
+def _fixed_by(a: AlgebraElement, S: Subgroup) -> np.ndarray:
+    """One bool per element x of S: whether conjugation by x fixes a.  One
+    gather of the conjugation table over S x the owner's elements, read
+    through a's coefficients spread over the ambient group, with -1 (no
+    field code) outside the owner, so an image that leaves the owner never
+    matches."""
     g = a.group
     amb = g.ambient or g
     if S.parent is not amb:
         raise ValueError("subgroup does not live in the owner's ambient group")
-    elems = np.asarray(g.ambient_elems or g.elements())
+    elems = g.ambient_elems or g.elements()
     coeffs = np.asarray(a.coeffs)
     spread = np.full(amb.order, -1, dtype=coeffs.dtype)
-    spread[elems] = coeffs
-    return bool((spread[_conj_table(amb)[np.asarray(S.elems)[:, None], elems]] == coeffs).all())
+    spread[list(elems)] = coeffs
+    return (spread[conjugates(amb, S.elems, elems)] == coeffs).all(axis=1)
+
+
+def is_stable(a: AlgebraElement, S: Subgroup) -> bool:
+    """True iff conjugation by every element of S fixes a."""
+    return bool(_fixed_by(a, S).all())
 
 
 def embed(a: AlgebraElement) -> AlgebraElement:

@@ -14,10 +14,11 @@ and no normal step is solved.  The rule holds over L and over K alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .algebra import (BlockIdempotent, VerificationError, brauer_map, central_multiply,
                       conjugate_element, embed, find_block, is_stable,
-                      primitive_central_idempotents)
+                      primitive_central_idempotents, _fixed_by)
 from .gf import FieldTower
 from .groups import (FiniteGroup, Subgroup, all_subgroups, centralizer, normalizer,
                      normalizer_in, sylow_p_subgroup)
@@ -189,8 +190,8 @@ def _maximal_pairs(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> Max
 
 
 def pair_stabilizer(pair: BrauerPair) -> Subgroup:
-    """N_G(P, e): ambient elements fixing both coordinates."""
-    e = pair.block.elem
-    members = tuple(x for x in normalizer(pair.group, pair.subgroup).elems
-                    if conjugate_element(x, e) == e)
-    return Subgroup._of(pair.group, members)
+    """N_G(P, e): the x in N_G(P), which normalize C_G(P), whose
+    conjugation fixes e."""
+    N = normalizer(pair.group, pair.subgroup)
+    fixes = _fixed_by(pair.block.elem, N).tolist()
+    return Subgroup._of(pair.group, tuple(compress(N.elems, fixes)))

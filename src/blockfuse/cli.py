@@ -349,9 +349,12 @@ def run_corpus(entries, base: Path | None = None) -> dict:
 def load_corpus(path: Path) -> list[CorpusEntry]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or not isinstance(data.get("entries", []), list):
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ValueError('a corpus must be a JSON object whose "entries" is a list')
-    return [CorpusEntry.from_dict(d) for d in data.get("entries", [])]
+    unknown = sorted(data.keys() - {"entries"})
+    if unknown:
+        raise ValueError(f"unknown corpus key {unknown[0]!r}; the only key is entries")
+    return [CorpusEntry.from_dict(d) for d in data["entries"]]
 
 
 def render_json(report: dict) -> str:

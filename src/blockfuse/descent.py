@@ -23,16 +23,6 @@ from .gf import FieldTower
 from .groups import FiniteGroup, GroupMap, Subgroup, coset_order, normalizer_in
 
 
-def frobenius_stabilizer_order(a) -> int:
-    """Order of the stabilizer of an algebra element inside the cyclic
-    Galois group."""
-    t = a.tower
-    for j in range(1, t.gamma_order + 1):
-        if t.gamma_order % j == 0 and galois_apply(j, a) == a:
-            return t.gamma_order // j
-    raise AssertionError("unreachable: gamma_order always fixes")
-
-
 def galois_orbit(b: BlockIdempotent) -> list[BlockIdempotent]:
     """The distinct Galois conjugates of a block, starting at b."""
     blocks = primitive_central_idempotents(b.owner, b.elem.tower, b.over_k)
@@ -126,8 +116,9 @@ def goursat_invariants(pair: BrauerPair, b: BlockIdempotent) -> GoursatInvariant
         raise ValueError("expected a block over the top field")
     k1 = pair_stabilizer(pair)
     p1 = pair_stabilizer(descend_pair(pair))
-    k2 = frobenius_stabilizer_order(pair.block.elem)
-    p2 = frobenius_stabilizer_order(b.elem)
+    # |Gamma_a| = [L:K] / |Galois orbit of a|
+    k2 = b.elem.tower.gamma_order // len(galois_orbit(pair.block))
+    p2 = b.elem.tower.gamma_order // len(galois_orbit(b))
     if not k1.is_subset_of(p1) or normalizer_in(p1, k1).order != p1.order:
         raise VerificationError("pair stabilizer is not normal in the orbit-sum stabilizer")
     if p2 % k2:
@@ -260,7 +251,6 @@ def run_descent(G: FiniteGroup, tower: FieldTower,
     sat = check_saturation_transfer(ctx)
     inv = ctx.goursat
     P = ctx.root.subgroup
-    orbit_size = len(galois_orbit(b))
     alperin_l = alperin_check(ctx.system_l)
     verdicts = {
         "generation": check_generation(ctx),
@@ -278,7 +268,7 @@ def run_descent(G: FiniteGroup, tower: FieldTower,
         "tower": {"p": tower.p, "m": tower.m, "n": tower.n},
         "block_index": b.index,
         "k_block_index": ctx.k_block.index,
-        "orbit_size": orbit_size,
+        "orbit_size": tower.gamma_order // inv.p2_order,  # |Gamma| / |Gamma_b|
         "defect_order": P.order,
         "root": {"P": list(P.elems), "e": ctx.root.block.index, "defect_order": P.order},
         "k_root": {"P": list(P.elems), "e": ctx.k_root.block.index, "defect_order": P.order},

@@ -30,7 +30,7 @@ from .brauer import (BrauerPair, conjugate_block, is_pair_of_block, maximal_pair
                      subpair_table)
 from .gf import FieldTower
 from .groups import (FiniteGroup, GroupMap, Subgroup, _least_prime_factor, all_subgroups,
-                     centralizer_in, conj_rows, coset_reps, full_subgroup, normalizer_in)
+                     centralizer_in, conjugates, coset_reps, full_subgroup, normalizer_in)
 
 
 class FusionSystem:
@@ -150,21 +150,23 @@ def _build_local_table(P: Subgroup) -> dict[tuple[int, ...], tuple[Subgroup, Sub
     return {Q.elems: (normalizer_in(P, Q), centralizer_in(P, Q)) for Q in all_subgroups(P)}
 
 
-def _conjugation_isos(P: Subgroup, H: Subgroup) -> set[GroupMap]:
-    """The maps c_x: Q -> xQx^-1 for Q <= P and x in H, where xQx^-1 <= P.
-    c_x on Q depends only on the left coset x C_H(Q), so x runs over one
-    transporter per coset."""
-    G = P.parent
+def _transports(P: Subgroup, H: Subgroup):
+    """Yield (Q, x, images) for Q <= P and x in H with xQx^-1 <= P, where
+    images lists x q x^-1 for q in Q.  c_x on Q depends only on the left
+    coset x C_H(Q), so x runs over one transporter per coset, conjugating
+    Q in one gather per Q."""
     pset = set(P.elems)
-    rows = conj_rows(G)
-    isos = set()
     for Q in all_subgroups(P):
-        for x in coset_reps(H, centralizer_in(H, Q)):
-            images = tuple(map(rows[x].__getitem__, Q.elems))
+        xs = coset_reps(H, centralizer_in(H, Q))
+        for x, images in zip(xs, conjugates(P.parent, xs, Q.elems).tolist()):
             if pset.issuperset(images):
-                target = Subgroup._of(G, tuple(sorted(images)))
-                isos.add(GroupMap(Q, target, images, _checked=True))
-    return isos
+                yield Q, x, tuple(images)
+
+
+def _conjugation_isos(P: Subgroup, H: Subgroup) -> set[GroupMap]:
+    """The maps c_x: Q -> xQx^-1 for Q <= P and x in H, where xQx^-1 <= P."""
+    return {GroupMap(Q, Subgroup._of(P.parent, tuple(sorted(images))), images, _checked=True)
+            for Q, _, images in _transports(P, H)}
 
 
 def _inner_isos(P: Subgroup) -> frozenset:
@@ -186,32 +188,23 @@ def block_fusion(G: FiniteGroup, tower: FieldTower, b, root: BrauerPair) -> Fusi
     the subpair table by x e_Q = e_{xQ}.
 
     Both c_x on Q and x e_Q depend only on the left coset x C_G(Q), the
-    latter because e_Q is central in k C_G(Q).  So x runs over one
-    transporter per coset, and each distinct map is tested once.  When
-    k C_G(Q) has one block, so has its conjugate k C_G(xQ), and x e_Q =
-    1 = e_{xQ} holds without transporting the block."""
+    latter because e_Q is central in k C_G(Q).  So x runs over the
+    transporters of `_transports`, and each distinct map is tested once.
+    When k C_G(Q) has one block, so has its conjugate k C_G(xQ), and x e_Q
+    = 1 = e_{xQ} holds without transporting the block."""
     if not is_pair_of_block(root, b):
         raise ValueError("root is not a pair of the given block")
     mp = maximal_pairs(G, tower, b)
     if root.subgroup.order != mp.defect_order:
         raise ValueError("root pair is not maximal for the block")
     P = root.subgroup
-    pset = set(P.elems)
     table = subpair_table(root)
-    everything = full_subgroup(G)
-    rows = conj_rows(G)
     subgroups = {S.elems: S for S in all_subgroups(P)}
     isos = set()
-    for Q in subgroups.values():
-        e_q = table[Q.elems]
-        forced = Q.elems in table.forced
-        for x in coset_reps(everything, centralizer_in(everything, Q)):
-            images = tuple(map(rows[x].__getitem__, Q.elems))
-            if not pset.issuperset(images):
-                continue
-            target = subgroups[tuple(sorted(images))]
-            if not forced and conjugate_block(x, e_q) != table[target.elems]:
-                continue
+    for Q, x, images in _transports(P, full_subgroup(G)):
+        target = subgroups[tuple(sorted(images))]
+        if (Q.elems in table.forced
+                or conjugate_block(x, table[Q.elems]) == table[target.elems]):
             isos.add(GroupMap(Q, target, images, _checked=True))
     return FusionSystem(P, isos)
 
@@ -273,8 +266,7 @@ def _normalizer_cosets(P: Subgroup, Q: Subgroup) -> list[tuple[int, ...]]:
 def _automizer(P: Subgroup, R: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Aut_P(R) as image tuples over R, one conjugation per left coset of
     C_P(R) in N_P(R), since c_u on R depends only on u C_P(R)."""
-    rows = conj_rows(P.parent)
-    return {tuple(map(rows[u].__getitem__, R)) for u in coset_reps(*_local_table(P)[R])}
+    return set(map(tuple, conjugates(P.parent, coset_reps(*_local_table(P)[R]), R).tolist()))
 
 
 def inner_automorphisms(P: Subgroup, Q: Subgroup) -> frozenset:
@@ -303,12 +295,11 @@ def _extends(F: FusionSystem, phi: GroupMap, cosets, aut_r: set[tuple[int, ...]]
     each coset decides the whole coset, and phi extends iff its images are
     among the restrictions to Q of the isos out of N_phi, scanned up to
     the first match."""
-    rows = conj_rows(phi.domain.parent)
     fwd = dict(zip(phi.domain.elems, phi.images)).__getitem__
     pre = [src for _, src in sorted(zip(phi.images, phi.domain.elems))]  # phi^-1 on R.elems
-    N = tuple(sorted(y for coset in cosets
-                     if tuple(map(fwd, map(rows[coset[0]].__getitem__, pre))) in aut_r
-                     for y in coset))
+    twisted = conjugates(phi.domain.parent, [coset[0] for coset in cosets], pre).tolist()
+    N = tuple(sorted(y for coset, row in zip(cosets, twisted)
+                     if tuple(map(fwd, row)) in aut_r for y in coset))
     at = list(map({g: i for i, g in enumerate(N)}.__getitem__, phi.domain.elems))
     return phi.images in (tuple(map(psi.images.__getitem__, at)) for psi in F._by_domain.get(N, ()))
 
@@ -333,18 +324,17 @@ def _classes_saturated(F: FusionSystem) -> bool:
     to p) and receptive (every iso Q -> R extends to N_phi).
 
     For y in N_P(R), N_{c_y phi} = N_phi and c_y phi extends iff phi does,
-    so one iso per Aut_P(R)-orbit of the isos Q -> R is tested."""
+    so one iso per Aut_P(R)-orbit of the isos Q -> R is tested: the orbit
+    of phi is read off the image tuples of Aut_P(R)."""
     P, p = F.p_subgroup, F.prime
     if p is None:  # P = 1: one object, one morphism
         return True
-    local, rows = _local_table(P), conj_rows(P.parent)
     for cls in F.classes:
         R = next(S for S in cls if S.elems in F.fully_normalized)
         aut_r = _automizer(P, R.elems)
         if F._aut_order(R) // len(aut_r) % p == 0:
             return False
-        rset = set(R.elems)
-        twists = [rows[y] for y in coset_reps(*local[R.elems])]
+        rset, at = set(R.elems), {r: i for i, r in enumerate(R.elems)}
         for Q in cls:
             cosets = _normalizer_cosets(P, Q)
             seen: set[tuple[int, ...]] = set()
@@ -353,7 +343,8 @@ def _classes_saturated(F: FusionSystem) -> bool:
                     continue
                 if not _extends(F, phi, cosets, aut_r):
                     return False
-                seen.update(tuple(map(row.__getitem__, phi.images)) for row in twists)
+                pos = list(map(at.__getitem__, phi.images))
+                seen.update(tuple(map(twist.__getitem__, pos)) for twist in aut_r)
     return True
 
 

@@ -14,17 +14,17 @@ whole-table work.
 
 Everything derived from the group is built on first use and kept in one
 dict, `FiniteGroup._memo`, filled only through `FiniteGroup.memo(key,
-build)`: the conjugation table K[x, g] = x g x^-1 as a numpy array
-(key "conj") and as shared-int tuple rows (key "conj_rows", for the
-conjugation loops of block fusion; class data keeps `FiniteGroup.conj`, so
-a blocks report does not build rows that on S6 are 720 x 720 pointers),
-the centralizer bitmasks cmask[g] (bit h set iff gh = hg), G as a
-subgroup of itself, subgroup views, Sylow subgroups, subgroup lattices
-and class data here, the blocks, maximal pairs, subpair tables and
-N_P(Q)/C_P(Q) tables of the algebra, brauer and fusion layers, and the
-block correspondences of the descent layer.  The memo lives as long
-as the group, which the command line builds once per report, and a corpus
-run once per group file, dropped after the last entry naming it.
+build)`: the conjugation table K[x, g] = x g x^-1 as a numpy array (key
+"conj", the one copy of conjugation: `conjugates` reads a set of
+elements conjugated by a set of elements in one gather, and
+`FiniteGroup.conj` is the scalar lookup through `mul`), the centralizer
+bitmasks cmask[g] (bit h set iff gh = hg), G as a subgroup of itself,
+subgroup views, Sylow subgroups, subgroup lattices and class data here,
+the blocks, maximal pairs, subpair tables and N_P(Q)/C_P(Q) tables of
+the algebra, brauer and fusion layers, and the block correspondences of
+the descent layer.  The memo lives as long as the group, which the
+command line builds once per report, and a corpus run once per group
+file, dropped after the last entry naming it.
 
 A `Subgroup` is a sorted index set inside a parent group together with the
 same set as an int bitmask (bit g set iff g is a member).  Membership and
@@ -121,11 +121,10 @@ def _conj_table(G: FiniteGroup) -> np.ndarray:
     return G.memo("conj", build)
 
 
-def conj_rows(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """conj_rows(G)[x][g] = x g x^-1: the conjugation table as shared-int
-    tuple rows, memoized, so conjugating a set by x is one row lookup per
-    element."""
-    return G.memo("conj_rows", lambda: _shared_rows(_conj_table(G)))
+def conjugates(G: FiniteGroup, xs, elems) -> np.ndarray:
+    """The array of x g x^-1, one row per x in xs and one column per g in
+    elems: one gather of the conjugation table."""
+    return _conj_table(G)[np.array(xs)[:, None], np.array(elems)]
 
 
 def _centralizer_masks(G: FiniteGroup) -> tuple[int, ...]:
@@ -376,11 +375,10 @@ def centralizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
 def normalizer_in(H: Subgroup, S: Subgroup) -> Subgroup:
     """N_H(S): the h in H whose row of the conjugation table maps S into S."""
     G = H.parent
-    rows, cols = np.array(H.elems), np.array(S.elems)
     inside = np.zeros(G.order, dtype=bool)
-    inside[cols] = True
-    keep = inside[_conj_table(G)[rows[:, None], cols]].all(axis=1)
-    return Subgroup._of(G, tuple(rows[keep].tolist()))
+    inside[list(S.elems)] = True
+    keep = inside[conjugates(G, H.elems, S.elems)].all(axis=1)
+    return Subgroup._of(G, tuple(compress(H.elems, keep.tolist())))
 
 
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:

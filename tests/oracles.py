@@ -17,7 +17,7 @@ from collections import deque
 import numpy as np
 
 from blockfuse.algebra import (AlgebraElement, VerificationError, brauer_map, central_multiply,
-                               multiply, one, zero)
+                               galois_apply, multiply, one, zero)
 from blockfuse.brauer import (BrauerPair, MaximalPairs, SubpairTable, centralizer_blocks,
                               conjugate_block, is_pair_of_block, maximal_pairs, normal_leq,
                               subpair_table)
@@ -148,6 +148,15 @@ def is_stable_scan(a: AlgebraElement, S: Subgroup) -> bool:
     if S.parent is not amb:
         raise ValueError("subgroup does not live in the owner's ambient group")
     return all(conjugate_element_scan(x, a) == a for x in S.elems if x != 0)
+
+
+def galois_stabilizer_order_scan(a: AlgebraElement) -> int:
+    """|Gamma_a|, the order of the stabilizer of a in the cyclic Galois
+    group: gamma / j for the least divisor j of gamma whose power of the
+    generator fixes a."""
+    gamma = a.tower.gamma_order
+    return gamma // next(j for j in range(1, gamma + 1)
+                         if gamma % j == 0 and galois_apply(j, a) == a)
 
 
 def render_json_reference(report) -> str:

@@ -269,7 +269,8 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
                    {"entries": [{"group": 5, "p": 2}]}, {"entries": [s3 | {"p": 3.9}]},
                    {"entries": [s3 | {"p": True}]}, {"entries": [s3 | {"n": "2"}]},
                    {"entries": [s3 | {"label": [1]}]}, {"entries": [s3 | {"checks": ["descent"]}]},
-                   {"entries": [s3 | {"block": "0"}]}, {"entries": [s3 | {"lable": "x"}]}):
+                   {"entries": [s3 | {"block": "0"}]}, {"entries": [s3 | {"lable": "x"}]},
+                   {"entrys": [s3]}, {"entries": [s3], "extra": 1}):
         path.write_text(json.dumps(corpus))
         assert main(["verify", "--corpus", str(path)]) == 2
         err = capsys.readouterr().err
@@ -550,12 +551,3 @@ def test_generating_maps_match_composing_group_maps(corpus_objects, fusion_2e3s4
         lengths.add(len(gens))
     assert max(lengths) >= 2
     assert [list(m.images) for m in gens] == report["systems"][-1]["aut_generators"]
-
-
-def test_blocks_report_builds_no_conjugation_rows():
-    """A blocks report never needs the conjugation table as tuple rows,
-    which on S6 would be 720 x 720 pointers."""
-    G = cli.load_group_file(str(BENCH_GROUPS / "s6.json"))
-    report = cli.blocks_report(G, make_tower(3, 1, 2))
-    assert "conj_rows" not in G._memo
-    assert render_json(report) == render_json_reference(report)

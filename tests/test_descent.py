@@ -15,13 +15,12 @@ from blockfuse.brauer import maximal_pairs
 from blockfuse.descent import (block_correspondence, check_generation,
                                check_local_agreement, check_order_preservation,
                                check_saturation_transfer, descend_pair,
-                               frobenius_stabilizer_order, galois_context, galois_orbit,
-                               goursat_invariants, orbit_sum, run_descent,
-                               twist_automorphism)
+                               galois_context, galois_orbit, goursat_invariants,
+                               orbit_sum, run_descent, twist_automorphism)
 from blockfuse.fusion import block_fusion, fusion_equal
 from blockfuse.gf import make_tower
 
-from oracles import support
+from oracles import galois_stabilizer_order_scan, support
 
 F2 = make_tower(2, 1, 1)
 F4 = make_tower(2, 1, 2)
@@ -121,8 +120,6 @@ def test_goursat_d24_flagship(d24):
     assert inv.p1.order == 24
     assert inv.k2_order == 1 and inv.p2_order == 2
     assert inv.index == 2
-    assert frobenius_stabilizer_order(b4.elem) == 2
-    assert frobenius_stabilizer_order(root.block.elem) == 1
 
 
 def test_goursat_degenerate_tower(d24):
@@ -131,6 +128,20 @@ def test_goursat_degenerate_tower(d24):
     inv = goursat_invariants(root, b2)
     assert inv.index == 1
     assert inv.k1.order == inv.p1.order == 24
+    assert inv.k2_order == inv.p2_order == 1
+
+
+def test_galois_stabilizer_orders_match_the_divisor_scan(corpus_objects):
+    """|Gamma_e| and |Gamma_b|, read as [L:K] over the Galois orbit size,
+    equal the least fixing power found by the divisor scan, for every
+    corpus descent and the index-4 descent of (C5xC16):C4 over F16/F2."""
+    contexts = [ctx for objects in corpus_objects for ctx in objects["contexts"]]
+    G, t = _nonsplit_builtin((5, 16, 2, 5)), make_tower(2, 1, 4)
+    contexts += [galois_context(G, t, b) for b in cli._descent_blocks(G, t, "all")]
+    for ctx in contexts:
+        assert ctx.goursat.k2_order == galois_stabilizer_order_scan(ctx.root.block.elem)
+        assert ctx.goursat.p2_order == galois_stabilizer_order_scan(ctx.block.elem)
+    assert {ctx.goursat.p2_order // ctx.goursat.k2_order for ctx in contexts} == {1, 2, 4}
 
 
 def test_goursat_principal_trivial_quotient(groups, d24):
@@ -257,7 +268,8 @@ def _nonsplit_builtin(group):
     if group == "c7v4s3":
         name, generators = group, C7V4S3_GENERATORS
     else:
-        name = {(5, 8, 4, 5): "c5c8s2", (7, 9, 2, 4): "c7c9s3"}[group]
+        name = {(5, 8, 4, 5): "c5c8s2", (7, 9, 2, 4): "c7c9s3", (5, 16, 2, 5): "c5c16s4",
+                (13, 9, 3, 4): "c13c9s3"}[group]
         generators = _nonsplit_generators(*group)
     spec = json.loads(cli._builtin_path(name).read_text(encoding="utf-8"))
     assert spec["generators"] == generators
@@ -270,6 +282,9 @@ def _nonsplit_builtin(group):
     ((7, 9, 2, 4), (3, 2, 6), [(3, True, False, 9)] * 2 + [(1, True, True, 27)]),
     ((7, 9, 2, 4), (3, 2, 2), [(1, False, False, 9)] * 2 + [(1, True, True, 27)]),
     ("c7v4s3", (2, 1, 3), [(3, True, True, 4)] * 2 + [(1, True, True, 4)]),
+    ((5, 16, 2, 5), (2, 1, 4), [(4, True, False, 16), (1, True, True, 64)]),
+    ((5, 16, 2, 5), (2, 2, 4), [(2, True, False, 16), (1, True, True, 64)]),
+    ((13, 9, 3, 4), (3, 1, 3), [(3, True, False, 9)] * 4 + [(1, True, True, 27)]),
 ])
 def test_nonsplit_descents(group, tower, expected):
     """(C5xC8):C2 and (C7xC9):C3, where t acts on the q-th roots of unity
@@ -277,10 +292,14 @@ def test_nonsplit_descents(group, tower, expected):
     system descends, with index 2 or 3 = p, to a K-system that is not
     saturated; over F4 and F9 the same blocks are unsaturated on both
     sides, with index 1.  (C7xC2^2):C3 over F8/F2 has index 3, prime to
-    p = 2, and both sides saturated.  Each descent, one per Galois orbit,
-    has (index, saturated_l, saturated_k, defect_order) pinned, all
-    verdicts true, and |Aut_{F_K}(P)| = index |Aut_{F_L}(P)|.  The groups
-    are the shipped builtin:c5c8s2, builtin:c7c9s3 and builtin:c7v4s3."""
+    p = 2, and both sides saturated.  (C5xC16):C4 descends with index 4 =
+    p^2 over F16/F2 and index 2 over F16/F4, and (C13xC9):C3, of order
+    351, with index 3 four times over F27/F3, each to an unsaturated
+    K-system.  Each descent, one per Galois orbit, has (index,
+    saturated_l, saturated_k, defect_order) pinned, all verdicts true, and
+    |Aut_{F_K}(P)| = index |Aut_{F_L}(P)|.  The groups are the shipped
+    builtin:c5c8s2, builtin:c7c9s3, builtin:c7v4s3, builtin:c5c16s4 and
+    builtin:c13c9s3."""
     G, t = _nonsplit_builtin(group), make_tower(*tower)
     got = []
     for b in cli._descent_blocks(G, t, "all"):

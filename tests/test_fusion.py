@@ -61,10 +61,13 @@ def test_conjugation_isos_match_the_all_elements_scan(corpus_objects):
     """One transporter per left coset of C_H(Q) gives the maps of every x
     in H, for H = G and H = P, and one per left coset of C_P(Q) in N_P(Q)
     gives Aut_P(Q) for every Q <= P: on the principal defect group of each
-    corpus entry and on a Sylow 2-subgroup of 2^3:S4."""
+    corpus entry, on a Sylow 2-subgroup of 2^3:S4, and on the Sylow 2- and
+    3-subgroups of S6, of order 720, where element indices exceed 255."""
     bench = cli.load_group_file(str(BENCH_GROUPS / "2e3s4.json"))
+    s6 = cli.load_group_file(str(BENCH_GROUPS / "s6.json"))
     cases = [(o["group"], o["principal"].p_subgroup) for o in corpus_objects]
-    cases.append((bench, sylow_p_subgroup(bench, 2)))
+    cases += [(bench, sylow_p_subgroup(bench, 2)), (s6, sylow_p_subgroup(s6, 2)),
+              (s6, sylow_p_subgroup(s6, 3))]
     for G, P in cases:
         assert (fusion._conjugation_isos(P, full_subgroup(G))
                 == conjugation_isos_scan(P, G.elements()))

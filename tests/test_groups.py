@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import blockfuse.cli as cli
 import blockfuse.groups as groups_mod
 from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
-                              centralizer, centralizer_in, conj_rows, coset_reps,
+                              centralizer, centralizer_in, conjugates, coset_reps,
                               full_subgroup, normalizer, normalizer_in, p_part,
                               sylow_p_subgroup, trivial_subgroup)
 from conftest import GROUP_NAMES
@@ -154,7 +154,7 @@ def test_sylow_matches_join_oracle_and_is_built_once():
     and the subgroup is built once per group and p."""
     paths = sorted(cli._builtin_path("c2").parent.glob("*.json"))
     paths += sorted(BENCH_GROUPS.glob("*.json"))
-    assert len(paths) == 16
+    assert len(paths) == 18
     for path in paths:
         G = build_group(json.loads(path.read_text(encoding="utf-8")))
         for p in (2, 3, 5, 7, 13):
@@ -190,17 +190,22 @@ def test_all_subgroups_bound(d24, monkeypatch):
 
 
 def test_conjugation_rows_give_group_maps(d24):
-    """Each row of conj_rows, read on C4, is an injective homomorphism
-    (GroupMap checks both); the identity's row is the inclusion and a
-    reflection's row inverts C4."""
+    """The gather of `conjugates` is G.conj entry by entry, also on rows
+    and columns out of order and repeated; each row over C4 is an
+    injective homomorphism (GroupMap checks both), the identity's row is
+    the inclusion and a reflection's row inverts C4."""
     r, s = 1, 2
     C4 = cyclic_subgroup(d24, d24.power(r, 3))
-    rows = conj_rows(d24)
-    assert all(rows[x][g] == d24.conj(x, g) for x in range(d24.order) for g in range(24))
-    for x in range(d24.order):
-        GroupMap(C4, full_subgroup(d24), [rows[x][g] for g in C4.elems])
-    assert [rows[0][g] for g in C4.elems] == list(C4.elems)
-    assert [rows[s][g] for g in C4.elems] == [d24.inv[g] for g in C4.elems]
+    every = range(d24.order)
+    table = conjugates(d24, every, every).tolist()
+    assert all(table[x][g] == d24.conj(x, g) for x in every for g in every)
+    xs, gs = [5, 0, 5, 23], [7, 3, 3, 0]
+    assert conjugates(d24, xs, gs).tolist() == [[d24.conj(x, g) for g in gs] for x in xs]
+    rows = conjugates(d24, every, C4.elems).tolist()
+    for row in rows:
+        GroupMap(C4, full_subgroup(d24), row)
+    assert rows[0] == list(C4.elems)
+    assert rows[s] == [d24.inv[g] for g in C4.elems]
 
 
 def test_centralizer_subset_normalizer(groups):
@@ -335,4 +340,4 @@ def test_lattice_builds_no_conjugation_table():
                      "generators": [[1, 2, 3, 0, 4, 5, 6, 7], [4, 5, 6, 7, 0, 1, 2, 3]]})
     subs = all_subgroups(full_subgroup(G))
     assert len(subs) == len(subgroup_lattice_bfs_joins(full_subgroup(G)))
-    assert "conj" not in G._memo and "conj_rows" not in G._memo
+    assert "conj" not in G._memo
