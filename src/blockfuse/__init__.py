@@ -19,10 +19,8 @@ from .brauer import (BrauerPair, MaximalPairs, SubpairTable, centralizer_blocks,
 from .fusion import (FusionSystem, SaturationReport, alperin_check, assert_fusion_axioms,
                      block_fusion, closure, factorization_check, fusion_equal, group_fusion,
                      inner_automorphisms, map_order, saturation_report, sylow_index)
-from .descent import (Correspondence, GaloisContext, GoursatInvariants, SaturationTransfer,
-                      block_correspondence, check_generation, check_local_agreement,
-                      check_order_preservation, check_saturation_transfer, descend_pair,
-                      galois_context, galois_orbit, goursat_invariants, orbit_sum,
-                      run_descent, twist_automorphism)
+from .descent import (Correspondence, GaloisContext, block_correspondence, check_generation,
+                      check_local_agreement, check_order_preservation, galois_context,
+                      galois_orbit, orbit_sum, run_descent)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .algebra import (BlockIdempotent, VerificationError, _galois_orbit_sum, central_multiply,
                       find_block, galois_apply, is_k_rational, primitive_central_idempotents)
 from .brauer import BrauerPair, maximal_pairs, pair_stabilizer, subpair_table
-from .fusion import (FusionSystem, SaturationReport, alperin_check, block_fusion, closure,
+from .fusion import (FusionSystem, alperin_check, block_fusion, closure,
                      factorization_check, fusion_equal, saturation_report)
 from .gf import FieldTower
 from .groups import FiniteGroup, GroupMap, Subgroup, coset_order, normalizer_in
@@ -44,11 +44,6 @@ def orbit_sum(b: BlockIdempotent) -> BlockIdempotent:
         raise VerificationError("orbit sum is not Frobenius fixed")
     k_blocks = primitive_central_idempotents(b.owner, b.elem.tower, over_k=True)
     return find_block(k_blocks, total)
-
-
-def descend_pair(pair: BrauerPair) -> BrauerPair:
-    """(P, e) -> (P, orbit sum of e), a pair over the subfield."""
-    return BrauerPair(pair.subgroup, orbit_sum(pair.block))
 
 
 @dataclass(frozen=True)
@@ -96,29 +91,52 @@ def _block_correspondence(G: FiniteGroup, tower: FieldTower) -> Correspondence:
                           bijective, defects_match)
 
 
-@dataclass(frozen=True)
-class GoursatInvariants:
-    """The four projections of the stabilizer of a maximal pair inside
-    G x Gamma, with the theorem-backed identities asserted on creation.
-    Galois subgroups are recorded by their orders, and the cyclic quotient
-    by g0, the first element of p1 whose coset generates it."""
+@dataclass
+class GaloisContext:
+    """Everything the descent verifiers need for one L-block, each piece
+    computed once by galois_context.  k1, p1, k2_order and p2_order are
+    the four projections of the stabilizer of the root in G x Gamma, the
+    Galois ones by their orders.  When the two systems have the same
+    isos, system_k is the system_l object, so each check that reads one
+    system runs once."""
 
-    k1: Subgroup          # N_G(P, e)
-    p1: Subgroup          # N_G(P, orbit sum of e)
-    k2_order: int         # |Gamma_e|
-    p2_order: int         # |Gamma_b|
-    index: int            # common cyclic quotient size
-    g0: int               # generator of p1 / k1; 0 when index == 1
+    group: FiniteGroup
+    tower: FieldTower
+    block: BlockIdempotent           # b, block of L[G]
+    k_block: BlockIdempotent         # its orbit sum, block of K[G]
+    root: BrauerPair                 # maximal pair (P, e) of b over L
+    k_root: BrauerPair               # (P, orbit sum of e), maximal for the K-block
+    k1: Subgroup                     # N_G(P, e)
+    p1: Subgroup                     # N_G(P, orbit sum of e)
+    k2_order: int                    # |Gamma_e|
+    p2_order: int                    # |Gamma_b|
+    index: int                       # common cyclic quotient size
+    g0: int                          # first x in p1 whose coset generates p1 / k1
+    sigma: GroupMap                  # the twist: conjugation by g0 on P
+    system_l: FusionSystem = field(repr=False)
+    system_k: FusionSystem = field(repr=False)
 
 
-def goursat_invariants(pair: BrauerPair, b: BlockIdempotent) -> GoursatInvariants:
-    if b.over_k:
-        raise ValueError("expected a block over the top field")
-    k1 = pair_stabilizer(pair)
-    p1 = pair_stabilizer(descend_pair(pair))
+def galois_context(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> GaloisContext:
+    """The descent of the L-block b, with the theorem-backed identities
+    asserted: any failure raises `VerificationError`."""
+    k_block = orbit_sum(b)
+    if central_multiply(b.elem, k_block.elem) != b.elem:
+        raise VerificationError("orbit sum does not cover the block")
+    mp_l = maximal_pairs(G, tower, b)
+    root = mp_l.pairs[0]
+    P = root.subgroup
+    k_root = BrauerPair(P, orbit_sum(root.block))
+    mp_k = maximal_pairs(G, tower, k_block)
+    if mp_k.defect_order != mp_l.defect_order:
+        raise VerificationError("defect orders differ across the descent")
+    if k_root not in mp_k.pairs:
+        raise VerificationError("descended root is not a maximal pair over K")
+    k1 = pair_stabilizer(root)
+    p1 = pair_stabilizer(k_root)
     # |Gamma_a| = [L:K] / |Galois orbit of a|
-    k2 = b.elem.tower.gamma_order // len(galois_orbit(pair.block))
-    p2 = b.elem.tower.gamma_order // len(galois_orbit(b))
+    k2 = tower.gamma_order // len(galois_orbit(root.block))
+    p2 = tower.gamma_order // len(galois_orbit(b))
     if not k1.is_subset_of(p1) or normalizer_in(p1, k1).order != p1.order:
         raise VerificationError("pair stabilizer is not normal in the orbit-sum stabilizer")
     if p2 % k2:
@@ -128,56 +146,17 @@ def goursat_invariants(pair: BrauerPair, b: BlockIdempotent) -> GoursatInvariant
         raise VerificationError("group-side and Galois-side indices differ")
     g0 = 0
     if index > 1:
-        g0 = next((x for x in p1.elems if coset_order(pair.group, x, k1) == index), None)
+        g0 = next((x for x in p1.elems if coset_order(G, x, k1) == index), None)
         if g0 is None:
             raise VerificationError("stabilizer quotient is not cyclic")
-    return GoursatInvariants(k1, p1, k2, p2, index, g0)
-
-
-def twist_automorphism(pair: BrauerPair, goursat: GoursatInvariants) -> GroupMap:
-    """The twist sigma: conjugation by goursat.g0 on P."""
-    G, P = pair.group, pair.subgroup
-    return GroupMap(P, P, tuple(G.conj(goursat.g0, g) for g in P.elems), _checked=True)
-
-
-@dataclass
-class GaloisContext:
-    """Everything the descent verifiers need for one L-block.  When the
-    two systems have the same isos, system_k is the system_l object, so
-    each check that reads one system runs once."""
-
-    group: FiniteGroup
-    tower: FieldTower
-    block: BlockIdempotent           # b, block of L[G]
-    k_block: BlockIdempotent         # its orbit sum, block of K[G]
-    root: BrauerPair                 # maximal pair of b over L
-    k_root: BrauerPair               # (P, orbit sum of e), maximal for the K-block
-    goursat: GoursatInvariants
-    sigma: GroupMap
-    system_l: FusionSystem = field(repr=False)
-    system_k: FusionSystem = field(repr=False)
-
-
-def galois_context(G: FiniteGroup, tower: FieldTower, b: BlockIdempotent) -> GaloisContext:
-    k_block = orbit_sum(b)
-    if central_multiply(b.elem, k_block.elem) != b.elem:
-        raise VerificationError("orbit sum does not cover the block")
-    mp_l = maximal_pairs(G, tower, b)
-    root = mp_l.pairs[0]
-    k_root = descend_pair(root)
-    mp_k = maximal_pairs(G, tower, k_block)
-    if mp_k.defect_order != mp_l.defect_order:
-        raise VerificationError("defect orders differ across the descent")
-    if k_root not in mp_k.pairs:
-        raise VerificationError("descended root is not a maximal pair over K")
-    inv = goursat_invariants(root, b)
+    sigma = GroupMap(P, P, tuple(G.conj(g0, g) for g in P.elems), _checked=True)
     system_l = block_fusion(G, tower, b, root)
     # K = L gives k_root == root; F_K = F_L: one object, decided once
     system_k = system_l if k_root == root else block_fusion(G, tower, k_block, k_root)
     if system_k.isos == system_l.isos:
         system_k = system_l
-    return GaloisContext(G, tower, b, k_block, root, k_root, inv,
-                         twist_automorphism(root, inv), system_l, system_k)
+    return GaloisContext(G, tower, b, k_block, root, k_root, k1, p1, k2, p2, index, g0,
+                         sigma, system_l, system_k)
 
 
 def check_generation(ctx: GaloisContext) -> bool:
@@ -188,40 +167,6 @@ def check_generation(ctx: GaloisContext) -> bool:
     if not fusion_equal(generated, ctx.system_k):
         return False
     return factorization_check(ctx.system_l, ctx.system_k, ctx.sigma)
-
-
-@dataclass(frozen=True)
-class SaturationTransfer:
-    holds: bool
-    report_l: SaturationReport
-    report_k: SaturationReport
-    index_group: int      # [N_G(P, orbit sum) : N_G(P, e)]
-    index_galois: int     # [Gamma_b : Gamma_e]
-    index_field: int      # degree of K(e) over K(b)
-
-    @property
-    def saturated_l(self) -> bool:
-        return self.report_l.saturated
-
-    @property
-    def saturated_k(self) -> bool:
-        return self.report_k.saturated
-
-
-def check_saturation_transfer(ctx: GaloisContext) -> SaturationTransfer:
-    """Saturation over K holds iff it holds over L and p does not divide
-    the descent index; the three index expressions must agree."""
-    inv = ctx.goursat
-    index_group = inv.p1.order // inv.k1.order
-    index_galois = inv.p2_order // inv.k2_order
-    # fixed-field degrees: [K(e):K] = gamma/|Gamma_e|, [K(b):K] = gamma/|Gamma_b|
-    index_field = (ctx.tower.gamma_order // inv.k2_order) // (ctx.tower.gamma_order // inv.p2_order)
-    if not index_group == index_galois == index_field:
-        raise VerificationError("descent index expressions disagree")
-    rep_l = saturation_report(ctx.system_l)
-    rep_k = rep_l if ctx.system_k is ctx.system_l else saturation_report(ctx.system_k)
-    holds = rep_k.saturated == (rep_l.saturated and index_galois % ctx.tower.p != 0)
-    return SaturationTransfer(holds, rep_l, rep_k, index_group, index_galois, index_field)
 
 
 def check_local_agreement(ctx: GaloisContext) -> bool:
@@ -248,15 +193,16 @@ def run_descent(G: FiniteGroup, tower: FieldTower,
     flags, the three index expressions and `all_ok`, the conjunction of
     the verdicts) together with the GaloisContext it was read from."""
     ctx = galois_context(G, tower, b)
-    sat = check_saturation_transfer(ctx)
-    inv = ctx.goursat
     P = ctx.root.subgroup
+    rep_l = saturation_report(ctx.system_l)
+    rep_k = rep_l if ctx.system_k is ctx.system_l else saturation_report(ctx.system_k)
     alperin_l = alperin_check(ctx.system_l)
     verdicts = {
         "generation": check_generation(ctx),
-        "saturation_transfer": sat.holds,
-        "extension_axiom_l": sat.report_l.extension_ok,
-        "extension_axiom_k": sat.report_k.extension_ok,
+        # saturation over K holds iff it holds over L and p does not divide the index
+        "saturation_transfer": rep_k.saturated == (rep_l.saturated and ctx.index % tower.p != 0),
+        "extension_axiom_l": rep_l.extension_ok,
+        "extension_axiom_k": rep_k.extension_ok,
         "alperin_l": alperin_l,
         "alperin_k": alperin_l if ctx.system_k is ctx.system_l else alperin_check(ctx.system_k),
         "local_agreement": check_local_agreement(ctx),
@@ -268,19 +214,23 @@ def run_descent(G: FiniteGroup, tower: FieldTower,
         "tower": {"p": tower.p, "m": tower.m, "n": tower.n},
         "block_index": b.index,
         "k_block_index": ctx.k_block.index,
-        "orbit_size": tower.gamma_order // inv.p2_order,  # |Gamma| / |Gamma_b|
+        "orbit_size": tower.gamma_order // ctx.p2_order,  # |Gamma| / |Gamma_b|
         "defect_order": P.order,
         "root": {"P": list(P.elems), "e": ctx.root.block.index, "defect_order": P.order},
         "k_root": {"P": list(P.elems), "e": ctx.k_root.block.index, "defect_order": P.order},
-        "stabilizers": {"pair_l": inv.k1.order, "pair_k": inv.p1.order,
-                        "gamma_b": inv.p2_order, "gamma_e": inv.k2_order},
-        "index": inv.index,
-        "g0": inv.g0,
+        "stabilizers": {"pair_l": ctx.k1.order, "pair_k": ctx.p1.order,
+                        "gamma_b": ctx.p2_order, "gamma_e": ctx.k2_order},
+        "index": ctx.index,
+        "g0": ctx.g0,
         "sigma": list(ctx.sigma.images),
         "verdicts": verdicts,
-        "saturated": {"l": sat.saturated_l, "k": sat.saturated_k},
-        "index_expressions": {"group": sat.index_group, "galois": sat.index_galois,
-                              "field": sat.index_field},
+        "saturated": {"l": rep_l.saturated, "k": rep_k.saturated},
+        # [N_G(P, orbit sum) : N_G(P, e)], [Gamma_b : Gamma_e] and [K(e) : K(b)],
+        # the last from the fixed-field degrees [K(a) : K] = gamma / |Gamma_a|
+        "index_expressions": {"group": ctx.p1.order // ctx.k1.order,
+                              "galois": ctx.p2_order // ctx.k2_order,
+                              "field": (tower.gamma_order // ctx.k2_order)
+                              // (tower.gamma_order // ctx.p2_order)},
         "all_ok": all(verdicts.values()),
     }
     return report, ctx

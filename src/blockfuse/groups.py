@@ -220,6 +220,9 @@ def _bfs_from_generators(degree, generators):
     return mul, mul.argmin(axis=1)
 
 
+_GROUP_KEYS = {"table": {"kind", "name", "table"}, "perm": {"kind", "name", "degree", "generators"}}
+
+
 def build_group(spec) -> FiniteGroup:
     """Build a validated group from a description mapping.
 
@@ -227,25 +230,33 @@ def build_group(spec) -> FiniteGroup:
     full multiplication table (identity must be index 0), or
     {"kind": "perm", "name": ..., "degree": d, "generators": [[0-based
     images], ...]} enumerated by breadth-first closure in generator order.
-    Table entries and images must be ints; bools and floats are rejected.
+    Table entries and images must be ints; bools and floats are rejected,
+    as are a name that is not a string and any other key.
     """
     kind = spec.get("kind")
+    keys = _GROUP_KEYS.get(kind)
+    if keys is None:
+        raise ValueError(f"unknown group description kind: {kind!r}")
+    unknown = sorted(spec.keys() - keys)
+    if unknown:
+        raise ValueError(f"unknown {kind} group key {unknown[0]!r}; "
+                         f"the keys are {', '.join(sorted(keys))}")
     name = spec.get("name", "G")
+    if not isinstance(name, str):
+        raise ValueError("name is not a string")
     if kind == "table":
         table, inv = _table_from_spec(spec)
         return FiniteGroup(name, table, inv)
-    if kind == "perm":
-        degree = spec["degree"]
-        if type(degree) is not int or degree < 0:
-            raise ValueError("degree is not a nonnegative integer")
-        if degree > MAX_ORDER:  # a group of order n acts faithfully on n points
-            raise ValueError(f"degree {degree} exceeds bound {MAX_ORDER}")
-        mul, inv = _bfs_from_generators(degree, spec["generators"])
-        # BFS tables are groups by construction; skip the cubic associativity scan
-        g = FiniteGroup(name, mul, inv, _validate=False)
-        _validate_light(g)
-        return g
-    raise ValueError(f"unknown group description kind: {kind!r}")
+    degree = spec["degree"]
+    if type(degree) is not int or degree < 0:
+        raise ValueError("degree is not a nonnegative integer")
+    if degree > MAX_ORDER:  # a group of order n acts faithfully on n points
+        raise ValueError(f"degree {degree} exceeds bound {MAX_ORDER}")
+    mul, inv = _bfs_from_generators(degree, spec["generators"])
+    # BFS tables are groups by construction; skip the cubic associativity scan
+    g = FiniteGroup(name, mul, inv, _validate=False)
+    _validate_light(g)
+    return g
 
 
 def _validate_light(g: FiniteGroup) -> None:

@@ -13,16 +13,16 @@ from blockfuse.algebra import (AlgebraElement, basis_element, brauer_map,
                                primitive_central_idempotents, principal_block,
                                trace_map, zero)
 from blockfuse.brauer import maximal_pairs
-from blockfuse.descent import (check_local_agreement, check_saturation_transfer,
-                               galois_context, goursat_invariants)
+from blockfuse.descent import check_local_agreement, galois_context
 from blockfuse.fusion import (alperin_check, assert_fusion_axioms, block_fusion, closure,
                               factorization_check, fusion_equal, group_fusion,
                               inner_automorphisms, saturation_report)
 from blockfuse.gf import make_tower
 from blockfuse.groups import coset_reps, full_subgroup, sylow_p_subgroup
 from conftest import load_builtin, GROUP_NAMES
-from oracles import (brute_force_blocks, conjugacy_classes, conjugate_subgroup, cyclic_subgroup,
-                     support)
+from oracles import (brute_force_blocks, conjugacy_classes, conjugate_element_scan,
+                     conjugate_subgroup, cyclic_subgroup, galois_stabilizer_order_scan,
+                     normalizer_in_scan, support)
 
 
 def _verdict(num: int, name: str, ok: bool) -> None:
@@ -79,10 +79,18 @@ def test_criterion_02_generation_flagship(d24):
 
 
 def test_criterion_03_saturation_transfer_sweep(corpus_objects):
+    """Saturation over K holds iff it holds over L and p does not divide
+    the descent index, and the group, Galois and field index expressions
+    agree."""
     failures = []
     for label, ctx in _contexts(corpus_objects):
-        st = check_saturation_transfer(ctx)
-        if not st.holds or not (st.index_group == st.index_galois == st.index_field):
+        sat_l = saturation_report(ctx.system_l).saturated
+        sat_k = saturation_report(ctx.system_k).saturated
+        gamma = ctx.tower.gamma_order
+        index_field = (gamma // ctx.k2_order) // (gamma // ctx.p2_order)
+        if (sat_k != (sat_l and ctx.index % ctx.tower.p != 0)
+                or not ctx.p1.order // ctx.k1.order == ctx.p2_order // ctx.k2_order
+                == index_field == ctx.index):
             failures.append((label, ctx.block.index))
     _verdict(3, "saturation-transfer-sweep", not failures)
     assert not failures, failures
@@ -122,16 +130,37 @@ def test_criterion_06_block_correspondence_sweep(corpus_run):
     assert not failures, failures
 
 
+def _stabilizer_scan(N, a):
+    """The elements of N that fix the algebra element a under conjugation."""
+    return tuple(x for x in N.elems if conjugate_element_scan(x, a) == a)
+
+
+def _coset_order_scan(G, x, H):
+    """The least j >= 1 with x^j in H."""
+    j, power = 1, x
+    while power not in H.elems:
+        j, power = j + 1, G.mul[power][x]
+    return j
+
+
 def test_criterion_07_goursat_sweep(corpus_objects):
+    """The Goursat fields of each GaloisContext, read from scans: k1 and p1
+    are the elements of N_G(P) fixing e and its orbit sum, k2_order and
+    p2_order the Galois stabilizer orders of e and b, index both |p1|/|k1|
+    and p2/k2, and g0 an element of p1 whose coset has order index."""
     failures = []
     for label, ctx in _contexts(corpus_objects):
-        try:
-            inv = goursat_invariants(ctx.root, ctx.block)
-        except Exception as exc:
-            failures.append((label, ctx.block.index, str(exc)))
-            continue
-        if inv.index != ctx.goursat.index:
-            failures.append((label, ctx.block.index, "index drift"))
+        G, P = ctx.group, ctx.root.subgroup
+        N = normalizer_in_scan(full_subgroup(G), P)
+        found = (ctx.k1.elems == _stabilizer_scan(N, ctx.root.block.elem),
+                 ctx.p1.elems == _stabilizer_scan(N, ctx.k_root.block.elem),
+                 ctx.k2_order == galois_stabilizer_order_scan(ctx.root.block.elem),
+                 ctx.p2_order == galois_stabilizer_order_scan(ctx.block.elem),
+                 ctx.index * ctx.k1.order == ctx.p1.order,
+                 ctx.index * ctx.k2_order == ctx.p2_order,
+                 ctx.g0 in ctx.p1.elems and _coset_order_scan(G, ctx.g0, ctx.k1) == ctx.index)
+        if not all(found):
+            failures.append((label, ctx.block.index, found))
     _verdict(7, "goursat-sweep", not failures)
     assert not failures, failures
 

@@ -264,6 +264,22 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
         assert main(["blocks", "--group", str(path), "--p", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("blockfuse: error: group ") and err.count("\n") == 1
+    # a misspelt key, a key of the other kind, a name that is not a string
+    # and an unknown kind: a group file has no other keys than its kind's
+    table = {"kind": "table", "name": "bad", "table": [[0]]}
+    for spec, message in ((perm | {"degree": 2, "nmae": "x"}, "unknown perm group key 'nmae'"),
+                          (perm | {"degree": 1, "generators": [[0]], "table": [[0]]},
+                           "unknown perm group key 'table'"),
+                          (table | {"degree": 1}, "unknown table group key 'degree'"),
+                          (perm | {"degree": 1, "generators": [[0]], "name": 7},
+                           "name is not a string"),
+                          (table | {"name": ["bad"]}, "name is not a string"),
+                          (perm | {"kind": "Perm"}, "unknown group description kind: 'Perm'")):
+        path.write_text(json.dumps(spec))
+        assert main(["blocks", "--group", str(path), "--p", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"blockfuse: error: group {path}: ValueError: {message}")
+        assert err.count("\n") == 1
     s3 = {"group": "builtin:s3", "p": 3}
     for corpus in ([1, 2], {"entries": [{"p": 2}]}, {"entries": [1]}, {"entries": {"a": 1}},
                    {"entries": [{"group": 5, "p": 2}]}, {"entries": [s3 | {"p": 3.9}]},

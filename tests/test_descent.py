@@ -14,9 +14,7 @@ from blockfuse.algebra import (AlgebraElement, basis_element, find_block,
 from blockfuse.brauer import maximal_pairs
 from blockfuse.descent import (block_correspondence, check_generation,
                                check_local_agreement, check_order_preservation,
-                               check_saturation_transfer, descend_pair,
-                               galois_context, galois_orbit, goursat_invariants,
-                               orbit_sum, run_descent, twist_automorphism)
+                               galois_context, galois_orbit, orbit_sum, run_descent)
 from blockfuse.fusion import block_fusion, fusion_equal
 from blockfuse.gf import make_tower
 
@@ -101,10 +99,10 @@ def test_block_correspondence_c6_nontrivial_orbit(groups):
 
 def test_descend_pair_d24(d24):
     b4 = _d24_block_b(d24, F4)
-    root = maximal_pairs(d24, F4, b4).pairs[0]
-    k_pair = descend_pair(root)
-    assert k_pair.subgroup == root.subgroup
-    assert k_pair.block.over_k
+    ctx = galois_context(d24, F4, b4)
+    k_pair = ctx.k_root
+    assert k_pair.subgroup == ctx.root.subgroup
+    assert k_pair.block.over_k and k_pair.block == orbit_sum(ctx.root.block)
     # the orbit sum of either centralizer block is g + g^2 in k C12
     own = k_pair.block.owner
     g_loc = own.ambient_elems.index(d24.power(1, 4))
@@ -113,22 +111,18 @@ def test_descend_pair_d24(d24):
 
 
 def test_goursat_d24_flagship(d24):
-    b4 = _d24_block_b(d24, F4)
-    root = maximal_pairs(d24, F4, b4).pairs[0]
-    inv = goursat_invariants(root, b4)
-    assert inv.k1.order == 12
-    assert inv.p1.order == 24
-    assert inv.k2_order == 1 and inv.p2_order == 2
-    assert inv.index == 2
+    ctx = galois_context(d24, F4, _d24_block_b(d24, F4))
+    assert ctx.k1.order == 12
+    assert ctx.p1.order == 24
+    assert ctx.k2_order == 1 and ctx.p2_order == 2
+    assert ctx.index == 2
 
 
 def test_goursat_degenerate_tower(d24):
-    b2 = _d24_block_b(d24, F2)
-    root = maximal_pairs(d24, F2, b2).pairs[0]
-    inv = goursat_invariants(root, b2)
-    assert inv.index == 1
-    assert inv.k1.order == inv.p1.order == 24
-    assert inv.k2_order == inv.p2_order == 1
+    ctx = galois_context(d24, F2, _d24_block_b(d24, F2))
+    assert ctx.index == 1
+    assert ctx.k1.order == ctx.p1.order == 24
+    assert ctx.k2_order == ctx.p2_order == 1
 
 
 def test_galois_stabilizer_orders_match_the_divisor_scan(corpus_objects):
@@ -139,40 +133,34 @@ def test_galois_stabilizer_orders_match_the_divisor_scan(corpus_objects):
     G, t = _nonsplit_builtin((5, 16, 2, 5)), make_tower(2, 1, 4)
     contexts += [galois_context(G, t, b) for b in cli._descent_blocks(G, t, "all")]
     for ctx in contexts:
-        assert ctx.goursat.k2_order == galois_stabilizer_order_scan(ctx.root.block.elem)
-        assert ctx.goursat.p2_order == galois_stabilizer_order_scan(ctx.block.elem)
-    assert {ctx.goursat.p2_order // ctx.goursat.k2_order for ctx in contexts} == {1, 2, 4}
+        assert ctx.k2_order == galois_stabilizer_order_scan(ctx.root.block.elem)
+        assert ctx.p2_order == galois_stabilizer_order_scan(ctx.block.elem)
+    assert {ctx.p2_order // ctx.k2_order for ctx in contexts} == {1, 2, 4}
 
 
 def test_goursat_principal_trivial_quotient(groups, d24):
     for G in (groups["s4"], d24, groups["a4"]):
         pb = principal_block(primitive_central_idempotents(G, F4))
-        root = maximal_pairs(G, F4, pb).pairs[0]
-        inv = goursat_invariants(root, pb)
-        assert inv.index == 1
+        assert galois_context(G, F4, pb).index == 1
 
 
 def test_twist_automorphism_trivial(groups):
     s4 = groups["s4"]
     pb = principal_block(primitive_central_idempotents(s4, F4))
-    root = maximal_pairs(s4, F4, pb).pairs[0]
-    inv = goursat_invariants(root, pb)
-    assert inv.g0 == 0
-    assert twist_automorphism(root, inv).images == root.subgroup.elems
+    ctx = galois_context(s4, F4, pb)
+    assert ctx.g0 == 0
+    assert ctx.sigma.images == ctx.root.subgroup.elems
 
 
 def test_twist_automorphism_d24(d24):
-    b4 = _d24_block_b(d24, F4)
-    root = maximal_pairs(d24, F4, b4).pairs[0]
-    inv = goursat_invariants(root, b4)
-    assert inv.g0 == 2  # the first reflection in enumeration order
-    sigma = twist_automorphism(root, inv)
-    for g in root.subgroup.elems:
+    ctx = galois_context(d24, F4, _d24_block_b(d24, F4))
+    assert ctx.g0 == 2  # the first reflection in enumeration order
+    sigma = ctx.sigma
+    for g in ctx.root.subgroup.elems:
         assert sigma.apply(g) == d24.inv[g]  # inversion on C4
     # sigma to the quotient order lands inside the smaller fusion system
-    ctx = galois_context(d24, F4, b4)
     power = sigma.compose(sigma)
-    assert power in ctx.system_l.aut_set(root.subgroup)
+    assert power in ctx.system_l.aut_set(ctx.root.subgroup)
 
 
 def test_generation_flagship(d24):
@@ -199,27 +187,23 @@ def test_generation_defect_zero(groups):
 
 
 def test_saturation_transfer_flagship(d24):
-    b4 = _d24_block_b(d24, F4)
-    ctx = galois_context(d24, F4, b4)
-    st = check_saturation_transfer(ctx)
-    assert st.holds
-    assert st.saturated_l and not st.saturated_k
-    assert st.index_group == st.index_galois == st.index_field == 2
+    data, _ = run_descent(d24, F4, _d24_block_b(d24, F4))
+    assert data["verdicts"]["saturation_transfer"]
+    assert data["saturated"] == {"l": True, "k": False}
+    assert data["index_expressions"] == {"group": 2, "galois": 2, "field": 2}
 
 
 def test_saturation_transfer_index_prime_to_p(d24):
     """p = 3 tower on D24: the descent index is 2, prime to 3, so
     saturation transfers to the subfield system."""
-    blocks = primitive_central_idempotents(d24, F9)
     picked = None
-    for b in blocks:
-        ctx = galois_context(d24, F9, b)
-        st = check_saturation_transfer(ctx)
-        assert st.holds
-        if st.index_galois == 2:
-            picked = st
+    for b in primitive_central_idempotents(d24, F9):
+        data, _ = run_descent(d24, F9, b)
+        assert data["verdicts"]["saturation_transfer"]
+        if data["index_expressions"]["galois"] == 2:
+            picked = data
     assert picked is not None
-    assert picked.saturated_l and picked.saturated_k
+    assert picked["saturated"] == {"l": True, "k": True}
 
 
 def test_local_agreement(d24):
@@ -265,18 +249,19 @@ def _nonsplit_builtin(group):
     """The shipped group: G(q, p^a, u, v), given by its parameters and
     checked against the generators above, or builtin:c7v4s3 checked
     against C7V4S3_GENERATORS."""
-    if group == "c7v4s3":
-        name, generators = group, C7V4S3_GENERATORS
-    else:
-        name = {(5, 8, 4, 5): "c5c8s2", (7, 9, 2, 4): "c7c9s3", (5, 16, 2, 5): "c5c16s4",
-                (13, 9, 3, 4): "c13c9s3"}[group]
-        generators = _nonsplit_generators(*group)
+    name = NONSPLIT_NAMES[group]
+    generators = C7V4S3_GENERATORS if group == "c7v4s3" else _nonsplit_generators(*group)
     spec = json.loads(cli._builtin_path(name).read_text(encoding="utf-8"))
     assert spec["generators"] == generators
     return cli.load_group_file(f"builtin:{name}")
 
 
-@pytest.mark.parametrize("group,tower,expected", [
+NONSPLIT_NAMES = {(5, 8, 4, 5): "c5c8s2", (7, 9, 2, 4): "c7c9s3", "c7v4s3": "c7v4s3",
+                  (5, 16, 2, 5): "c5c16s4", (13, 9, 3, 4): "c13c9s3"}
+
+# (group, tower, one (index, saturated_l, saturated_k, defect_order) per
+# descent): the towers of the shipped corpus data/nonsplit.json
+NONSPLIT_DESCENTS = [
     ((5, 8, 4, 5), (2, 1, 4), [(2, True, False, 8), (1, True, True, 16)]),
     ((5, 8, 4, 5), (2, 2, 2), [(1, False, False, 8)] * 2 + [(1, True, True, 16)]),
     ((7, 9, 2, 4), (3, 2, 6), [(3, True, False, 9)] * 2 + [(1, True, True, 27)]),
@@ -285,7 +270,10 @@ def _nonsplit_builtin(group):
     ((5, 16, 2, 5), (2, 1, 4), [(4, True, False, 16), (1, True, True, 64)]),
     ((5, 16, 2, 5), (2, 2, 4), [(2, True, False, 16), (1, True, True, 64)]),
     ((13, 9, 3, 4), (3, 1, 3), [(3, True, False, 9)] * 4 + [(1, True, True, 27)]),
-])
+]
+
+
+@pytest.mark.parametrize("group,tower,expected", NONSPLIT_DESCENTS)
 def test_nonsplit_descents(group, tower, expected):
     """(C5xC8):C2 and (C7xC9):C3, where t acts on the q-th roots of unity
     as a power of Frobenius: over F16/F2 and F_{3^6}/F_{3^2} an L-saturated
@@ -310,6 +298,21 @@ def test_nonsplit_descents(group, tower, expected):
         got.append((report["index"], report["saturated"]["l"], report["saturated"]["k"],
                     report["defect_order"]))
     assert got == expected
+
+
+def test_nonsplit_corpus_runs_the_pinned_descents():
+    """The shipped non-split corpus holds the towers of
+    test_nonsplit_descents, and `cli.run_corpus` on it passes with each
+    entry's descents pinned as there."""
+    path = cli.default_corpus_path().parent / "nonsplit.json"
+    entries = cli.load_corpus(path)
+    report = cli.run_corpus(entries, base=path.parent)
+    assert report["ok"]
+    got = {(e.group, (e.p, e.m, e.n)): [(d["index"], d["saturated"]["l"], d["saturated"]["k"],
+                                         d["defect_order"]) for d in r["descent"]]
+           for e, r in zip(entries, report["entries"], strict=True)}
+    assert got == {(f"builtin:{NONSPLIT_NAMES[group]}", tower): expected
+                   for group, tower, expected in NONSPLIT_DESCENTS}
 
 
 def test_run_descent_report_shape(d24):

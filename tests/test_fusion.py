@@ -714,3 +714,49 @@ def test_per_class_saturation_matches_full_scan(source, tower):
     assert systems
     for F in systems:
         _assert_per_class_matches_full_scan(F)
+
+
+def test_per_class_saturation_tests_one_iso_per_inner_orbit(corpus_objects):
+    """In every saturated system of the corpus and the principal 2-block
+    system of 2^3:S4, `_classes_saturated` tests, for each class member Q
+    and the first fully normalized member R of its class, exactly one iso
+    Q -> R of each orbit {c phi : c in Aut_P(R)}: N_{c phi} = N_phi, so
+    c phi extends iff phi does."""
+    G = cli.load_group_file(str(BENCH_GROUPS / "2e3s4.json"))
+    pb = principal_block(primitive_central_idempotents(G, F2))
+    systems = {id(F): F for o in corpus_objects
+               for F in [o["principal"]] + [F for ctx in o["contexts"]
+                                            for F in (ctx.system_l, ctx.system_k)]}
+    bench = block_fusion(G, F2, pb, maximal_pairs(G, F2, pb).pairs[0])
+    systems[id(bench)] = bench
+    tested = []
+    extends = fusion._extends
+
+    def record(F, phi, cosets, aut_r):
+        tested.append(phi)
+        return extends(F, phi, cosets, aut_r)
+
+    n_systems = skipped = 0
+    for F in systems.values():
+        if F.prime is None or not saturation_report(F).saturated:
+            continue
+        n_systems += 1
+        tested.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fusion, "_extends", record)
+            assert fusion._classes_saturated(F)
+        P = F.p_subgroup
+        for cls in F.classes:
+            R = next(S for S in cls if S.elems in F.fully_normalized)
+            inner = inner_automorphisms(P, R)
+            for Q in cls:
+                isos = [phi.images for phi in F._by_domain[Q.elems]
+                        if set(phi.images) == set(R.elems)]
+                picked = [phi.images for phi in tested
+                          if phi.domain.elems == Q.elems and set(phi.images) == set(R.elems)]
+                for images in isos:
+                    orbit = {tuple(map(c.apply, images)) for c in inner}
+                    assert sum(x in orbit for x in picked) == 1, (F.p_subgroup, Q, R)
+                skipped += len(isos) - len(picked)
+    assert saturation_report(bench).saturated and bench.p_subgroup.order == 64
+    assert n_systems > 2 and skipped > 0
