@@ -8,9 +8,10 @@ the (element, generator) pair that first reached it; element c is
 parent(c) * gen(c), so column c of the table is one gather of column
 parent(c) through the generator products.
 
-A group keeps its table twice: `mul`, rows of ints for scalar lookups (the
-rows share one int object per index), and an int16/int32 numpy array for
-whole-table work.
+A group keeps its table once, as a read-only C-order int16 numpy array
+(int32 past order 2^15) for whole-table work; `mul`, for scalar lookups,
+holds one read-only 1-D memoryview per row of that array's buffer, so
+`mul[x][g]` reads the table without a second copy.
 
 Everything derived from the group is built on first use and kept in one
 dict, `FiniteGroup._memo`, filled only through `FiniteGroup.memo(key,
@@ -55,11 +56,14 @@ def _index_dtype(n: int):
     return np.int16 if n <= 1 << 15 else np.int32
 
 
-def _shared_rows(table: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Rows as tuples, converted one row at a time; equal entries share one
-    int object, so the tuples cost a pointer per entry."""
-    get = list(range(table.shape[1])).__getitem__
-    return tuple(tuple(map(get, row.tolist())) for row in table)
+class _Rows(tuple):
+    """The rows of a table, each a read-only 1-D memoryview of its buffer;
+    hashed, like a tuple of tuples, by the entries."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(b"".join(self))
 
 
 class FiniteGroup:
@@ -71,9 +75,11 @@ class FiniteGroup:
         table = np.asarray(mul)
         if _validate:
             _validate_group_table(table, np.asarray(inv))
-        self._table = table.astype(_index_dtype(len(table)), copy=False)
-        self.mul = _shared_rows(self._table)
-        self.order = len(self.mul)
+        self._table = np.ascontiguousarray(table, dtype=_index_dtype(len(table)))
+        self._table.flags.writeable = False
+        self.order = n = len(self._table)
+        flat = memoryview(self._table.reshape(-1))
+        self.mul = _Rows(flat[i:i + n] for i in range(0, n * n, n))
         self.inv = tuple(int(x) for x in inv)
         self.id = 0
         self.ambient: FiniteGroup | None = ambient
@@ -161,8 +167,16 @@ def _validate_group_table(arr: np.ndarray, inv: np.ndarray) -> None:
         raise ValueError(f"inverse table wrong at {wrong[0]}")
 
 
+def _list_of_lists(spec, key: str):
+    value = spec[key]
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(item, (list, tuple)) for item in value):
+        raise ValueError(f"{key} is not a list of lists")
+    return value
+
+
 def _table_from_spec(spec):
-    table = spec["table"]
+    table = _list_of_lists(spec, "table")
     if len(table) > MAX_ORDER:
         raise ValueError(f"group order {len(table)} exceeds bound {MAX_ORDER}")
     inv = []
@@ -231,7 +245,8 @@ def build_group(spec) -> FiniteGroup:
     {"kind": "perm", "name": ..., "degree": d, "generators": [[0-based
     images], ...]} enumerated by breadth-first closure in generator order.
     Table entries and images must be ints; bools and floats are rejected,
-    as are a name that is not a string and any other key.
+    as are a name that is not a string, any other key and a missing one
+    but the name.
     """
     kind = spec.get("kind")
     keys = _GROUP_KEYS.get(kind)
@@ -241,6 +256,9 @@ def build_group(spec) -> FiniteGroup:
     if unknown:
         raise ValueError(f"unknown {kind} group key {unknown[0]!r}; "
                          f"the keys are {', '.join(sorted(keys))}")
+    missing = sorted(keys - spec.keys() - {"name"})
+    if missing:
+        raise ValueError(f"{kind} group key {missing[0]!r} is missing")
     name = spec.get("name", "G")
     if not isinstance(name, str):
         raise ValueError("name is not a string")
@@ -252,7 +270,7 @@ def build_group(spec) -> FiniteGroup:
         raise ValueError("degree is not a nonnegative integer")
     if degree > MAX_ORDER:  # a group of order n acts faithfully on n points
         raise ValueError(f"degree {degree} exceeds bound {MAX_ORDER}")
-    mul, inv = _bfs_from_generators(degree, spec["generators"])
+    mul, inv = _bfs_from_generators(degree, _list_of_lists(spec, "generators"))
     # BFS tables are groups by construction; skip the cubic associativity scan
     g = FiniteGroup(name, mul, inv, _validate=False)
     _validate_light(g)
@@ -519,38 +537,42 @@ class ClassData:
     `class_of[g]` is the class index of g.  `counts[i]` is a flat tuple of
     the triples (k, j, n) with n = n_ijk = #{x in C_i : x^-1 r_k in C_j} > 0,
     so that for class sums z, z_i * sum_j c_j z_j = sum_k (sum_j n c_j) z_k,
-    the integer n read in the prime field.  Building the counts takes
-    O(k(G) |G|) table lookups; the flat layout keeps them to one tuple per
-    class.
+    the integer n read in the prime field.  Each class is one gather of the
+    table and the classes of all x^-1 r_k one more, so building the counts
+    takes O(k(G) |G|) lookups in lists of ints, and the flat layout keeps
+    them to one tuple per class.
     """
 
     __slots__ = ("classes", "class_of", "reps", "counts")
 
     def __init__(self, G: FiniteGroup):
-        class_of = [-1] * G.order
-        classes = []
+        M = G._table
+        inv = np.asarray(G.inv, dtype=M.dtype)
+        class_of = np.full(G.order, -1, dtype=M.dtype)
+        reps = []
         for g in range(G.order):
-            if class_of[g] >= 0:
-                continue
-            orbit = sorted({G.conj(x, g) for x in range(G.order)})
-            for h in orbit:
-                class_of[h] = len(classes)
-            classes.append(tuple(orbit))
-        self.classes = tuple(classes)
-        self.class_of = tuple(class_of)
-        self.reps = tuple(cls[0] for cls in classes)
-        mul, inv = G.mul, G.inv
+            if class_of[g] < 0:
+                class_of[M[M[:, g], inv]] = len(reps)  # x g x^-1 for every x
+                reps.append(g)
+        classes = [[] for _ in reps]
+        for g, i in enumerate(class_of.tolist()):
+            classes[i].append(g)
+        # row k: the class of x^-1 r_k for every x
+        rows = class_of[M[np.ix_(inv, reps)].T].tolist()
         counts = []
         for cls in classes:
             flat: list[int] = []
-            for k, r in enumerate(self.reps):
+            for k, row in enumerate(rows):
                 hits: dict[int, int] = {}
                 for x in cls:
-                    j = class_of[mul[inv[x]][r]]
+                    j = row[x]
                     hits[j] = hits.get(j, 0) + 1
                 for j in sorted(hits):
                     flat += (k, j, hits[j])
             counts.append(tuple(flat))
+        self.classes = tuple(map(tuple, classes))
+        self.class_of = tuple(class_of.tolist())
+        self.reps = tuple(reps)
         self.counts = tuple(counts)
 
 

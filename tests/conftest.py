@@ -14,6 +14,23 @@ settings.load_profile("suite")
 
 GROUP_NAMES = ("c2", "c3", "c4", "c6", "c2c2", "d8", "s3", "a4", "s4", "d24", "c3sc4")
 
+# the shipped non-split groups: G(q, p^a, u, v) by its parameters, and c7v4s3
+NONSPLIT_NAMES = {(5, 8, 4, 5): "c5c8s2", (7, 9, 2, 4): "c7c9s3", "c7v4s3": "c7v4s3",
+                  (5, 16, 2, 5): "c5c16s4", (13, 9, 3, 4): "c13c9s3"}
+
+# (group, tower, one (index, saturated_l, saturated_k, defect_order) per
+# descent): the towers of the shipped corpus data/nonsplit.json
+NONSPLIT_DESCENTS = [
+    ((5, 8, 4, 5), (2, 1, 4), [(2, True, False, 8), (1, True, True, 16)]),
+    ((5, 8, 4, 5), (2, 2, 2), [(1, False, False, 8)] * 2 + [(1, True, True, 16)]),
+    ((7, 9, 2, 4), (3, 2, 6), [(3, True, False, 9)] * 2 + [(1, True, True, 27)]),
+    ((7, 9, 2, 4), (3, 2, 2), [(1, False, False, 9)] * 2 + [(1, True, True, 27)]),
+    ("c7v4s3", (2, 1, 3), [(3, True, True, 4)] * 2 + [(1, True, True, 4)]),
+    ((5, 16, 2, 5), (2, 1, 4), [(4, True, False, 16), (1, True, True, 64)]),
+    ((5, 16, 2, 5), (2, 2, 4), [(2, True, False, 16), (1, True, True, 64)]),
+    ((13, 9, 3, 4), (3, 1, 3), [(3, True, False, 9)] * 4 + [(1, True, True, 27)]),
+]
+
 
 def load_builtin(name: str):
     path = cli._builtin_path(name)

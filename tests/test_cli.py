@@ -255,7 +255,7 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
     perm = {"kind": "perm", "name": "bad", "generators": []}
     # entries that are not JSON integers: bools, which Python and numpy
     # take for 0 and 1, and a non-integral float
-    for text in ("not json", "[1, 2]", json.dumps({"kind": "perm", "degree": 3}),
+    for text in ("not json", "[1, 2]",
                  json.dumps(perm | {"degree": -4}), json.dumps(perm | {"degree": 10**12}),
                  json.dumps(perm | {"degree": 2, "generators": [[True, False]]}),
                  json.dumps(perm | {"degree": 3, "generators": [[1.0, 2.9, 0]]}),
@@ -264,8 +264,9 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
         assert main(["blocks", "--group", str(path), "--p", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("blockfuse: error: group ") and err.count("\n") == 1
-    # a misspelt key, a key of the other kind, a name that is not a string
-    # and an unknown kind: a group file has no other keys than its kind's
+    # a misspelt key, a key of the other kind, a missing key, a name that
+    # is not a string, an unknown kind and a table or generator list that
+    # is not a list of lists: a group file has its kind's keys and no other
     table = {"kind": "table", "name": "bad", "table": [[0]]}
     for spec, message in ((perm | {"degree": 2, "nmae": "x"}, "unknown perm group key 'nmae'"),
                           (perm | {"degree": 1, "generators": [[0]], "table": [[0]]},
@@ -274,7 +275,15 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
                           (perm | {"degree": 1, "generators": [[0]], "name": 7},
                            "name is not a string"),
                           (table | {"name": ["bad"]}, "name is not a string"),
-                          (perm | {"kind": "Perm"}, "unknown group description kind: 'Perm'")):
+                          (perm | {"kind": "Perm"}, "unknown group description kind: 'Perm'"),
+                          ({"kind": "perm", "degree": 3}, "perm group key 'generators' is missing"),
+                          (perm, "perm group key 'degree' is missing"),
+                          ({"kind": "table", "name": "bad"}, "table group key 'table' is missing"),
+                          (perm | {"degree": 2, "generators": 5},
+                           "generators is not a list of lists"),
+                          (perm | {"degree": 2, "generators": [5]},
+                           "generators is not a list of lists"),
+                          (table | {"table": [1]}, "table is not a list of lists")):
         path.write_text(json.dumps(spec))
         assert main(["blocks", "--group", str(path), "--p", "2"]) == 2
         err = capsys.readouterr().err

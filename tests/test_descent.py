@@ -18,6 +18,7 @@ from blockfuse.descent import (block_correspondence, check_generation,
 from blockfuse.fusion import block_fusion, fusion_equal
 from blockfuse.gf import make_tower
 
+from conftest import NONSPLIT_DESCENTS, NONSPLIT_NAMES
 from oracles import galois_stabilizer_order_scan, support
 
 F2 = make_tower(2, 1, 1)
@@ -254,23 +255,6 @@ def _nonsplit_builtin(group):
     spec = json.loads(cli._builtin_path(name).read_text(encoding="utf-8"))
     assert spec["generators"] == generators
     return cli.load_group_file(f"builtin:{name}")
-
-
-NONSPLIT_NAMES = {(5, 8, 4, 5): "c5c8s2", (7, 9, 2, 4): "c7c9s3", "c7v4s3": "c7v4s3",
-                  (5, 16, 2, 5): "c5c16s4", (13, 9, 3, 4): "c13c9s3"}
-
-# (group, tower, one (index, saturated_l, saturated_k, defect_order) per
-# descent): the towers of the shipped corpus data/nonsplit.json
-NONSPLIT_DESCENTS = [
-    ((5, 8, 4, 5), (2, 1, 4), [(2, True, False, 8), (1, True, True, 16)]),
-    ((5, 8, 4, 5), (2, 2, 2), [(1, False, False, 8)] * 2 + [(1, True, True, 16)]),
-    ((7, 9, 2, 4), (3, 2, 6), [(3, True, False, 9)] * 2 + [(1, True, True, 27)]),
-    ((7, 9, 2, 4), (3, 2, 2), [(1, False, False, 9)] * 2 + [(1, True, True, 27)]),
-    ("c7v4s3", (2, 1, 3), [(3, True, True, 4)] * 2 + [(1, True, True, 4)]),
-    ((5, 16, 2, 5), (2, 1, 4), [(4, True, False, 16), (1, True, True, 64)]),
-    ((5, 16, 2, 5), (2, 2, 4), [(2, True, False, 16), (1, True, True, 64)]),
-    ((13, 9, 3, 4), (3, 1, 3), [(3, True, False, 9)] * 4 + [(1, True, True, 27)]),
-]
 
 
 @pytest.mark.parametrize("group,tower,expected", NONSPLIT_DESCENTS)

@@ -1,16 +1,18 @@
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import blockfuse.cli as cli
 import blockfuse.groups as groups_mod
 from blockfuse.groups import (GroupMap, Subgroup, all_subgroups, build_group,
-                              centralizer, centralizer_in, conjugates, coset_reps,
-                              full_subgroup, normalizer, normalizer_in, p_part,
+                              centralizer, centralizer_in, class_data, conjugates,
+                              coset_reps, full_subgroup, normalizer, normalizer_in, p_part,
                               sylow_p_subgroup, trivial_subgroup)
-from conftest import GROUP_NAMES
+from conftest import GROUP_NAMES, load_builtin
 from oracles import (all_subgroups_brute, all_subgroups_by_element_joins,
                      centralizer_in_scan, commuting_with, conjugacy_classes,
                      conjugacy_classes_brute, cyclic_subgroup, generated_subgroup_bfs,
@@ -60,6 +62,21 @@ def test_class_order_and_oracle(groups):
         classes = conjugacy_classes(G)
         assert list(classes) == conjugacy_classes_brute(G)
         assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+
+
+def test_class_data_matches_pairwise_scans(bench_groups):
+    """Classes and the flat (k, j, n) triples, in their order, against
+    per-element scans, on S6, 2^3:S4 and c13c9s3 (order 351)."""
+    for G in [*bench_groups.values(), load_builtin("c13c9s3")]:
+        cd = class_data(G)
+        assert list(cd.classes) == conjugacy_classes_brute(G)
+        for i, cls in enumerate(cd.classes):
+            flat = []
+            for k, r in enumerate(cd.reps):
+                hits = Counter(cd.class_of[G.mul[G.inv[x]][r]] for x in cls)
+                for j in sorted(hits):
+                    flat += (k, j, hits[j])
+            assert cd.counts[i] == tuple(flat)
 
 
 def test_associativity_and_inverse_involution(groups):
@@ -278,10 +295,19 @@ def test_all_subgroups_matches_element_join_oracle(groups):
 def test_perm_build_matches_pairwise_oracle(spec):
     G = build_group(spec)
     mul, inv = perm_table_bfs(spec["degree"], spec["generators"])
-    assert G.mul == tuple(map(tuple, mul))
+    assert [row.tolist() for row in G.mul] == [list(row) for row in mul]
     assert G.inv == tuple(inv)
-    # one int object per index, shared by every row
-    assert len({id(x) for row in G.mul for x in row}) == G.order
+    # row x of mul is a read-only view of row x of the one table
+    T = G._table
+    assert T.flags.c_contiguous and not T.flags.writeable
+    for x, row in enumerate(G.mul):
+        assert row.readonly and len(row) == G.order
+        assert np.asarray(row).ctypes.data == T.ctypes.data + x * T.strides[0]
+    assert hash(G.mul) == hash(build_group(spec).mul)
+    with pytest.raises(ValueError, match="read-only"):
+        T[0, 0] = 1
+    with pytest.raises(TypeError, match="read-only"):
+        G.mul[0][0] = 1
 
 
 def test_centralizers_and_normalizers_match_scans_on_sylow_lattices(groups, bench_groups):

@@ -4,7 +4,8 @@ Each builtin group is rewritten as a multiplication table under a
 permutation of its element indices that fixes the identity.  Block
 counts, defect orders, fusion-system invariants (the multiset of hom-set
 sizes, the saturation axioms) and every descent verdict are properties of
-the group, so they must not move; anything indexed by elements may.
+the group, so they must not move; anything indexed by elements may.  The
+non-split builtins keep their pinned descents the same way.
 """
 
 import json
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import blockfuse.cli as cli
 from blockfuse import build_group, make_tower
-from conftest import GROUP_NAMES, load_builtin
+from conftest import GROUP_NAMES, NONSPLIT_DESCENTS, NONSPLIT_NAMES, load_builtin
 
 
 def relabel(G, perm):
@@ -55,3 +56,22 @@ def test_relabelled_group_keeps_invariants(name, data):
     G = load_builtin(name)
     perm = [0] + data.draw(st.permutations(range(1, G.order)), label="perm")
     assert invariants(relabel(G, perm)) == invariants(G)
+
+
+@pytest.mark.parametrize("name", ["c5c8s2", "c7v4s3", "c13c9s3"])
+@settings(max_examples=2)
+@given(data=st.data())
+def test_relabelled_nonsplit_group_keeps_descents(name, data):
+    """Relabelled as a table group, each of these non-split builtins keeps
+    its pinned (index, saturated_l, saturated_k, defect_order) rows under
+    every pinned tower; c13c9s3 has order 351, so its rows hold indices
+    above 255."""
+    G = load_builtin(name)
+    perm = [0] + data.draw(st.permutations(range(1, G.order)), label="perm")
+    H = relabel(G, perm)
+    for group, tower, expected in NONSPLIT_DESCENTS:
+        if NONSPLIT_NAMES[group] == name:
+            report = cli.descent_report(H, make_tower(*tower))
+            assert report["all_ok"]
+            assert sorted((d["index"], d["saturated"]["l"], d["saturated"]["k"],
+                           d["defect_order"]) for d in report["descents"]) == sorted(expected)
