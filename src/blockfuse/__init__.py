@@ -4,8 +4,7 @@ at desk scale."""
 
 __version__ = "0.1.0"
 
-from .gf import (FieldElement, FieldTower, Factorization, Poly, factor,
-                 factor_over_subfield, make_tower)
+from .gf import FieldTower, factor, factor_over_subfield, make_tower
 from .groups import (ClassData, FiniteGroup, GroupMap, Subgroup, all_subgroups, build_group,
                      centralizer, centralizer_in, class_data, coset_reps, full_subgroup,
                      normalizer, normalizer_in, sylow_p_subgroup, trivial_subgroup)

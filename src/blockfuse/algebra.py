@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldTower, Poly, factor, factor_over_subfield, _pdivmod, _pinvmod, _pmod, _pmul
+from .gf import FieldTower, factor, factor_over_subfield, _pdivmod, _pinvmod, _pmod, _pmul
 from .groups import (ClassData, FiniteGroup, Subgroup, _index_dtype, centralizer, class_data,
                      conjugates, coset_reps, p_part)
 from .linalg import Echelon
@@ -323,10 +323,10 @@ def _minimal_polynomial(t: FieldTower, cd: ClassData, z, c) -> tuple[tuple[int, 
 def _bezout_idempotents(t: FieldTower, mu, factors, vectors) -> list[list[int]]:
     """Split the identity of k[z]c along coprime factor powers of mu."""
     parts = []
-    for poly, mult in factors:
+    for codes, mult in factors:
         qpow = (1,)
         for _ in range(mult):
-            qpow = _pmul(t, qpow, poly.codes)
+            qpow = _pmul(t, qpow, codes)
         u, r = _pdivmod(t, mu, qpow)
         if r:
             raise VerificationError("factor power does not divide the minimal polynomial")
@@ -451,17 +451,16 @@ def _split_center(G: FiniteGroup, tower: FieldTower,
         refined = []
         for c in summands:
             mu, vectors = _minimal_polynomial(tower, cd, z, c)
-            mu_poly = Poly(tower, mu)
             if over_k:
                 if not all(tower.is_k_rational(x) for x in mu):
                     raise VerificationError("minimal polynomial left the subfield")
-                fac = factor_over_subfield(mu_poly)
+                _, factors = factor_over_subfield(tower, mu)
             else:
-                fac = factor(mu_poly)
-            if len(fac.factors) == 1:
+                _, factors = factor(tower, mu)
+            if len(factors) == 1:
                 refined.append(c)
                 continue
-            parts = _bezout_idempotents(tower, mu, fac.factors, vectors)
+            parts = _bezout_idempotents(tower, mu, factors, vectors)
             total = [0] * width
             for part in parts:
                 if not any(part):

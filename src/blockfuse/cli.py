@@ -31,7 +31,12 @@ class InputError(ValueError):
 
 
 def _builtin_path(name: str) -> Path:
-    return Path(str(resources.files("blockfuse").joinpath("data", "groups", f"{name}.json")))
+    """The shipped group file builtin:name; name must be one of their stems."""
+    groups = resources.files("blockfuse").joinpath("data", "groups")
+    names = sorted(f.name[:-5] for f in groups.iterdir() if f.name.endswith(".json"))
+    if name not in names:
+        raise ValueError(f"unknown builtin group {name!r}; the builtins are {', '.join(names)}")
+    return Path(str(groups.joinpath(f"{name}.json")))
 
 
 def default_corpus_path() -> Path:
@@ -232,6 +237,8 @@ class CorpusEntry:
         if unknown:
             raise ValueError(f"unknown corpus entry key {unknown[0]!r}; "
                              f"the keys are group, p, m, n and label")
+        if "p" not in d:
+            raise ValueError("corpus entry key 'p' is missing")
         p, m, n = d["p"], d.get("m", 1), d.get("n", 1)
         for name, value in (("p", p), ("m", m), ("n", n)):
             if type(value) is not int:  # bool is an int subclass, and not a number here

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,27 +199,20 @@ class FieldTower:
 
     # -- construction internals
 
-    def _code_digits(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.n):
-            code, digit = divmod(code, self.p)
-            out.append(digit)
-        return tuple(out)
-
     def _build_logexp(self) -> None:
         # g has order q - 1 exactly when g^((q-1)/r) != 1 for every prime
         # r | q - 1; g = 1 passes only for q = 2, where it is primitive.
         p, n, q, f = self.p, self.n, self.q, self.modulus
         cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
         g = next(g for g in range(1, q)
-                 if all(_fp_powmod(p, self._code_digits(g), e, f) != (1,) for e in cofactors))
+                 if all(_fp_powmod(p, self.coeffs(g), e, f) != (1,) for e in cofactors))
         # x -> g x is F_p-linear: digits(g x) = digits(x) . step.  Doubling
         # fills g^0 .. g^(B-1), B near sqrt(q); each later block of B powers is
         # the one before times step^B.  int64: n (p - 1)^2 overflows int32.
         # np.dot, not @: matmul's integer loops are code nothing else in
         # blockfuse runs, and loading them cost about 64 KB of peak RSS.
         # Codes and logs are shared ints, one object per value in every table.
-        rows = [_fp_mod(p, (0,) * j + self._code_digits(g), f) for j in range(n)]  # g x^j
+        rows = [_fp_mod(p, (0,) * j + self.coeffs(g), f) for j in range(n)]  # g x^j
         step = np.array([r + (0,) * (n - len(r)) for r in rows], dtype=np.int64)
         block = np.array([[1] + [0] * (n - 1)], dtype=np.int64)
         weights = np.array([p ** j for j in range(n)])
@@ -297,7 +289,11 @@ class FieldTower:
         return self._frob[a] == a
 
     def coeffs(self, code: int) -> tuple[int, ...]:
-        return self._code_digits(code)
+        out = []
+        for _ in range(self.n):
+            code, digit = divmod(code, self.p)
+            out.append(digit)
+        return tuple(out)
 
     @property
     def key(self) -> tuple[int, int, int]:
@@ -311,24 +307,6 @@ class FieldTower:
 def make_tower(p: int, m: int, n: int) -> FieldTower:
     """Tower F_{p^m} <= F_{p^n}; cached, so equal parameters give one object."""
     return FieldTower(p, m, n)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of the top field of a tower, wrapped around its code."""
-
-    tower: FieldTower
-    code: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.tower.coeffs(self.code)
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __repr__(self) -> str:
-        return f"GF({self.tower.p}^{self.tower.n}):{list(self.coeffs)}"
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +437,8 @@ def _pderiv(t: FieldTower, a) -> tuple[int, ...]:
     return _pnorm(out)
 
 
-def _pfrob(t: FieldTower, a, j: int = 1) -> tuple[int, ...]:
-    return tuple(t.frob_power(c, j) for c in a)
+def _pfrob(t: FieldTower, a) -> tuple[int, ...]:
+    return tuple(t.frob_power(c, 1) for c in a)
 
 
 def _pth_root_poly(t: FieldTower, a) -> tuple[int, ...]:
@@ -469,40 +447,6 @@ def _pth_root_poly(t: FieldTower, a) -> tuple[int, ...]:
     for i in range(0, len(a), t.p):
         out.append(t.pth_root(a[i]))
     return _pnorm(out)
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Univariate polynomial over the tower's top field.
-
-    `codes` holds field codes, least significant coefficient first, with
-    no trailing zeros; the zero polynomial has empty codes.
-    """
-
-    tower: FieldTower
-    codes: tuple[int, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.codes
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly(self.tower, _padd(self.tower, self.codes, other.codes))
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        return Poly(self.tower, _pmul(self.tower, self.codes, other.codes))
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return Poly(self.tower, _pmod(self.tower, self.codes, other.codes))
-
-    def __repr__(self) -> str:
-        return f"Poly{list(self.codes)}"
-
-
-@dataclass(frozen=True)
-class Factorization:
-    unit: FieldElement
-    factors: tuple[tuple[Poly, int], ...]
 
 
 def _edf(t: FieldTower, f, d: int, rng: random.Random) -> list[tuple[int, ...]]:
@@ -551,19 +495,19 @@ def _factor_squarefree(t: FieldTower, f, rng: random.Random) -> list[tuple[int, 
     return out
 
 
-def factor(f: Poly, seed: int = 0) -> Factorization:
-    """Complete factorization over the tower's top field.
+def factor(t: FieldTower, f, seed: int = 0) -> tuple[int, tuple]:
+    """Complete factorization of the code tuple f over the top field of t.
 
-    The product of the returned monic irreducible factors, taken with
-    multiplicity and scaled by the unit, equals the input.  The seed feeds
-    the equal-degree splitting; the returned factor set is canonical and
-    identical for every seed.
+    Returns (unit, ((codes, mult), ...)): the monic irreducible factors,
+    ordered by (degree, codes), whose product taken with multiplicity and
+    scaled by the unit code equals f.  The seed feeds the equal-degree
+    splitting; the returned factors are canonical and identical for every
+    seed.
     """
-    if f.is_zero:
+    if not f:
         raise ValueError("cannot factor the zero polynomial")
-    t = f.tower
     rng = random.Random(seed)
-    unit, monic = _monic(t, f.codes)
+    unit, monic = _monic(t, f)
     irreducibles: set[tuple[int, ...]] = set()
     stack = [monic]
     while stack:
@@ -590,28 +534,27 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
                 break
             rem = quo
             mult += 1
-        result.append((Poly(t, u), mult))
+        result.append((u, mult))
     if len(rem) != 1 or rem[0] != 1:
         raise AssertionError("irreducible factors do not multiply back to the polynomial")
-    return Factorization(FieldElement(t, unit), tuple(result))
+    return unit, tuple(result)
 
 
-def factor_over_subfield(f: Poly, seed: int = 0) -> Factorization:
-    """Factor a Frobenius-fixed polynomial into K-irreducible factors.
+def factor_over_subfield(t: FieldTower, f, seed: int = 0) -> tuple[int, tuple]:
+    """Factor a Frobenius-fixed code tuple into K-irreducible factors, in
+    the shape `factor` returns.
 
     Works inside L: factor over L, then merge each Galois orbit of
     L-factors into its product, which is irreducible over K.
     """
-    t = f.tower
-    if not all(t.is_k_rational(c) for c in f.codes):
+    if not all(t.is_k_rational(c) for c in f):
         raise ValueError("polynomial coefficients are not fixed by the Galois action")
-    base = factor(f, seed)
-    pool: dict[tuple[int, ...], int] = {p.codes: m for p, m in base.factors}
+    unit, base = factor(t, f, seed)
+    pool = dict(base)
     merged = []
-    for codes in sorted(pool, key=lambda c: (len(c), c)):
-        if codes not in pool:
+    for codes, mult in base:  # in (degree, codes) order
+        if pool.pop(codes, None) is None:
             continue
-        mult = pool.pop(codes)
         product = codes
         cur = _pfrob(t, codes)
         while cur != codes:
@@ -619,6 +562,6 @@ def factor_over_subfield(f: Poly, seed: int = 0) -> Factorization:
                 raise AssertionError("Frobenius orbit of a factor changes multiplicity")
             product = _pmul(t, product, cur)
             cur = _pfrob(t, cur)
-        merged.append((Poly(t, product), mult))
-    merged.sort(key=lambda pm: (len(pm[0].codes), pm[0].codes))
-    return Factorization(base.unit, tuple(merged))
+        merged.append((product, mult))
+    merged.sort(key=lambda pm: (len(pm[0]), pm[0]))
+    return unit, tuple(merged)

@@ -29,6 +29,8 @@ NONSPLIT_DESCENTS = [
     ((5, 16, 2, 5), (2, 1, 4), [(4, True, False, 16), (1, True, True, 64)]),
     ((5, 16, 2, 5), (2, 2, 4), [(2, True, False, 16), (1, True, True, 64)]),
     ((13, 9, 3, 4), (3, 1, 3), [(3, True, False, 9)] * 4 + [(1, True, True, 27)]),
+    ((7, 9, 2, 4), (3, 1, 6), [(3, True, False, 9), (1, True, True, 27)]),
+    ((7, 9, 2, 4), (3, 3, 6), [(1, True, True, 9), (1, True, True, 27)]),
 ]
 
 

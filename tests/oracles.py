@@ -22,8 +22,8 @@ from blockfuse.brauer import (BrauerPair, MaximalPairs, SubpairTable, centralize
                               conjugate_block, is_pair_of_block, maximal_pairs, normal_leq,
                               subpair_table)
 from blockfuse.fusion import FusionSystem, SaturationReport, _first_non_extendable, sylow_index
-from blockfuse.gf import (Factorization, FieldTower, Poly, _pdivmod, _pinvmod, _pmod, _pmul,
-                          _pnorm, factor, factor_over_subfield)
+from blockfuse.gf import (FieldTower, _pdivmod, _pinvmod, _pmod, _pmul, _pnorm, factor,
+                          factor_over_subfield)
 from blockfuse.groups import (MAX_ORDER, FiniteGroup, GroupMap, Subgroup, all_subgroups,
                               centralizer_in, class_data, coset_reps, full_subgroup,
                               normalizer_in, sylow_p_subgroup)
@@ -767,10 +767,10 @@ def _minimal_polynomial_kg(z: AlgebraElement, c: AlgebraElement):
 
 def _bezout_idempotents_kg(t: FieldTower, mu, factors, vectors) -> list[AlgebraElement]:
     parts = []
-    for poly, mult in factors:
+    for codes, mult in factors:
         qpow = (1,)
         for _ in range(mult):
-            qpow = _pmul(t, qpow, poly.codes)
+            qpow = _pmul(t, qpow, codes)
         u, r = _pdivmod(t, mu, qpow)
         assert not r
         s = _pmod(t, _pmul(t, u, _pinvmod(t, u, qpow)), mu)
@@ -792,12 +792,11 @@ def blocks_by_group_algebra_splitting(G: FiniteGroup, t: FieldTower,
         refined = []
         for c in summands:
             mu, vectors = _minimal_polynomial_kg(z, c)
-            mu_poly = Poly(t, mu)
-            fac = factor_over_subfield(mu_poly) if over_k else factor(mu_poly)
-            if len(fac.factors) == 1:
+            _, factors = (factor_over_subfield if over_k else factor)(t, mu)
+            if len(factors) == 1:
                 refined.append(c)
                 continue
-            parts = _bezout_idempotents_kg(t, mu, fac.factors, vectors)
+            parts = _bezout_idempotents_kg(t, mu, factors, vectors)
             assert all(not part.is_zero for part in parts)
             total = zero(G, t)
             for part in parts:
@@ -957,17 +956,17 @@ def conjugate_subgroup(S: Subgroup, x: int) -> Subgroup:
     return Subgroup._of(S.parent, tuple(sorted(S.parent.conj(x, g) for g in S.elems)))
 
 
-def make_poly(t: FieldTower, codes) -> Poly:
+def make_poly(codes) -> tuple[int, ...]:
     """The polynomial with the given codes, low degree first, trailing
     zeros dropped."""
-    return Poly(t, _pnorm([int(c) for c in codes]))
+    return _pnorm([int(c) for c in codes])
 
 
-def expand(fac: Factorization) -> Poly:
-    """The product of the unit and the factor powers."""
-    t = fac.unit.tower
-    acc: tuple[int, ...] = (fac.unit.code,)
-    for poly, mult in fac.factors:
+def expand(t: FieldTower, fac) -> tuple[int, ...]:
+    """The product of the unit and the factor powers of a `factor` result."""
+    unit, factors = fac
+    acc: tuple[int, ...] = (unit,)
+    for codes, mult in factors:
         for _ in range(mult):
-            acc = _pmul(t, acc, poly.codes)
-    return Poly(t, acc)
+            acc = _pmul(t, acc, codes)
+    return acc

@@ -289,6 +289,25 @@ def test_malformed_group_and_corpus_files_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"blockfuse: error: group {path}: ValueError: {message}")
         assert err.count("\n") == 1
+    # builtin: names only the shipped group files, and lists them
+    groups_dir = Path(cli.__file__).parent / "data" / "groups"
+    shipped = sorted(f.stem for f in groups_dir.glob("*.json"))
+    builtins = f"the builtins are {', '.join(shipped)}"
+    for name in ("../corpus", "nope"):
+        assert main(["blocks", "--group", f"builtin:{name}", "--p", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"blockfuse: error: group builtin:{name}: ValueError: "
+                              f"unknown builtin group {name!r}; {builtins}")
+        assert err.count("\n") == 1
+        path.write_text(json.dumps({"entries": [{"group": f"builtin:{name}", "p": 2}]}))
+        assert main(["verify", "--corpus", str(path)]) == 2
+        (entry,) = json.loads(capsys.readouterr().out)["entries"]
+        assert entry["kind"] == "input"
+        assert entry["error"].startswith(f"ValueError: unknown builtin group {name!r}; {builtins}")
+    path.write_text(json.dumps({"entries": [{"group": "builtin:s3"}]}))
+    assert main(["verify", "--corpus", str(path)]) == 2
+    assert capsys.readouterr().err == (f"blockfuse: error: corpus {path}: ValueError: "
+                                       "corpus entry key 'p' is missing\n")
     s3 = {"group": "builtin:s3", "p": 3}
     for corpus in ([1, 2], {"entries": [{"p": 2}]}, {"entries": [1]}, {"entries": {"a": 1}},
                    {"entries": [{"group": 5, "p": 2}]}, {"entries": [s3 | {"p": 3.9}]},

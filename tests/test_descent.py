@@ -267,8 +267,10 @@ def test_nonsplit_descents(group, tower, expected):
     p = 2, and both sides saturated.  (C5xC16):C4 descends with index 4 =
     p^2 over F16/F2 and index 2 over F16/F4, and (C13xC9):C3, of order
     351, with index 3 four times over F27/F3, each to an unsaturated
-    K-system.  Each descent, one per Galois orbit, has (index,
-    saturated_l, saturated_k, defect_order) pinned, all verdicts true, and
+    K-system.  (C7xC9):C3 over F_{3^6}/F3 has one index-3 descent to an
+    unsaturated K-system, and over F_{3^6}/F27 only index 1.  Each
+    descent, one per Galois orbit, has (index, saturated_l, saturated_k,
+    defect_order) pinned, all verdicts true, and
     |Aut_{F_K}(P)| = index |Aut_{F_L}(P)|.  The groups are the shipped
     builtin:c5c8s2, builtin:c7c9s3, builtin:c7v4s3, builtin:c5c16s4 and
     builtin:c13c9s3."""

@@ -58,14 +58,14 @@ def test_relabelled_group_keeps_invariants(name, data):
     assert invariants(relabel(G, perm)) == invariants(G)
 
 
-@pytest.mark.parametrize("name", ["c5c8s2", "c7v4s3", "c13c9s3"])
+@pytest.mark.parametrize("name", ["c5c8s2", "c7v4s3", "c13c9s3", "c7c9s3", "c5c16s4"])
 @settings(max_examples=2)
 @given(data=st.data())
 def test_relabelled_nonsplit_group_keeps_descents(name, data):
     """Relabelled as a table group, each of these non-split builtins keeps
     its pinned (index, saturated_l, saturated_k, defect_order) rows under
-    every pinned tower; c13c9s3 has order 351, so its rows hold indices
-    above 255."""
+    every pinned tower; c13c9s3 and c5c16s4 have orders 351 and 320, so
+    their rows hold indices above 255."""
     G = load_builtin(name)
     perm = [0] + data.draw(st.permutations(range(1, G.order)), label="perm")
     H = relabel(G, perm)
